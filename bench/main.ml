@@ -281,6 +281,10 @@ let micro_classify_results () =
   and t25 = micro_tables 25
   and t100 = micro_tables 100 in
   let t1k, tshared, tmasked = adversarial_tables () in
+  (* the compiled tables the engine runs, through its [classify_frame_c] *)
+  let c25 = Vw_fsl.Tables.compile t25
+  and cshared = Vw_fsl.Tables.compile tshared
+  and cmasked = Vw_fsl.Tables.compile tmasked in
   let bindings = [||] in
   let ping_frame = Vw_net.Eth.to_bytes ping_eth in
   let tests =
@@ -297,6 +301,9 @@ let micro_classify_results () =
       Test.make ~name:"classify/25-frame"
         (Staged.stage (fun () ->
              Vw_engine.Classifier.classify_frame t25 ~bindings ping_eth));
+      Test.make ~name:"classify/25-compiled"
+        (Staged.stage (fun () ->
+             Vw_engine.Classifier.classify_frame_c c25 ~bindings ping_eth));
       Test.make ~name:"classify/100-linear"
         (Staged.stage (fun () ->
              Vw_engine.Classifier.classify_linear t100 ~bindings ping_frame));
@@ -315,9 +322,15 @@ let micro_classify_results () =
       Test.make ~name:"adv/256-shared-bucket-linear"
         (Staged.stage (fun () ->
              Vw_engine.Classifier.classify_linear tshared ~bindings ping_frame));
+      Test.make ~name:"adv/256-shared-bucket-compiled"
+        (Staged.stage (fun () ->
+             Vw_engine.Classifier.classify_frame_c cshared ~bindings ping_eth));
       Test.make ~name:"adv/256-masked-fallback-indexed"
         (Staged.stage (fun () ->
              Vw_engine.Classifier.classify tmasked ~bindings ping_frame));
+      Test.make ~name:"adv/256-masked-fallback-compiled"
+        (Staged.stage (fun () ->
+             Vw_engine.Classifier.classify_frame_c cmasked ~bindings ping_eth));
       Test.make ~name:"fsl/parse-figure5"
         (Staged.stage (fun () -> Vw_fsl.Parser.parse Vw_scripts.tcp_ss_ca));
       Test.make ~name:"fsl/compile-figure5"

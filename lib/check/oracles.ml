@@ -78,44 +78,21 @@ let check_fixpoint (c : Gen.case) =
 
 (* --- classifier_diff --- *)
 
-(* The injected bug for the self-check: when the discriminating field of a
-   frame selects an existing bucket, "forget" the bucket and scan only the
-   fallback filters — exactly what a broken bucket lookup would do. *)
-let classify_skipping_buckets (tables : Tables.t) ~bindings data =
-  let ci = tables.Tables.cindex in
-  let in_range =
-    ci.Tables.ci_offset >= 0
-    && ci.Tables.ci_offset + ci.Tables.ci_len <= Bytes.length data
-  in
-  if not in_range then Classifier.classify tables ~bindings data
-  else
-    let key =
-      Vw_util.Hexutil.to_int_be data ~pos:ci.Tables.ci_offset
-        ~len:ci.Tables.ci_len
-    in
-    if not (Hashtbl.mem ci.Tables.ci_buckets key) then
-      Classifier.classify tables ~bindings data
-    else begin
-      let fb = ci.Tables.ci_fallback in
-      let n = Array.length fb in
-      let rec go i =
-        if i = n then None
-        else
-          let fid = fb.(i) in
-          if
-            Classifier.filter_matches
-              tables.Tables.filters.(fid)
-              ~bindings data
-          then Some fid
-          else go (i + 1)
-      in
-      go 0
-    end
-
 let max_frames_checked = 4_000
 
+(* The engine's classifier, [classify_frame_c] over [Tables.compile],
+   against the linear reference. The injected bug for the self-check
+   breaks the compiled bucket lookup: with its buckets gone, a frame whose
+   discriminating field selects a bucket scans only the fallback filters,
+   exactly what a lookup that "forgets" the bucket would do. *)
 let check_classifier ~defect (o : Runner.outcome) =
   let tables = o.Runner.o_tables in
+  let compiled =
+    let c = Tables.compile tables in
+    match defect with
+    | Skip_index_bucket -> { c with Tables.Compiled.ci_buckets = Hashtbl.create 1 }
+    | _ -> c
+  in
   let n_vars = Array.length tables.Tables.vars in
   let rec go i = function
     | [] -> None
@@ -123,15 +100,12 @@ let check_classifier ~defect (o : Runner.outcome) =
     | (entry : Vw_core.Trace.entry) :: rest ->
         let bindings = Array.make n_vars None in
         let bindings' = Array.make n_vars None in
-        let data = Vw_net.Eth.to_bytes entry.Vw_core.Trace.frame in
-        let indexed =
-          match defect with
-          | Skip_index_bucket -> classify_skipping_buckets tables ~bindings data
-          | _ ->
-              Classifier.classify_frame tables ~bindings
-                entry.Vw_core.Trace.frame
+        let frame = entry.Vw_core.Trace.frame in
+        let indexed = Classifier.classify_frame_c compiled ~bindings frame in
+        let linear =
+          Classifier.classify_linear tables ~bindings:bindings'
+            (Vw_net.Eth.to_bytes frame)
         in
-        let linear = Classifier.classify_linear tables ~bindings:bindings' data in
         if indexed <> linear then
           fail "classifier_diff"
             "frame %d (%s %s): indexed classifier says %s, linear reference says %s"

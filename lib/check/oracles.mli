@@ -5,7 +5,8 @@
 
     - [print_parse_fixpoint]: the serialized case re-parses to a script
       that prints identically;
-    - [classifier_diff]: the indexed zero-copy classifier agrees with
+    - [classifier_diff]: the engine's classifier,
+      [Classifier.classify_frame_c] over [Tables.compile], agrees with
       [Classifier.classify_linear] on every captured frame;
     - [batch_equiv]: replaying the captured frames through
       [Classifier.classify_batch] in chunks gives, frame by frame, the
@@ -37,7 +38,8 @@
 type defect =
   | No_defect
   | Skip_index_bucket
-      (** classify as if the index forgot the matching bucket *)
+      (** the compiled index loses its buckets, so a frame that selects
+          one scans only the fallback filters *)
   | Codec_drop_action  (** decoded tables lose their last action *)
   | Events_drop_line  (** one event line vanishes before reload *)
   | Conform_zero_cover

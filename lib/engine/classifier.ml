@@ -129,62 +129,118 @@ let classify_frame ?stats (t : t) ~bindings (frame : Vw_net.Eth.t) =
     ~test:(fun fid -> filter_matches_frame t.filters.(fid) ~bindings frame)
     bucket ci.ci_fallback
 
-(* --- matching over the compiled (SoA) filter table --- *)
+(* --- matching over the compiled (SoA) filter table ---
+
+   The engine's per-packet path, written to allocate nothing: every
+   helper is a top-level function or a loop over local refs, so no
+   closure is built per frame, filter or tuple (without flambda a local
+   [let rec] that captures a variable is allocated on each call). *)
 
 module C = Vw_fsl.Tables.Compiled
+module Eth = Vw_net.Eth
 
-let tuple_matches_c (c : C.t) ti ~bindings (frame : Vw_net.Eth.t) =
-  let pat = c.C.tu_pat.(ti) in
+(* A tuple that is not keyed (an 8-byte literal or a VAR): the byte loop
+   over pool slices. *)
+let unkeyed_matches_c (c : C.t) ~bindings (frame : Eth.t) ti =
+  let pos = Array.unsafe_get c.C.tu_offset ti in
+  let pat = Array.unsafe_get c.C.tu_pat ti in
+  let mask_off = max 0 (Array.unsafe_get c.C.tu_mask ti) in
+  let mask_len = Array.unsafe_get c.C.tu_mlen ti in
   if pat >= 0 then
-    Vw_net.Eth.field_matches frame ~pos:c.C.tu_offset.(ti) ~pat:c.C.pool
-      ~pat_off:pat ~pat_len:c.C.tu_plen.(ti) ~mask:c.C.pool
-      ~mask_off:(max 0 c.C.tu_mask.(ti))
-      ~mask_len:c.C.tu_mlen.(ti)
+    Eth.field_matches frame ~pos ~pat:c.C.pool ~pat_off:pat
+      ~pat_len:(Array.unsafe_get c.C.tu_plen ti)
+      ~mask:c.C.pool ~mask_off ~mask_len
   else
     match bindings.(-pat - 1) with
     | None -> false
     | Some pattern ->
-        Vw_net.Eth.field_matches frame ~pos:c.C.tu_offset.(ti) ~pat:pattern
-          ~pat_off:0 ~pat_len:(Bytes.length pattern) ~mask:c.C.pool
-          ~mask_off:(max 0 c.C.tu_mask.(ti))
-          ~mask_len:c.C.tu_mlen.(ti)
+        Eth.field_matches frame ~pos ~pat:pattern ~pat_off:0
+          ~pat_len:(Bytes.length pattern) ~mask:c.C.pool ~mask_off ~mask_len
 
-let filter_matches_c (c : C.t) fid ~bindings frame =
-  let stop = c.C.f_start.(fid + 1) in
-  let rec go ti =
-    ti = stop || (tuple_matches_c c ti ~bindings frame && go (ti + 1))
-  in
-  go c.C.f_start.(fid)
+(* The bucket the frame's discriminating field selects, or [empty_bucket];
+   counts the hit or miss. [Hashtbl.find] rather than [find_opt]: a miss
+   raises the preallocated [Not_found] instead of boxing every hit. *)
+let bucket_c (c : C.t) stats (frame : Eth.t) size =
+  let off = c.C.ci_offset and len = c.C.ci_len in
+  match
+    if off >= 0 && off + len <= size then
+      Hashtbl.find c.C.ci_buckets (Eth.read_window frame ~pos:off ~len)
+    else raise_notrace Not_found
+  with
+  | fids ->
+      (match stats with
+      | Some s -> s.index_hits <- s.index_hits + 1
+      | None -> ());
+      fids
+  | exception Not_found ->
+      (match stats with
+      | Some s -> s.index_misses <- s.index_misses + 1
+      | None -> ());
+      empty_bucket
 
-let classify_frame_c ?stats (c : C.t) ~bindings (frame : Vw_net.Eth.t) =
-  let key =
-    if c.C.ci_offset >= 0 && c.C.ci_offset + c.C.ci_len <= Vw_net.Eth.size frame
-    then Some (Vw_net.Eth.read_int_be frame ~pos:c.C.ci_offset ~len:c.C.ci_len)
-    else None
-  in
-  let bucket =
-    match key with
-    | Some key -> (
-        match Hashtbl.find_opt c.C.ci_buckets key with
-        | Some fids ->
-            (match stats with
-            | Some s -> s.index_hits <- s.index_hits + 1
-            | None -> ());
-            fids
-        | None ->
-            (match stats with
-            | Some s -> s.index_misses <- s.index_misses + 1
-            | None -> ());
-            empty_bucket)
-    | None ->
-        (match stats with
-        | Some s -> s.index_misses <- s.index_misses + 1
-        | None -> ());
-        empty_bucket
-  in
-  merge_scan ~stats
-    ~test:(fun fid -> filter_matches_c c fid ~bindings frame)
-    bucket c.C.ci_fallback
+(* The first match, or -1: the bucket and the fallback filters merged in
+   ascending fid order. Each pass tests one filter and advances one
+   cursor, so [bi + fi] is the number tested. A keyed tuple is one window
+   read, [land] mask, compare; the window value is reused while
+   consecutive keyed tuples read the same (offset, len), as filters on
+   one field do (every filter of a shared bucket or of the fallback). *)
+let classify_fid_c stats (c : C.t) ~bindings (frame : Eth.t) =
+  let size = Eth.size frame in
+  let bucket = bucket_c c stats frame size in
+  let fallback = c.C.ci_fallback in
+  let f_start = c.C.f_start in
+  let tu_offset = c.C.tu_offset and tu_pat = c.C.tu_pat in
+  let tu_plen = c.C.tu_plen and tu_mask = c.C.tu_mask in
+  let nb = Array.length bucket and nf = Array.length fallback in
+  let bi = ref 0 and fi = ref 0 and found = ref (-1) in
+  let wpos = ref (-1) and wlen = ref 0 and wval = ref 0 in
+  while !found < 0 && (!bi < nb || !fi < nf) do
+    let fid =
+      if
+        !bi < nb
+        && (!fi >= nf
+           || Array.unsafe_get bucket !bi < Array.unsafe_get fallback !fi)
+      then begin
+        let fid = Array.unsafe_get bucket !bi in
+        incr bi;
+        fid
+      end
+      else begin
+        let fid = Array.unsafe_get fallback !fi in
+        incr fi;
+        fid
+      end
+    in
+    let ti = ref f_start.(fid) and stop = f_start.(fid + 1) in
+    let ok = ref true in
+    while !ok && !ti < stop do
+      let t = !ti in
+      let pat = Array.unsafe_get tu_pat t and plen = Array.unsafe_get tu_plen t in
+      if pat >= 0 && plen <= C.max_key_len then begin
+        let pos = Array.unsafe_get tu_offset t in
+        (* only an in-range window is ever cached *)
+        if pos <> !wpos || plen <> !wlen then
+          if pos >= 0 && pos + plen <= size then begin
+            wval := Eth.read_window frame ~pos ~len:plen;
+            wpos := pos;
+            wlen := plen
+          end
+          else ok := false;
+        ok := !ok && !wval land Array.unsafe_get tu_mask t = pat
+      end
+      else ok := unkeyed_matches_c c ~bindings frame t;
+      ti := t + 1
+    done;
+    if !ok then found := fid
+  done;
+  (match stats with
+  | Some s -> s.filters_scanned <- s.filters_scanned + !bi + !fi
+  | None -> ());
+  !found
+
+let classify_frame_c ?stats (c : C.t) ~bindings (frame : Eth.t) =
+  let fid = classify_fid_c stats c ~bindings frame in
+  if fid < 0 then None else Some fid
 
 (* Classify a whole batch in one pass, recording the per-frame match
    ([Arena.no_match] for none), scan count and index hit/miss so a caller
@@ -193,11 +249,11 @@ let classify_frame_c ?stats (c : C.t) ~bindings (frame : Vw_net.Eth.t) =
    the sum of per-frame [classify_frame_c] calls by construction. *)
 let classify_batch ?stats (c : C.t) ~bindings ~frames ~n ~fids ~scanned ~hits =
   let ls = new_scan_stats () in
+  let local = Some ls in
   for i = 0 to n - 1 do
     let scanned_before = ls.filters_scanned in
     let hits_before = ls.index_hits in
-    let r = classify_frame_c ~stats:ls c ~bindings frames.(i) in
-    fids.(i) <- (match r with Some fid -> fid | None -> -1);
+    fids.(i) <- classify_fid_c local c ~bindings frames.(i);
     scanned.(i) <- ls.filters_scanned - scanned_before;
     Bytes.set hits i (if ls.index_hits > hits_before then '\001' else '\000')
   done;

@@ -6,13 +6,21 @@
     match the subsequent rules."). A tuple with an unbound variable never
     matches; a bound variable behaves as a literal pattern (see DESIGN.md).
 
+    The engine runs one path: {!classify_frame_c} and {!classify_batch}
+    over the compiled {!Vw_fsl.Tables.Compiled} table. They dispatch on
+    the classification index (one read of the discriminating field
+    selects a bucket, merged in fid order with the always-scanned
+    fallback filters) and test short literal tuples as masked int words.
+    After warm-up they allocate nothing per filter or tuple tested: at
+    most the [Some] of a match per frame.
+
     The paper's implementation "searches linearly through the packet type
     definitions" — the cost Figure 8 measures. {!classify_linear} keeps
-    that scan as the executable reference; {!classify} and
-    {!classify_frame} dispatch through the precompiled
-    {!Vw_fsl.Tables.classification_index} instead, scanning only the
-    filters that could possibly match. The two are semantically identical
-    (property-tested in [test_engine.ml]). *)
+    that scan over the record-form tables as the executable reference the
+    compiled path is property-tested against (here and by the
+    [classifier_diff] fuzz oracle). {!classify} and {!classify_frame} are
+    the record-form indexed scans over raw bytes and over an [Eth.t]; no
+    engine path uses them. *)
 
 val tuple_matches :
   Vw_fsl.Tables.tuple -> bindings:bytes option array -> bytes -> bool
@@ -71,11 +79,19 @@ val classify_frame_c :
   bindings:bytes option array ->
   Vw_net.Eth.t ->
   int option
-(** {!classify_frame} over the compiled SoA filter table: same index
-    dispatch and first-match-wins merge scan, but tuples are flat int
-    arrays over a shared byte pool — no list traversal, no per-tuple
-    variant dispatch. This is the engine's per-packet entry point;
-    property-tested equal to {!classify_frame} and {!classify_linear}. *)
+(** The engine's per-packet entry point: {!classify_frame} over the
+    compiled SoA filter table, with the same index dispatch and
+    first-match-wins merge scan. A keyed tuple (a literal of at most 7
+    bytes, see {!Vw_fsl.Tables.Compiled.keyed}) is one window read,
+    [land] its int mask, compared with its int key; the last window value
+    is reused across consecutive tuples on the same (offset, len). 8-byte
+    literals and VARs take a byte loop over pool slices.
+
+    Zero-allocation contract: after warm-up a call allocates no minor
+    words for the filters and tuples it tests, only the [Some fid] of a
+    match (and the [Some] the caller builds for [~stats]) —
+    regression-tested on a table where frames test up to 511 filters.
+    Property-tested equal to {!classify_linear}. *)
 
 val classify_batch :
   ?stats:scan_stats ->
@@ -95,4 +111,5 @@ val classify_batch :
     of {!classify_frame_c}; the per-frame breakdown lets a caller that
     stops mid-batch subtract the unprocessed tail and keep batch and
     single-packet stats identical. Only sound when [bindings] cannot
-    change mid-batch (no vars, or no BIND_VAR reachable). *)
+    change mid-batch (no vars, or no BIND_VAR reachable). Allocates a
+    constant per call, nothing per frame. *)

@@ -208,11 +208,15 @@ module Compiled = struct
     (* filter table: tuples in CSR form over a shared byte pool *)
     f_start : int array;  (* fid -> first tuple index; length n_filters+1 *)
     tu_offset : int array;
-    tu_pat : int array;  (* >= 0: pool offset; < 0: var pattern -(vid+1) *)
+    tu_pat : int array;
+        (* keyed (literal, plen <= 7): the int key; longer literal: pool
+           offset; < 0: var pattern -(vid+1) *)
     tu_plen : int array;  (* literal pattern byte length; 0 for vars *)
-    tu_mask : int array;  (* pool offset of the mask; -1 = no mask *)
+    tu_mask : int array;
+        (* keyed: the int mask; otherwise pool offset of the mask, -1 =
+           no mask *)
     tu_mlen : int array;  (* mask byte length; 0 = unmasked *)
-    pool : bytes;  (* every literal pattern and mask, concatenated *)
+    pool : bytes;  (* the patterns and masks of unkeyed tuples *)
     (* classification index (shared with the record form; the bucket
        arrays are immutable once built) *)
     ci_offset : int;
@@ -266,6 +270,29 @@ module Compiled = struct
   let k_stop = 14
   let k_flag_error = 15
   let k_bind_var = 16
+
+  (* Literal tuples of at most [max_key_len] bytes compile to one
+     big-endian int each: [tu_pat] holds [pattern land mask] and [tu_mask]
+     the int mask, so the classifier tests [window land mask = key] with
+     one read and one compare. Seven bytes is the most a 63-bit int holds
+     unsigned. *)
+  let max_key_len = 7
+
+  let keyed c ti = c.tu_pat.(ti) >= 0 && c.tu_plen.(ti) <= max_key_len
+
+  (* the int form of a mask over a [len]-byte window: bytes beyond a short
+     mask (and every byte when there is none) count as 0xff *)
+  let int_mask mask len =
+    let m = ref 0 in
+    for i = 0 to len - 1 do
+      let byte =
+        match mask with
+        | Some mb when i < Bytes.length mb -> Char.code (Bytes.get mb i)
+        | Some _ | None -> 0xff
+      in
+      m := (!m lsl 8) lor byte
+    done;
+    !m
 
   (* CSR over [get i : int list] for i in [0, n) *)
   let csr n get =
@@ -343,20 +370,27 @@ module Compiled = struct
           (fun k (tu : tuple) ->
             let ti = f_start.(fid) + k in
             tu_offset.(ti) <- tu.t_offset;
-            (match tu.t_pat with
+            (match tu.t_mask with
+            | Some m -> tu_mlen.(ti) <- Bytes.length m
+            | None -> tu_mlen.(ti) <- 0);
+            match tu.t_pat with
+            | Bytes_pattern b when Bytes.length b <= max_key_len ->
+                let len = Bytes.length b in
+                let mask = int_mask tu.t_mask len in
+                let value =
+                  if len = 0 then 0 else Vw_util.Hexutil.to_int_be b ~pos:0 ~len
+                in
+                tu_pat.(ti) <- value land mask;
+                tu_plen.(ti) <- len;
+                tu_mask.(ti) <- mask
             | Bytes_pattern b ->
                 tu_pat.(ti) <- intern b;
-                tu_plen.(ti) <- Bytes.length b
+                tu_plen.(ti) <- Bytes.length b;
+                tu_mask.(ti) <- Option.fold ~none:(-1) ~some:intern tu.t_mask
             | Var_pattern vid ->
                 tu_pat.(ti) <- -(vid + 1);
-                tu_plen.(ti) <- 0);
-            match tu.t_mask with
-            | Some m ->
-                tu_mask.(ti) <- intern m;
-                tu_mlen.(ti) <- Bytes.length m
-            | None ->
-                tu_mask.(ti) <- -1;
-                tu_mlen.(ti) <- 0)
+                tu_plen.(ti) <- 0;
+                tu_mask.(ti) <- Option.fold ~none:(-1) ~some:intern tu.t_mask)
           f.f_tuples)
       t.filters;
     let pool = Buffer.to_bytes pool_buf in

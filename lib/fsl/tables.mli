@@ -150,11 +150,16 @@ module Compiled : sig
         (** fid → first tuple index (CSR, length n_filters+1) *)
     tu_offset : int array;  (** per tuple: frame byte offset *)
     tu_pat : int array;
-        (** ≥ 0: pattern offset into [pool]; < 0: var pattern −(vid+1) *)
+        (** keyed tuple (see {!keyed}): the big-endian int key, pattern
+            [land] mask; other literal: pattern offset into [pool];
+            < 0: var pattern −(vid+1) *)
     tu_plen : int array;  (** literal pattern length; 0 for vars *)
-    tu_mask : int array;  (** mask offset into [pool]; −1 = unmasked *)
+    tu_mask : int array;
+        (** keyed tuple: the int mask (bytes beyond a short mask, or every
+            byte when unmasked, are 0xff); otherwise mask offset into
+            [pool], −1 = unmasked *)
     tu_mlen : int array;  (** mask length; 0 = unmasked *)
-    pool : bytes;
+    pool : bytes;  (** patterns and masks of the tuples that are not keyed *)
     ci_offset : int;
     ci_len : int;
     ci_buckets : (int, int array) Hashtbl.t;
@@ -202,6 +207,14 @@ module Compiled : sig
   val k_stop : int
   val k_flag_error : int
   val k_bind_var : int
+
+  val max_key_len : int
+  (** 7: the longest literal that compiles to an int key. *)
+
+  val keyed : t -> int -> bool
+  (** [keyed c ti]: tuple [ti] is a literal of at most {!max_key_len}
+      bytes, stored as an int key and mask rather than in [pool]. The
+      classifier tests it as one window read, [land] mask, compare. *)
 
   val eval_term : t -> counter_values:int array -> int -> bool
   (** Identical to evaluating the record-form term entry over the same

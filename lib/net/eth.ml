@@ -31,13 +31,26 @@ let get_byte t i =
   else if i = 13 then t.ethertype land 0xff
   else Char.code (Bytes.get t.payload (i - 14))
 
+(* Big-endian accumulation over a half-open byte range. Top-level and
+   closure-free: a local [let rec] capturing [t] would be allocated as a
+   closure on every call. *)
+let rec frame_be t i stop acc =
+  if i = stop then acc else frame_be t (i + 1) stop ((acc lsl 8) lor get_byte t i)
+
+let rec bytes_be b i stop acc =
+  if i = stop then acc
+  else bytes_be b (i + 1) stop ((acc lsl 8) lor Char.code (Bytes.unsafe_get b i))
+
+let read_window t ~pos ~len =
+  if pos >= header_size then
+    let base = pos - header_size in
+    bytes_be t.payload base (base + len) 0
+  else frame_be t pos (pos + len) 0
+
 let read_int_be t ~pos ~len =
   if len < 1 || len > 7 then invalid_arg "Eth.read_int_be: len out of [1;7]";
   if pos < 0 || pos + len > size t then invalid_arg "Eth.read_int_be: out of range";
-  let rec go acc i =
-    if i = len then acc else go ((acc lsl 8) lor get_byte t (pos + i)) (i + 1)
-  in
-  go 0 0
+  read_window t ~pos ~len
 
 let masked_field_equal t ~pos ~pattern ~mask =
   let len = Bytes.length pattern in
@@ -71,36 +84,38 @@ let masked_field_equal t ~pos ~pattern ~mask =
    compile-time pool); the frame-side bounds are checked here. *)
 let field_matches t ~pos ~pat ~pat_off ~pat_len ~mask ~mask_off ~mask_len =
   if pos < 0 || pat_len < 0 || pos + pat_len > size t then false
-  else if pos >= header_size then begin
-    (* entirely inside the payload: compare in place, no per-byte dispatch *)
-    let p = t.payload in
-    let base = pos - header_size in
-    let rec go i =
-      if i = pat_len then true
-      else
+  else begin
+    (* loops over refs the compiler keeps in registers: no closure, no
+       allocation *)
+    let i = ref 0 and ok = ref true in
+    if pos >= header_size then begin
+      (* entirely inside the payload: compare in place, no per-byte dispatch *)
+      let p = t.payload in
+      let base = pos - header_size in
+      while !ok && !i < pat_len do
+        let k = !i in
         let m =
-          if i < mask_len then Char.code (Bytes.unsafe_get mask (mask_off + i))
+          if k < mask_len then Char.code (Bytes.unsafe_get mask (mask_off + k))
           else 0xff
         in
-        let bv = Char.code (Bytes.unsafe_get p (base + i)) land m in
-        let pv = Char.code (Bytes.unsafe_get pat (pat_off + i)) land m in
-        if bv = pv then go (i + 1) else false
-    in
-    go 0
+        ok :=
+          Char.code (Bytes.unsafe_get p (base + k)) land m
+          = Char.code (Bytes.unsafe_get pat (pat_off + k)) land m;
+        i := k + 1
+      done
+    end
+    else
+      while !ok && !i < pat_len do
+        let k = !i in
+        let m =
+          if k < mask_len then Char.code (Bytes.get mask (mask_off + k)) else 0xff
+        in
+        ok :=
+          get_byte t (pos + k) land m = Char.code (Bytes.get pat (pat_off + k)) land m;
+        i := k + 1
+      done;
+    !ok
   end
-  else
-    let rec go i =
-      if i = pat_len then true
-      else
-        let m =
-          if i < mask_len then Char.code (Bytes.get mask (mask_off + i))
-          else 0xff
-        in
-        let bv = get_byte t (pos + i) land m in
-        let pv = Char.code (Bytes.get pat (pat_off + i)) land m in
-        if bv = pv then go (i + 1) else false
-    in
-    go 0
 
 let of_bytes b =
   if Bytes.length b < header_size then

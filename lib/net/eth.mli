@@ -43,6 +43,13 @@ val read_int_be : t -> pos:int -> len:int -> int
 (** Big-endian unsigned read of [len] (1–7) bytes at [pos].
     @raise Invalid_argument out of range. *)
 
+val read_window : t -> pos:int -> len:int -> int
+(** {!read_int_be} without the checks, for a caller that has already
+    bounded the window: [0 <= pos], [pos + len <= size t] and
+    [0 <= len <= 7] (a zero-length window reads 0). A window starting at
+    or past {!header_size} is read straight from [payload]. Allocates
+    nothing. *)
+
 val masked_field_equal :
   t -> pos:int -> pattern:bytes -> mask:bytes option -> bool
 (** [masked_field_equal t ~pos ~pattern ~mask] is

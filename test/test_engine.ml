@@ -122,6 +122,10 @@ let tables_of_filters filters =
     cindex = Tables.build_index filters;
   }
 
+(* Tuples reach the compiled kernel's edges: 7- and 8-byte literals (the
+   last int key and the first pool byte loop), masks shorter than their
+   pattern, windows at offsets 10-16 straddling the header/payload
+   boundary, and frames short enough for windows to run past their end. *)
 let gen_equiv_case =
   let open QCheck.Gen in
   let small_char = oneofl [ '\x00'; '\x01' ] in
@@ -129,9 +133,15 @@ let gen_equiv_case =
     map Bytes.of_string (string_size ~gen:small_char (return len))
   in
   let gen_tuple =
-    int_range 1 2 >>= fun t_len ->
-    oneofl [ 12; 13; 14; 15; 34 ] >>= fun t_offset ->
-    frequency [ (4, return None); (1, map Option.some (gen_pat t_len)) ]
+    frequency [ (6, int_range 1 2); (1, int_range 3 6); (2, int_range 7 8) ]
+    >>= fun t_len ->
+    frequency [ (3, int_range 10 16); (1, return 34) ] >>= fun t_offset ->
+    frequency
+      [
+        (4, return None);
+        (1, map Option.some (gen_pat t_len));
+        (1, int_range 1 t_len >>= fun l -> map Option.some (gen_pat l));
+      ]
     >>= fun t_mask ->
     frequency
       [
@@ -155,11 +165,12 @@ let gen_equiv_case =
   >>= fun bindings ->
   list_size (int_range 1 8)
     ( oneofl [ 0x0000; 0x0001; 0x0100; 0x0101 ] >>= fun ethertype ->
+      oneofl [ 0x0000; 0x0001; 0x0100; 0x0101 ] >>= fun src ->
       string_size ~gen:small_char (int_range 0 25) >>= fun payload ->
       return
         (Vw_net.Eth.make
            ~dst:(Vw_net.Mac.of_int 2)
-           ~src:(Vw_net.Mac.of_int 1)
+           ~src:(Vw_net.Mac.of_int src)
            ~ethertype
            (Bytes.of_string payload)) )
   >>= fun frames -> return (filters, bindings, frames)
@@ -214,6 +225,92 @@ let prop_compiled_equals_linear =
       && bs.C.index_hits = rs.C.index_hits
       && bs.C.index_misses = rs.C.index_misses)
 
+(* --- the compiled classifier allocates a constant per frame ---
+
+   The blast_mixed1k shape: singleton buckets, one 256-filter shared
+   bucket whose second tuple never matches, and 255 masked filters in the
+   always-scanned fallback, so a frame tests anywhere from 1 to 511
+   filters. What [classify_frame_c] and [classify_batch] allocate must not
+   grow with that number. *)
+
+let blast_shape_tables () =
+  compile
+    (String.concat ""
+       ([ "FILTER_TABLE\n" ]
+       @ List.init 64 (fun k ->
+             Printf.sprintf "s%d: (34 2 0x%04x)\n" k (0x2000 + k))
+       @ List.init 256 (fun k ->
+             Printf.sprintf "h%d: (34 2 0x3000), (%d 1 0xaa)\n" k
+               (42 + (k mod 64)))
+       @ List.init 255 (fun k ->
+             Printf.sprintf "m%d: (34 2 0xfff0 0x%04x)\n" k
+               (0xe000 + (k lsl 4)))
+       @ [
+           "udp_ping: (34 2 0x1388), (36 2 0x1389)\n\
+            END\n\
+            NODE_TABLE\n\
+            a 02:00:00:00:00:01 10.0.0.1\n\
+            b 02:00:00:00:00:02 10.0.0.2\n\
+            END\n\
+            SCENARIO blast_shape\n\
+            (TRUE) >> STOP;\n\
+            END\n";
+         ]))
+
+let udp_eth ~src_port =
+  let src = Vw_net.Ip_addr.of_host_index 1 in
+  let dst = Vw_net.Ip_addr.of_host_index 2 in
+  let udp =
+    Vw_net.Udp.to_bytes ~src ~dst
+      (Vw_net.Udp.make ~src_port ~dst_port:0x1389 (Bytes.make 64 'p'))
+  in
+  Vw_net.Eth.make ~dst:(Vw_net.Mac.of_int 2) ~src:(Vw_net.Mac.of_int 1)
+    ~ethertype:Vw_net.Eth.ethertype_ipv4
+    (Vw_net.Ipv4.to_bytes
+       (Vw_net.Ipv4.make ~protocol:Vw_net.Ipv4.protocol_udp ~src ~dst udp))
+
+let test_compiled_classify_no_alloc () =
+  let module C = Vw_engine.Classifier in
+  let ct = Tables.compile (blast_shape_tables ()) in
+  (* a singleton hit, the shared bucket, no bucket, the last filter *)
+  let frames =
+    Array.map (fun p -> udp_eth ~src_port:p) [| 0x2005; 0x3000; 0x4321; 0x1388 |]
+  in
+  let n = Array.length frames in
+  let bindings = [||] in
+  let stats = C.new_scan_stats () in
+  let fids = Array.make n 0 and scanned = Array.make n 0 in
+  let hits = Bytes.make n '\000' in
+  let single () =
+    for i = 0 to n - 1 do
+      ignore (Sys.opaque_identity (C.classify_frame_c ~stats ct ~bindings frames.(i)))
+    done
+  in
+  let batch () =
+    C.classify_batch ~stats ct ~bindings ~frames ~n ~fids ~scanned ~hits
+  in
+  let rounds = 1000 in
+  let words_per_frame run =
+    for _ = 1 to 16 do
+      run ()
+    done;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to rounds do
+      run ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int (rounds * n)
+  in
+  let per_single = words_per_frame single in
+  let per_batch = words_per_frame batch in
+  check (Alcotest.array Alcotest.int) "first matches" [| 5; -1; -1; 575 |] fids;
+  check (Alcotest.array Alcotest.int) "filters tested per frame"
+    [| 1; 511; 255; 256 |] scanned;
+  if per_single > 8.0 then
+    Alcotest.failf "classify_frame_c allocated %.1f minor words per frame"
+      per_single;
+  if per_batch > 8.0 then
+    Alcotest.failf "classify_batch allocated %.1f minor words per frame"
+      per_batch
 
 (* --- end-to-end scenario helpers --- *)
 
@@ -1458,6 +1555,8 @@ let suite =
         Alcotest.test_case "truncated frames" `Quick test_classify_truncated_frame;
         qtest prop_indexed_equals_linear;
         qtest prop_compiled_equals_linear;
+        Alcotest.test_case "compiled classify allocates O(1) per frame" `Quick
+          test_compiled_classify_no_alloc;
         Alcotest.test_case "compiled eval_term / eval_cond" `Quick
           test_compiled_eval_term_cond;
       ] );

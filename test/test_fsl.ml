@@ -492,6 +492,88 @@ let prop_wire_bytes_roundtrip =
       Wire.W.string w s;
       Wire.R.string (Wire.R.of_bytes (Wire.W.contents w)) = s)
 
+(* Tables.compile stores each literal tuple of at most 7 bytes as an int
+   key, pattern land mask, with its int mask (0xff past a short mask);
+   8-byte literals and VARs keep their bytes in the pool. *)
+let test_compile_keyed_tuples () =
+  let tu ?mask t_offset pat =
+    let t_pat, t_len =
+      match pat with
+      | `Lit hex ->
+          let b = Vw_util.Hexutil.of_hex hex in
+          (Tables.Bytes_pattern b, Bytes.length b)
+      | `Var (vid, len) -> (Tables.Var_pattern vid, len)
+    in
+    { Tables.t_offset; t_len; t_mask = Option.map Vw_util.Hexutil.of_hex mask; t_pat }
+  in
+  let filters =
+    Array.mapi
+      (fun fid f_tuples -> { Tables.fid; fname = Printf.sprintf "f%d" fid; f_tuples })
+      [|
+        [ tu 12 (`Lit "0800"); tu 14 (`Lit "45") ~mask:"f0" ];
+        [ tu 10 (`Lit "01020304050607"); tu 16 (`Lit "ffeeddcc") ~mask:"0f" ];
+        [ tu 14 (`Lit "0102030405060708") ~mask:"ff00"; tu 34 (`Var (0, 2)) ~mask:"00ff" ];
+        [ tu 20 (`Lit "a5a5a5a5a5a5a5") ~mask:"ffffffffffff0f" ];
+      |]
+  in
+  let tables =
+    {
+      Tables.scenario_name = "keys";
+      inactivity_timeout = None;
+      vars = [| { Tables.vid = 0; vname = "V"; v_len = 2 } |];
+      filters;
+      nodes = [||];
+      counters = [||];
+      terms = [||];
+      conds = [||];
+      actions = [||];
+      rule_of_cond = [||];
+      cindex = Tables.build_index filters;
+    }
+  in
+  let c = Tables.compile tables in
+  let module C = Tables.Compiled in
+  let keyed = ref 0 in
+  Array.iteri
+    (fun fid (f : Tables.filter_entry) ->
+      List.iteri
+        (fun k (t : Tables.tuple) ->
+          let ti = c.C.f_start.(fid) + k in
+          let where = Printf.sprintf "f%d tuple %d" fid k in
+          match t.Tables.t_pat with
+          | Tables.Bytes_pattern b when Bytes.length b <= 7 ->
+              incr keyed;
+              check Alcotest.bool (where ^ " keyed") true (C.keyed c ti);
+              let mask_byte i =
+                match t.Tables.t_mask with
+                | Some m when i < Bytes.length m -> Char.code (Bytes.get m i)
+                | _ -> 0xff
+              in
+              let key = ref 0 and mask = ref 0 in
+              Bytes.iteri
+                (fun i ch ->
+                  key := (!key * 256) + (Char.code ch land mask_byte i);
+                  mask := (!mask * 256) + mask_byte i)
+                b;
+              check Alcotest.int (where ^ " mask") !mask c.C.tu_mask.(ti);
+              check Alcotest.int (where ^ " key = pattern land mask") !key
+                c.C.tu_pat.(ti);
+              check Alcotest.int (where ^ " key = pattern land mask")
+                (Vw_util.Hexutil.to_int_be b ~pos:0 ~len:(Bytes.length b)
+                land c.C.tu_mask.(ti))
+                c.C.tu_pat.(ti)
+          | Tables.Bytes_pattern b ->
+              check Alcotest.bool (where ^ " not keyed") false (C.keyed c ti);
+              check Alcotest.string (where ^ " pattern in pool")
+                (Bytes.to_string b)
+                (Bytes.sub_string c.C.pool c.C.tu_pat.(ti) (Bytes.length b))
+          | Tables.Var_pattern vid ->
+              check Alcotest.bool (where ^ " not keyed") false (C.keyed c ti);
+              check Alcotest.int (where ^ " var id") (-(vid + 1)) c.C.tu_pat.(ti))
+        f.Tables.f_tuples)
+    filters;
+  check Alcotest.int "keyed tuples" 5 !keyed
+
 let suite =
   [
     ( "fsl.lexer",
@@ -520,6 +602,8 @@ let suite =
         Alcotest.test_case "bare hex patterns widen" `Quick test_compile_pattern_widths;
         Alcotest.test_case "static error cases" `Quick test_compile_error_cases;
         Alcotest.test_case "var width conflict" `Quick test_compile_var_width_conflict;
+        Alcotest.test_case "short literals compile to int keys" `Quick
+          test_compile_keyed_tuples;
       ] );
     ( "fsl.printer",
       [
