@@ -282,7 +282,10 @@ let micro_classify_results () =
   and t100 = micro_tables 100 in
   let t1k, tshared, tmasked = adversarial_tables () in
   (* the compiled tables the engine runs, through its [classify_frame_c] *)
-  let c25 = Vw_fsl.Tables.compile t25
+  let c1 = Vw_fsl.Tables.compile t1
+  and c25 = Vw_fsl.Tables.compile t25
+  and c100 = Vw_fsl.Tables.compile t100
+  and c1k = Vw_fsl.Tables.compile t1k
   and cshared = Vw_fsl.Tables.compile tshared
   and cmasked = Vw_fsl.Tables.compile tmasked in
   let bindings = [||] in
@@ -291,43 +294,31 @@ let micro_classify_results () =
     [
       Test.make ~name:"classify/1-filter"
         (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify t1 ~bindings ping_frame));
+             Vw_engine.Classifier.classify_frame_c c1 ~bindings ping_eth));
       Test.make ~name:"classify/25-linear"
         (Staged.stage (fun () ->
              Vw_engine.Classifier.classify_linear t25 ~bindings ping_frame));
-      Test.make ~name:"classify/25-indexed"
-        (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify t25 ~bindings ping_frame));
-      Test.make ~name:"classify/25-frame"
-        (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify_frame t25 ~bindings ping_eth));
       Test.make ~name:"classify/25-compiled"
         (Staged.stage (fun () ->
              Vw_engine.Classifier.classify_frame_c c25 ~bindings ping_eth));
       Test.make ~name:"classify/100-linear"
         (Staged.stage (fun () ->
              Vw_engine.Classifier.classify_linear t100 ~bindings ping_frame));
-      Test.make ~name:"classify/100-indexed"
+      Test.make ~name:"classify/100-compiled"
         (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify t100 ~bindings ping_frame));
-      Test.make ~name:"adv/1k-singleton-indexed"
+             Vw_engine.Classifier.classify_frame_c c100 ~bindings ping_eth));
+      Test.make ~name:"adv/1k-singleton-compiled"
         (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify t1k ~bindings ping_frame));
+             Vw_engine.Classifier.classify_frame_c c1k ~bindings ping_eth));
       Test.make ~name:"adv/1k-singleton-linear"
         (Staged.stage (fun () ->
              Vw_engine.Classifier.classify_linear t1k ~bindings ping_frame));
-      Test.make ~name:"adv/256-shared-bucket-indexed"
-        (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify tshared ~bindings ping_frame));
       Test.make ~name:"adv/256-shared-bucket-linear"
         (Staged.stage (fun () ->
              Vw_engine.Classifier.classify_linear tshared ~bindings ping_frame));
       Test.make ~name:"adv/256-shared-bucket-compiled"
         (Staged.stage (fun () ->
              Vw_engine.Classifier.classify_frame_c cshared ~bindings ping_eth));
-      Test.make ~name:"adv/256-masked-fallback-indexed"
-        (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify tmasked ~bindings ping_frame));
       Test.make ~name:"adv/256-masked-fallback-compiled"
         (Staged.stage (fun () ->
              Vw_engine.Classifier.classify_frame_c cmasked ~bindings ping_eth));
@@ -363,17 +354,13 @@ let micro_classify_results () =
    host wall-clock time by the packets the two engines inspected. The
    actions:true/actions:false delta isolates the cascade cost per matched
    packet. *)
-let micro_pipeline ?obs ?(samples = 2000) ~actions () =
+let micro_pipeline ?(obs = false) ?(samples = 2000) ~actions () =
   let testbed =
     Workload.make_testbed (Workload.Vw { n_filters = 25; actions })
   in
   (* the recorder must be wired in before INIT traffic so the on/off
-     ablation measures identical deployments; the mode picks the sink —
-     Binary is the production vw-events/2 ring, Typed the legacy boxed
-     array whose per-event cost the jsonl row prices *)
-  (match obs with
-  | None -> ()
-  | Some mode -> Testbed.enable_observability ~mode testbed);
+     ablation measures identical deployments *)
+  if obs then Testbed.enable_observability testbed;
   Workload.deploy_overhead
     ~script:(Workload.udp_overhead_script ~n_filters:25 ~actions)
     testbed;
@@ -394,7 +381,22 @@ let micro_pipeline ?obs ?(samples = 2000) ~actions () =
   in
   let pps = if wall > 0.0 then float_of_int packets /. wall else 0.0 in
   ignore (Stats.mean rtts);
-  (wall, packets, ns_per_packet, pps)
+  ((wall, packets, ns_per_packet, pps), testbed)
+
+(* What `vwctl run --events x.jsonl` adds on top of recording: decode the
+   run's binary rings into typed events and render each as a JSONL line.
+   Host wall clock, per inspected packet. The default-capacity rings keep
+   only the newest events (about one in twelve on this pipeline), so the
+   cost per exported event is scaled up to every event the run recorded. *)
+let jsonl_export_ns testbed ~packets =
+  let t0 = Unix.gettimeofday () in
+  let events = Testbed.events testbed in
+  List.iter (fun e -> ignore (Vw_obs.Event.to_json e)) events;
+  let wall = Unix.gettimeofday () -. t0 in
+  wall *. 1e9
+  /. float_of_int (max 1 (List.length events))
+  *. float_of_int (Testbed.events_recorded testbed)
+  /. float_of_int (max 1 packets)
 
 (* ------------------------------------------------------------------ *)
 (* Batched hot path: Fie.process_batch throughput, batch-size sweep     *)
@@ -429,7 +431,7 @@ let batch_sizes = [ 1; 8; 32; 128 ]
 (* best-of-[rounds] ns/packet per batch size, on a freshly deployed engine *)
 let batch_sweep ?(rounds = 3) ?(obs = false) ~script ~packets () =
   let testbed, fie, tables = Workload.batch_engine ~script in
-  if obs then Testbed.enable_observability ~mode:Vw_obs.Recorder.Binary testbed;
+  if obs then Testbed.enable_observability testbed;
   Workload.batch_engine_start fie tables;
   let frame = ping_eth in
   List.map
@@ -531,49 +533,50 @@ let micro () =
   let adversarial, classify =
     List.partition (fun (n, _) -> is_adversarial n) all_results
   in
-  let w0, p0, ns0, pps0 = micro_pipeline ~actions:false () in
-  let w1, p1, ns1, pps1 = micro_pipeline ~actions:true () in
+  let (w0, p0, ns0, pps0), _ = micro_pipeline ~actions:false () in
+  let (w1, p1, ns1, pps1), _ = micro_pipeline ~actions:true () in
   let cascade_ns = ns1 -. ns0 in
   (* flight-recorder ablation: the same rules+actions pipeline with the
      recorder disabled (the default no-op sink — this IS the w1 row,
-     re-measured so the group shares cache state), with the legacy Typed
-     sink (the per-event-allocation path behind the jsonl era), and with
-     the Binary vw-events/2 ring (the production default). "Disabled costs
-     nothing" means off ≈ w1; the on rows price the recording itself.
-     More samples than the pipeline rows: the recording cost is a
-     difference of two wall clocks, so each needs the extra stability. *)
+     re-measured so the group shares cache state) and with the binary
+     vw-events/2 ring. "Disabled costs nothing" means off ≈ w1; the on row
+     prices the recording itself, and the JSONL export of the on run what
+     `run --events x.jsonl` adds on top. More samples than the pipeline
+     rows: the recording cost is a difference of two wall clocks, so each
+     needs the extra stability. *)
   let obs_samples = 6000 in
   (* The recording cost is a difference of two short wall clocks, so host
-     load drift would swamp a single measurement. Interleave the three
+     load drift would swamp a single measurement. Interleave the two
      configurations round-robin (drift hits each config equally), compact
-     the heap before every run (the Typed row's garbage must not be billed
-     to its successor), and keep the per-config minimum. *)
+     the heap before every run, and keep the per-config minimum. *)
   let rounds = 4 in
-  let best = Array.make 3 (0.0, 0, infinity, 0.0) in
+  let best = Array.make 2 (0.0, 0, infinity, 0.0) in
+  let export_ns = ref infinity in
   for _ = 1 to rounds do
     List.iteri
       (fun i obs ->
         Gc.compact ();
-        let (_, _, ns, _) as r =
-          micro_pipeline ?obs ~samples:obs_samples ~actions:true ()
+        let ((_, packets, ns, _) as r), testbed =
+          micro_pipeline ~obs ~samples:obs_samples ~actions:true ()
         in
         let _, _, best_ns, _ = best.(i) in
-        if ns < best_ns then best.(i) <- r)
-      [ None; Some Vw_obs.Recorder.Typed; Some Vw_obs.Recorder.Binary ]
+        if ns < best_ns then best.(i) <- r;
+        if obs then
+          export_ns := Float.min !export_ns (jsonl_export_ns testbed ~packets))
+      [ false; true ]
   done;
   let woff, poff, nsoff, ppsoff = best.(0) in
-  let wjs, pjs, nsjs, ppsjs = best.(1) in
-  let won, pon, nson, ppson = best.(2) in
-  let recording_jsonl_ns = nsjs -. nsoff in
+  let won, pon, nson, ppson = best.(1) in
   let recording_ns = nson -. nsoff in
-  let ib25, il25, if25 = Vw_fsl.Tables.index_stats (micro_tables 25) in
-  let ib100, il100, if100 = Vw_fsl.Tables.index_stats (micro_tables 100) in
+  let index_stats t = Vw_fsl.Tables.index_stats (Vw_fsl.Tables.compile t) in
+  let ib25, il25, if25 = index_stats (micro_tables 25) in
+  let ib100, il100, if100 = index_stats (micro_tables 100) in
   let t1k, tshared, tmasked = adversarial_tables () in
   let adv_shapes =
     [
-      ("1000-singleton", Vw_fsl.Tables.index_stats t1k);
-      ("256-shared-bucket", Vw_fsl.Tables.index_stats tshared);
-      ("256-masked-fallback", Vw_fsl.Tables.index_stats tmasked);
+      ("1000-singleton", index_stats t1k);
+      ("256-shared-bucket", index_stats tshared);
+      ("256-masked-fallback", index_stats tmasked);
     ]
   in
   if json_mode then begin
@@ -628,15 +631,12 @@ let micro () =
          "  \"obs_ablation\": {\n\
          \    \"recorder_off\": { \"wall_s\": %.4f, \"packets\": %d, \
           \"ns_per_packet\": %.1f, \"packets_per_sec\": %.0f },\n\
-         \    \"recorder_on_jsonl\": { \"wall_s\": %.4f, \"packets\": %d, \
-          \"ns_per_packet\": %.1f, \"packets_per_sec\": %.0f },\n\
          \    \"recorder_on\": { \"wall_s\": %.4f, \"packets\": %d, \
           \"ns_per_packet\": %.1f, \"packets_per_sec\": %.0f },\n\
-         \    \"recording_jsonl_ns_per_packet\": %.1f,\n\
-         \    \"recording_ns_per_packet\": %.1f\n\
+         \    \"recording_ns_per_packet\": %.1f,\n\
+         \    \"jsonl_export_ns_per_packet\": %.1f\n\
          \  }\n"
-         woff poff nsoff ppsoff wjs pjs nsjs ppsjs won pon nson ppson
-         recording_jsonl_ns recording_ns);
+         woff poff nsoff ppsoff won pon nson ppson recording_ns !export_ns);
     emit_json (Buffer.contents buf)
   end
   else begin
@@ -673,14 +673,12 @@ let micro () =
       "ns/packet" "packets/sec";
     Printf.printf "%-16s %10.3f %10d %14.1f %14.0f\n" "off" woff poff nsoff
       ppsoff;
-    Printf.printf "%-16s %10.3f %10d %14.1f %14.0f\n" "on (typed)" wjs pjs
-      nsjs ppsjs;
-    Printf.printf "%-16s %10.3f %10d %14.1f %14.0f\n" "on (binary)" won pon
-      nson ppson;
+    Printf.printf "%-16s %10.3f %10d %14.1f %14.0f\n" "on" won pon nson
+      ppson;
     Printf.printf
-      "recording cost: binary %.1f ns, typed %.1f ns per inspected packet \
-       (disabled recorder is a single branch per would-be event)\n"
-      recording_ns recording_jsonl_ns;
+      "recording cost: %.1f ns per inspected packet (disabled recorder is \
+       a single branch per would-be event); JSONL export adds %.1f ns\n"
+      recording_ns !export_ns;
     ignore (batch_bench ())
   end
 

@@ -13,8 +13,8 @@
       same match and scan count as the per-frame compiled classifier, and
       equal cumulative stats — the batched hot path is indistinguishable
       from the fold it replaces;
-    - [codec_roundtrip]: [Tables_codec] decode inverts encode (ignoring the
-      rebuilt index) and re-encoding is canonical;
+    - [codec_roundtrip]: [Tables_codec] decode inverts encode and
+      re-encoding is canonical;
     - [events_roundtrip]: the [vw-events/1] JSONL rendering reloads to the
       identical typed event list;
     - [coverage_live_offline]: coverage from live events equals coverage

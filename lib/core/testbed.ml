@@ -207,7 +207,7 @@ let process_batch ?(batch = 128) t node point frames =
 
 (* --- observability --- *)
 
-let enable_observability ?mode ?capacity t =
+let enable_observability ?capacity t =
   match t.obs with
   | Some _ -> () (* idempotent; recorders survive Fie.reset *)
   | None ->
@@ -219,7 +219,7 @@ let enable_observability ?mode ?capacity t =
         List.map
           (fun n ->
             let rec_ =
-              Vw_obs.Recorder.create ?mode ?capacity ~strings:obs_strings
+              Vw_obs.Recorder.create ?capacity ~strings:obs_strings
                 ~node:n.node_name ~clock ~seq ()
             in
             Vw_engine.Fie.set_observability n.node_fie ~recorder:rec_

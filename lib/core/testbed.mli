@@ -88,13 +88,12 @@ val process_batch :
     one flight recorder per node (sharing a sequence counter, so the merged
     log is totally ordered) and one metrics registry for the run. *)
 
-val enable_observability : ?mode:Vw_obs.Recorder.mode -> ?capacity:int -> t -> unit
-(** Wire a recorder into every node's engine and create the run's metrics
-    registry. [mode] (default [Binary]) selects the recorder sink — the
-    binary vw-events/2 ring, or the legacy [Typed] array kept for the
-    bench ablation. [capacity] bounds each node's retained events (default
-    16384; oldest events are overwritten beyond it). Idempotent; survives
-    [Fie.reset], so successive scenarios on one testbed keep recording. *)
+val enable_observability : ?capacity:int -> t -> unit
+(** Wire a recorder (a binary vw-events/2 ring) into every node's engine
+    and create the run's metrics registry. [capacity] bounds each node's
+    retained events (default 16384; oldest events are overwritten beyond
+    it). Idempotent; survives [Fie.reset], so successive scenarios on one
+    testbed keep recording. *)
 
 val observability_enabled : t -> bool
 
@@ -109,7 +108,7 @@ val events_binary : t -> scenario:string -> string option
 (** The run's retained events as one complete [vw-events/2] binary log
     (header with the shared string table, then every node's ring blitted
     back to back — readers sort by [seq]). [None] when observability is
-    off. Works in either recorder mode; Binary mode never re-encodes. *)
+    off. The slots are copied as recorded, never re-encoded. *)
 
 val events_recorded : t -> int
 (** Total events ever emitted (retained + overwritten). *)

@@ -1,6 +1,6 @@
 open Vw_fsl.Tables
 
-(* --- matching over raw frame bytes --- *)
+(* --- the linear reference, over raw frame bytes --- *)
 
 let tuple_matches (tuple : tuple) ~bindings data =
   match tuple.t_pat with
@@ -26,29 +26,7 @@ let classify_linear (t : t) ~bindings data =
   in
   go 0
 
-(* --- matching over an Eth.t view, without serializing --- *)
-
-let tuple_matches_frame (tuple : tuple) ~bindings (frame : Vw_net.Eth.t) =
-  match tuple.t_pat with
-  | Bytes_pattern pattern ->
-      Vw_net.Eth.masked_field_equal frame ~pos:tuple.t_offset ~pattern
-        ~mask:tuple.t_mask
-  | Var_pattern vid -> (
-      match bindings.(vid) with
-      | None -> false
-      | Some pattern ->
-          Vw_net.Eth.masked_field_equal frame ~pos:tuple.t_offset ~pattern
-            ~mask:tuple.t_mask)
-
-let filter_matches_frame (f : filter_entry) ~bindings frame =
-  List.for_all (fun tuple -> tuple_matches_frame tuple ~bindings frame) f.f_tuples
-
-(* --- indexed classification ---
-
-   One read of the discriminating field selects a bucket; only that bucket
-   and the fallback filters (those that do not constrain the field) are
-   scanned, merged in ascending fid order so first-match-wins semantics are
-   exactly the linear scan's. *)
+(* --- classification stats --- *)
 
 type scan_stats = {
   mutable filters_scanned : int;
@@ -57,77 +35,6 @@ type scan_stats = {
 }
 
 let new_scan_stats () = { filters_scanned = 0; index_hits = 0; index_misses = 0 }
-
-let empty_bucket : int array = [||]
-
-(* merge-scan [bucket] and [fallback] (both fid-ascending) in fid order *)
-let merge_scan ~stats ~test bucket fallback =
-  let nb = Array.length bucket and nf = Array.length fallback in
-  let rec go bi fi =
-    let from_bucket =
-      bi < nb && (fi >= nf || Array.unsafe_get bucket bi < Array.unsafe_get fallback fi)
-    in
-    if from_bucket then begin
-      let fid = Array.unsafe_get bucket bi in
-      (match stats with
-      | Some s -> s.filters_scanned <- s.filters_scanned + 1
-      | None -> ());
-      if test fid then Some fid else go (bi + 1) fi
-    end
-    else if fi < nf then begin
-      let fid = Array.unsafe_get fallback fi in
-      (match stats with
-      | Some s -> s.filters_scanned <- s.filters_scanned + 1
-      | None -> ());
-      if test fid then Some fid else go bi (fi + 1)
-    end
-    else None
-  in
-  go 0 0
-
-let lookup_bucket ~stats (ci : classification_index) key_opt =
-  match key_opt with
-  | Some key -> (
-      match Hashtbl.find_opt ci.ci_buckets key with
-      | Some fids ->
-          (match stats with
-          | Some s -> s.index_hits <- s.index_hits + 1
-          | None -> ());
-          fids
-      | None ->
-          (match stats with
-          | Some s -> s.index_misses <- s.index_misses + 1
-          | None -> ());
-          empty_bucket)
-  | None ->
-      (match stats with
-      | Some s -> s.index_misses <- s.index_misses + 1
-      | None -> ());
-      empty_bucket
-
-let classify ?stats (t : t) ~bindings data =
-  let ci = t.cindex in
-  let key =
-    if ci.ci_offset >= 0 && ci.ci_offset + ci.ci_len <= Bytes.length data then
-      Some (Vw_util.Hexutil.to_int_be data ~pos:ci.ci_offset ~len:ci.ci_len)
-    else None
-  in
-  let bucket = lookup_bucket ~stats ci key in
-  merge_scan ~stats
-    ~test:(fun fid -> filter_matches t.filters.(fid) ~bindings data)
-    bucket ci.ci_fallback
-
-let classify_frame ?stats (t : t) ~bindings (frame : Vw_net.Eth.t) =
-  let ci = t.cindex in
-  let key =
-    if ci.ci_offset >= 0 && ci.ci_offset + ci.ci_len <= Vw_net.Eth.size frame
-    then Some (Vw_net.Eth.read_int_be frame ~pos:ci.ci_offset ~len:ci.ci_len)
-    else None
-  in
-  let bucket = lookup_bucket ~stats ci key in
-  merge_scan ~stats
-    ~test:(fun fid -> filter_matches_frame t.filters.(fid) ~bindings frame)
-    bucket ci.ci_fallback
 
 (* --- matching over the compiled (SoA) filter table ---
 
@@ -156,6 +63,8 @@ let unkeyed_matches_c (c : C.t) ~bindings (frame : Eth.t) ti =
     | Some pattern ->
         Eth.field_matches frame ~pos ~pat:pattern ~pat_off:0
           ~pat_len:(Bytes.length pattern) ~mask:c.C.pool ~mask_off ~mask_len
+
+let empty_bucket : int array = [||]
 
 (* The bucket the frame's discriminating field selects, or [empty_bucket];
    counts the hit or miss. [Hashtbl.find] rather than [find_opt]: a miss

@@ -18,31 +18,13 @@
     definitions" — the cost Figure 8 measures. {!classify_linear} keeps
     that scan over the record-form tables as the executable reference the
     compiled path is property-tested against (here and by the
-    [classifier_diff] fuzz oracle). {!classify} and {!classify_frame} are
-    the record-form indexed scans over raw bytes and over an [Eth.t]; no
-    engine path uses them. *)
-
-val tuple_matches :
-  Vw_fsl.Tables.tuple -> bindings:bytes option array -> bytes -> bool
-
-val filter_matches :
-  Vw_fsl.Tables.filter_entry -> bindings:bytes option array -> bytes -> bool
-
-val tuple_matches_frame :
-  Vw_fsl.Tables.tuple -> bindings:bytes option array -> Vw_net.Eth.t -> bool
-(** Zero-copy variant: offsets address the serialized layout but are read
-    through {!Vw_net.Eth.masked_field_equal}. *)
-
-val filter_matches_frame :
-  Vw_fsl.Tables.filter_entry ->
-  bindings:bytes option array ->
-  Vw_net.Eth.t ->
-  bool
+    [classifier_diff] fuzz oracle). *)
 
 val classify_linear :
   Vw_fsl.Tables.t -> bindings:bytes option array -> bytes -> int option
-(** The naive full scan — the reference the indexed paths must agree with,
-    and the baseline the bench compares against. *)
+(** The naive full scan over the serialized frame — the reference the
+    compiled path must agree with, and the baseline the bench compares
+    against. *)
 
 type scan_stats = {
   mutable filters_scanned : int;  (** candidate filters actually tested *)
@@ -55,37 +37,20 @@ type scan_stats = {
 
 val new_scan_stats : unit -> scan_stats
 
-val classify :
-  ?stats:scan_stats ->
-  Vw_fsl.Tables.t ->
-  bindings:bytes option array ->
-  bytes ->
-  int option
-(** [classify tables ~bindings frame_bytes] is the first matching filter
-    id, dispatching through the classification index. *)
-
-val classify_frame :
-  ?stats:scan_stats ->
-  Vw_fsl.Tables.t ->
-  bindings:bytes option array ->
-  Vw_net.Eth.t ->
-  int option
-(** Indexed {e and} zero-copy: classifies an [Eth.t] without serializing
-    it. *)
-
 val classify_frame_c :
   ?stats:scan_stats ->
   Vw_fsl.Tables.Compiled.t ->
   bindings:bytes option array ->
   Vw_net.Eth.t ->
   int option
-(** The engine's per-packet entry point: {!classify_frame} over the
-    compiled SoA filter table, with the same index dispatch and
-    first-match-wins merge scan. A keyed tuple (a literal of at most 7
-    bytes, see {!Vw_fsl.Tables.Compiled.keyed}) is one window read,
-    [land] its int mask, compared with its int key; the last window value
-    is reused across consecutive tuples on the same (offset, len). 8-byte
-    literals and VARs take a byte loop over pool slices.
+(** The engine's per-packet entry point: the first matching filter id,
+    read from the [Eth.t] in place (no serialization) through the index
+    dispatch and fid-ordered merge scan described above. A keyed tuple (a
+    literal of at most 7 bytes, see {!Vw_fsl.Tables.Compiled.keyed}) is
+    one window read, [land] its int mask, compared with its int key; the
+    last window value is reused across consecutive tuples on the same
+    (offset, len). 8-byte literals and VARs take a byte loop over pool
+    slices.
 
     Zero-allocation contract: after warm-up a call allocates no minor
     words for the filters and tuples it tests, only the [Some fid] of a

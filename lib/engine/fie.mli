@@ -12,10 +12,10 @@
     execute triggered actions. Counter-value and term-status changes
     propagate to remote nodes over the control plane.
 
-    The classification step dispatches through the precompiled
-    {!Vw_fsl.Tables.classification_index} and matches the frame in place
-    (no serialization); observers and armed faults are precomputed per
-    (hook point, filter id) at INIT, so a packet only touches the
+    The classification step dispatches through the classification index
+    that {!Vw_fsl.Tables.compile} builds at INIT and matches the frame in
+    place (no serialization); observers and armed faults are precomputed
+    per (hook point, filter id) at INIT, so a packet only touches the
     candidates that could apply to it. See DESIGN.md, "Per-packet fast
     path".
 

@@ -458,7 +458,6 @@ let compile (script : Ast.script) =
         conds;
         actions;
         rule_of_cond = Array.of_list rule_of_cond;
-        cindex = Tables.build_index filters;
       }
 
 let compile_exn script =

@@ -10,9 +10,9 @@
     after the seed memo and the ping id): cache entries are shared
     {e read-only} across domains. A {!Tables.t} is immutable after
     {!Compile.compile} returns — the six entry arrays are never written
-    again, and the derived classification index ([cindex], a [Hashtbl]) is
-    built once and only read by the classifier — so handing the same
-    tables to concurrently running jobs is safe, and is exactly what
+    again, and they hold no derived index: each engine builds its own in
+    {!Tables.compile} at INIT — so handing the same tables to
+    concurrently running jobs is safe, and is exactly what
     [run --repeat] already did by capturing one compiled table set in
     every trial's closure. The cache's own map is guarded by a mutex;
     both [Ok] and [Error] results are cached (error strings are

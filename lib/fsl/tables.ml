@@ -85,13 +85,6 @@ type compiled_action =
 
 type action_entry = { aid : int; exec_node : int; act : compiled_action }
 
-type classification_index = {
-  ci_offset : int;
-  ci_len : int;
-  ci_buckets : (int, int array) Hashtbl.t;
-  ci_fallback : int array;
-}
-
 type t = {
   scenario_name : string;
   inactivity_timeout : Vw_sim.Simtime.t option;
@@ -103,7 +96,6 @@ type t = {
   conds : cond_entry array;
   actions : action_entry array;
   rule_of_cond : int array;
-  cindex : classification_index;
 }
 
 (* --- classification index ---
@@ -114,7 +106,8 @@ type t = {
    that window equal [v] exactly, so the classifier reads the field once
    and scans just that bucket (merged, in fid order, with the fallback
    filters that do not constrain the window — Var_pattern or masked
-   tuples). Semantics are identical to the linear scan by construction. *)
+   tuples). Semantics are identical to the linear scan by construction.
+   Derived from the filter table by [Compiled.of_tables], never shipped. *)
 
 let tuple_key_value (tu : tuple) =
   (* a tuple usable as an index key: mask-free literal, int-readable *)
@@ -158,14 +151,10 @@ let build_index (filters : filter_entry array) =
         | None -> Some (k, c))
       counts None
   in
+  (* (offset, len, buckets, fallback); offset -1 when no index *)
   match best with
   | None ->
-      {
-        ci_offset = -1;
-        ci_len = 0;
-        ci_buckets = Hashtbl.create 1;
-        ci_fallback = Array.init (Array.length filters) (fun i -> i);
-      }
+      (-1, 0, Hashtbl.create 1, Array.init (Array.length filters) (fun i -> i))
   | Some ((ci_offset, ci_len), _) ->
       let buckets = Hashtbl.create 16 in
       let fallback = ref [] in
@@ -184,12 +173,7 @@ let build_index (filters : filter_entry array) =
         (fun key fids ->
           Hashtbl.replace ci_buckets key (Array.of_list (List.rev fids)))
         buckets;
-      {
-        ci_offset;
-        ci_len;
-        ci_buckets;
-        ci_fallback = Array.of_list (List.rev !fallback);
-      }
+      (ci_offset, ci_len, ci_buckets, Array.of_list (List.rev !fallback))
 
 type t_record = t
 
@@ -217,8 +201,8 @@ module Compiled = struct
            no mask *)
     tu_mlen : int array;  (* mask byte length; 0 = unmasked *)
     pool : bytes;  (* the patterns and masks of unkeyed tuples *)
-    (* classification index (shared with the record form; the bucket
-       arrays are immutable once built) *)
+    (* classification index (see [build_index]; the bucket arrays are
+       immutable once built) *)
     ci_offset : int;
     ci_len : int;
     ci_buckets : (int, int array) Hashtbl.t;
@@ -394,6 +378,7 @@ module Compiled = struct
           f.f_tuples)
       t.filters;
     let pool = Buffer.to_bytes pool_buf in
+    let ci_offset, ci_len, ci_buckets, ci_fallback = build_index t.filters in
     (* counters *)
     let c_owner = Array.map (fun c -> c.owner) t.counters in
     let ct_start, ct_terms =
@@ -492,10 +477,10 @@ module Compiled = struct
       tu_mask;
       tu_mlen;
       pool;
-      ci_offset = t.cindex.ci_offset;
-      ci_len = t.cindex.ci_len;
-      ci_buckets = t.cindex.ci_buckets;
-      ci_fallback = t.cindex.ci_fallback;
+      ci_offset;
+      ci_len;
+      ci_buckets;
+      ci_fallback;
       c_owner;
       ct_start;
       ct_terms;
@@ -556,27 +541,11 @@ end
 
 let compile = Compiled.of_tables
 
-let equal (a : t) (b : t) =
-  (* Structural equality of the six shipped tables. [cindex] is derived
-     (rebuilt deterministically from [filters] by the codec) and holds a
-     Hashtbl, so it is deliberately excluded. *)
-  a.scenario_name = b.scenario_name
-  && a.inactivity_timeout = b.inactivity_timeout
-  && a.vars = b.vars
-  && a.filters = b.filters
-  && a.nodes = b.nodes
-  && a.counters = b.counters
-  && a.terms = b.terms
-  && a.conds = b.conds
-  && a.actions = b.actions
-  && a.rule_of_cond = b.rule_of_cond
-
-let index_stats t =
-  let buckets = Hashtbl.length t.cindex.ci_buckets in
+let index_stats (c : Compiled.t) =
   let largest =
-    Hashtbl.fold (fun _ fids m -> max m (Array.length fids)) t.cindex.ci_buckets 0
+    Hashtbl.fold (fun _ fids m -> max m (Array.length fids)) c.ci_buckets 0
   in
-  (buckets, largest, Array.length t.cindex.ci_fallback)
+  (Hashtbl.length c.ci_buckets, largest, Array.length c.ci_fallback)
 
 let array_find pred arr =
   let n = Array.length arr in

@@ -105,22 +105,6 @@ type compiled_action =
 
 type action_entry = { aid : int; exec_node : int; act : compiled_action }
 
-type classification_index = {
-  ci_offset : int;  (** discriminating field offset; -1 when no index *)
-  ci_len : int;  (** discriminating field length (1–7 bytes) *)
-  ci_buckets : (int, int array) Hashtbl.t;
-      (** big-endian field value → fids constraining the field to that
-          value, ascending *)
-  ci_fallback : int array;
-      (** fids that do not constrain the field (Var_pattern, masked, or no
-          tuple at the window) — always scanned, ascending *)
-}
-(** Precompiled classification index (see DESIGN.md "Per-packet fast
-    path"). A filter keyed under value [v] requires the packet bytes at
-    [ci_offset, ci_offset+ci_len) to equal [v] exactly, so the classifier
-    dispatches on one field read and scans [bucket ∪ fallback] in fid
-    order — semantically identical to the full linear scan. *)
-
 type t = {
   scenario_name : string;
   inactivity_timeout : Vw_sim.Simtime.t option;
@@ -132,18 +116,17 @@ type t = {
   conds : cond_entry array;
   actions : action_entry array;
   rule_of_cond : int array;  (** condition id → source rule index *)
-  cindex : classification_index;
-      (** derived from [filters]; rebuilt (not shipped) by the codec *)
 }
 
 (** The immutable structure-of-arrays runtime form, compiled once from the
     record-of-lists tables at INIT. The record form stays the wire/codec
     format and the executable reference; this form is what the per-packet
-    hot path walks: CSR (start-offset + flat member) layouts for every
-    one-to-many link, literal patterns and masks concatenated into one
-    byte pool, condition expressions as prefix-order node arrays with
-    explicit short-circuit skip targets, and one int-descriptor per
-    action. See DESIGN.md §5, "Batched SoA hot path". *)
+    hot path walks: the classification index, CSR (start-offset + flat
+    member) layouts for every one-to-many link, literal patterns and
+    masks concatenated into one byte pool, condition expressions as
+    prefix-order node arrays with explicit short-circuit skip targets,
+    and one int-descriptor per action. See DESIGN.md §5, "Batched SoA hot
+    path". *)
 module Compiled : sig
   type t = {
     f_start : int array;
@@ -161,9 +144,19 @@ module Compiled : sig
     tu_mlen : int array;  (** mask length; 0 = unmasked *)
     pool : bytes;  (** patterns and masks of the tuples that are not keyed *)
     ci_offset : int;
-    ci_len : int;
+        (** classification index (see DESIGN.md "Per-packet fast path"):
+            the discriminating field's offset; −1 when there is no index *)
+    ci_len : int;  (** the discriminating field's length (1–7 bytes) *)
     ci_buckets : (int, int array) Hashtbl.t;
+        (** big-endian field value → fids constraining the field to that
+            value, ascending. A filter keyed under value [v] requires the
+            frame bytes at [ci_offset, ci_offset+ci_len) to equal [v], so
+            the classifier reads the field once and scans
+            [bucket ∪ fallback] in fid order — semantically identical to
+            the full linear scan. *)
     ci_fallback : int array;
+        (** fids that do not constrain the field (Var_pattern, masked, or
+            no tuple at the window) — always scanned, ascending *)
     c_owner : int array;
     ct_start : int array;  (** cid → affected_terms slice *)
     ct_terms : int array;
@@ -227,23 +220,16 @@ module Compiled : sig
 end
 
 val compile : t -> Compiled.t
-(** Flatten the tables into their SoA runtime form. Pure; the result
-    shares the classification index's bucket arrays (immutable once
-    built). *)
+(** Flatten the tables into their SoA runtime form and build the
+    classification index: choose the discriminating (offset, len) window
+    — the one a mask-free literal tuple constrains in the most filters,
+    ties toward the smallest window — and bucket the filters by its
+    value. Pure. The index is derived from the filter table and never
+    shipped: each node builds its own at INIT. *)
 
-val build_index : filter_entry array -> classification_index
-(** Choose the discriminating (offset, len) window — the one a mask-free
-    literal tuple constrains in the most filters — and bucket the filters
-    by its value. *)
-
-val index_stats : t -> int * int * int
+val index_stats : Compiled.t -> int * int * int
 (** [(buckets, largest_bucket, fallback_filters)] — the shape of the
-    index, for [vwctl check] and the bench summary. *)
-
-val equal : t -> t -> bool
-(** Structural equality of the six shipped tables, ignoring the derived
-    [cindex] (which is rebuilt from [filters] and therefore determined by
-    them). Used by codec round-trip properties. *)
+    index, for the bench summary. *)
 
 val node_by_name : t -> string -> node_entry option
 val node_by_mac : t -> Vw_net.Mac.t -> node_entry option

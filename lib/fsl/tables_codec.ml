@@ -53,7 +53,17 @@ let read_tuple r =
   let t_mask = R.option r R.bytes in
   let t_pat =
     match R.u8 r with
-    | 0 -> Bytes_pattern (R.bytes r)
+    | 0 ->
+        let b = R.bytes r in
+        (* the compiler sizes every literal to its tuple's window; the
+           classification index keys on [t_len] bytes while matching
+           compares the pattern's own length, so the two must agree *)
+        if Bytes.length b <> t_len then
+          raise
+            (R.Underflow
+               (Printf.sprintf "pattern of %d bytes in a %d-byte tuple"
+                  (Bytes.length b) t_len));
+        Bytes_pattern b
     | 1 -> Var_pattern (R.u16 r)
     | n -> raise (R.Underflow (Printf.sprintf "bad pattern tag %d" n))
   in
@@ -370,23 +380,18 @@ let of_bytes data =
       in
       let actions = R.list r read_action in
       let rule_of_cond = read_int_list r in
-      let filters = Array.of_list filters in
       Ok
         {
           scenario_name;
           inactivity_timeout;
           vars = Array.of_list vars;
-          filters;
+          filters = Array.of_list filters;
           nodes = Array.of_list nodes;
           counters = Array.of_list counters;
           terms = Array.of_list terms;
           conds = Array.of_list conds;
           actions = Array.of_list actions;
           rule_of_cond = Array.of_list rule_of_cond;
-          (* the index is derived data: rebuilt here, never serialized, so
-             the wire format is unchanged and the index can never disagree
-             with the filter table it came from *)
-          cindex = build_index filters;
         }
     end
   with

@@ -47,39 +47,10 @@ let read_window t ~pos ~len =
     bytes_be t.payload base (base + len) 0
   else frame_be t pos (pos + len) 0
 
-let read_int_be t ~pos ~len =
-  if len < 1 || len > 7 then invalid_arg "Eth.read_int_be: len out of [1;7]";
-  if pos < 0 || pos + len > size t then invalid_arg "Eth.read_int_be: out of range";
-  read_window t ~pos ~len
-
-let masked_field_equal t ~pos ~pattern ~mask =
-  let len = Bytes.length pattern in
-  if pos < 0 || pos + len > size t then false
-  else if pos >= header_size then
-    (* entirely inside the payload: compare in place *)
-    Vw_util.Hexutil.masked_equal t.payload ~pos:(pos - header_size) ~pattern
-      ~mask
-  else begin
-    let m i =
-      match mask with
-      | None -> 0xff
-      | Some m when i < Bytes.length m -> Char.code (Bytes.get m i)
-      | Some _ -> 0xff
-    in
-    let rec go i =
-      if i = len then true
-      else
-        let bv = get_byte t (pos + i) land m i in
-        let pv = Char.code (Bytes.get pattern i) land m i in
-        if bv = pv then go (i + 1) else false
-    in
-    go 0
-  end
-
-(* Pool-based variant for the compiled (SoA) filter tables: pattern and
+(* Masked comparison for the compiled (SoA) filter tables: pattern and
    mask are slices of shared byte pools instead of standalone [bytes].
    [mask_len = 0] means unmasked; mask bytes beyond [mask_len] are treated
-   as 0xff, mirroring [masked_field_equal]'s short-mask rule. The caller
+   as 0xff, mirroring [Hexutil.masked_equal]'s short-mask rule. The caller
    guarantees the pattern/mask slices are in bounds (they come from a
    compile-time pool); the frame-side bounds are checked here. *)
 let field_matches t ~pos ~pat ~pat_off ~pat_len ~mask ~mask_off ~mask_len =

@@ -39,22 +39,12 @@ val get_byte : t -> int -> int
 (** Byte [i] of the serialized frame. @raise Invalid_argument outside
     [0, size t). *)
 
-val read_int_be : t -> pos:int -> len:int -> int
-(** Big-endian unsigned read of [len] (1–7) bytes at [pos].
-    @raise Invalid_argument out of range. *)
-
 val read_window : t -> pos:int -> len:int -> int
-(** {!read_int_be} without the checks, for a caller that has already
-    bounded the window: [0 <= pos], [pos + len <= size t] and
-    [0 <= len <= 7] (a zero-length window reads 0). A window starting at
-    or past {!header_size} is read straight from [payload]. Allocates
-    nothing. *)
-
-val masked_field_equal :
-  t -> pos:int -> pattern:bytes -> mask:bytes option -> bool
-(** [masked_field_equal t ~pos ~pattern ~mask] is
-    [Hexutil.masked_equal (to_bytes t) ~pos ~pattern ~mask] without the
-    copy: false (never an exception) if the window exceeds the frame. *)
+(** Big-endian unsigned read of [len] bytes at [pos], unchecked, for a
+    caller that has already bounded the window: [0 <= pos],
+    [pos + len <= size t] and [0 <= len <= 7] (a zero-length window reads
+    0). A window starting at or past {!header_size} is read straight from
+    [payload]. Allocates nothing. *)
 
 val field_matches :
   t ->
@@ -66,11 +56,13 @@ val field_matches :
   mask_off:int ->
   mask_len:int ->
   bool
-(** {!masked_field_equal} over pool slices: pattern and mask are windows
-    into shared byte pools (the compiled filter table's), so the SoA hot
-    path compares without materializing per-tuple [bytes]. [mask_len = 0]
-    means unmasked; mask bytes beyond [mask_len] count as 0xff, exactly
-    the short-mask rule of {!masked_field_equal}. The pattern/mask slices
-    must be in bounds (unchecked); frame bounds are checked. *)
+(** [Hexutil.masked_equal (to_bytes t) ~pos] without the copy, over pool
+    slices: pattern and mask are windows into shared byte pools (the
+    compiled filter table's), so the SoA hot path compares without
+    materializing per-tuple [bytes]. [mask_len = 0] means unmasked; mask
+    bytes beyond [mask_len] count as 0xff, exactly the short-mask rule of
+    [Hexutil.masked_equal]. False (never an exception) if the window
+    exceeds the frame. The pattern/mask slices must be in bounds
+    (unchecked). *)
 
 val pp : Format.formatter -> t -> unit

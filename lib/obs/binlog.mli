@@ -73,8 +73,9 @@ val slot_sid : Bytes.t -> off:int -> int
 (** The sid field of the slot at [off]. *)
 
 val add_slot_of_event : Buffer.t -> sid:int -> Event.t -> unit
-(** Append one typed event as a record slot — the slow-path encoder used
-    when exporting a [Typed]-mode recorder. *)
+(** Append one typed event as a record slot — the slow-path encoder behind
+    {!of_events}, and the reference the recorder's open-coded hot path is
+    tested against. *)
 
 type meta = { scenario : string; recorded : int; dropped : int }
 (** Header fields mirroring the vw-events/1 JSONL header line. *)

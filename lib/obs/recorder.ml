@@ -1,22 +1,16 @@
-type mode = Typed | Binary
-
 type t = {
   enabled : bool;
-  mode : mode;
   capacity : int;
   node : string;
   sid : int; (* node-name id in the run-shared string table *)
   mutable nid : int;
   clock : unit -> Vw_sim.Simtime.t;
   seq : int ref; (* shared across every recorder of one run *)
-  (* Typed sink: circular array of boxed events (the legacy slow path,
-     kept as the jsonl-cost reference for the bench ablation). *)
-  mutable buf : Event.t option array;
-  (* Binary sink: preallocated ring of 48-byte vw-events/2 slots; the
-     hot path writes straight into it with no per-event allocation. *)
+  (* preallocated ring of 48-byte vw-events/2 slots; the hot path writes
+     straight into it with no per-event allocation *)
   mutable ring : Bytes.t;
   mutable slots : int; (* Bytes.length ring / Binlog.slot_bytes, cached *)
-  mutable start : int; (* slot/array index of the oldest retained event *)
+  mutable start : int; (* slot index of the oldest retained event *)
   mutable len : int;
   mutable dropped : int;
   mutable cause : int;
@@ -29,14 +23,12 @@ type t = {
 let null =
   {
     enabled = false;
-    mode = Binary;
     capacity = 0;
     node = "";
     sid = 0;
     nid = -1;
     clock = (fun () -> Vw_sim.Simtime.zero);
     seq = ref 0;
-    buf = [||];
     ring = Bytes.empty;
     slots = 0;
     start = 0;
@@ -46,21 +38,19 @@ let null =
     batch_time = -1;
   }
 
-let create ?(mode = Binary) ?(capacity = 16384) ?strings ~node ~clock ~seq () =
+let create ?(capacity = 16384) ?strings ~node ~clock ~seq () =
   if capacity < 1 then invalid_arg "Recorder.create: capacity must be >= 1";
   let strings =
     match strings with Some s -> s | None -> Strtab.create ()
   in
   {
     enabled = true;
-    mode;
     capacity;
     node;
     sid = Strtab.intern strings node;
     nid = -1;
     clock;
     seq;
-    buf = [||];
     ring = Bytes.empty;
     slots = 0;
     start = 0;
@@ -71,50 +61,11 @@ let create ?(mode = Binary) ?(capacity = 16384) ?strings ~node ~clock ~seq () =
   }
 
 let enabled t = t.enabled
-let mode t = t.mode
 let node t = t.node
 let sid t = t.sid
 let set_nid t nid = t.nid <- nid
 let cause t = t.cause
 let set_cause t c = t.cause <- c
-
-(* --- typed sink --- *)
-
-let push t e =
-  if t.len < t.capacity then begin
-    if t.len = Array.length t.buf then begin
-      (* grow geometrically toward capacity; start is 0 until full *)
-      let n = min t.capacity (max 64 (2 * Array.length t.buf)) in
-      let buf = Array.make n None in
-      Array.blit t.buf 0 buf 0 t.len;
-      t.buf <- buf
-    end;
-    t.buf.((t.start + t.len) mod Array.length t.buf) <- Some e;
-    t.len <- t.len + 1
-  end
-  else begin
-    (* full: overwrite the oldest — the flight recorder keeps the tail *)
-    t.buf.(t.start) <- Some e;
-    t.start <- (t.start + 1) mod Array.length t.buf;
-    t.dropped <- t.dropped + 1
-  end
-
-let typed_emit t ~root body =
-  let seq = !(t.seq) in
-  t.seq := seq + 1;
-  let cause =
-    if root then begin
-      t.cause <- seq;
-      seq
-    end
-    else if t.cause >= 0 then t.cause
-    else seq
-  in
-  let time = if t.batch_time >= 0 then t.batch_time else t.clock () in
-  push t { Event.seq; time; node = t.node; nid = t.nid; cause; body };
-  seq
-
-(* --- binary sink --- *)
 
 (* Grow the ring geometrically toward capacity. Cold: runs O(log capacity)
    times per recorder lifetime, so it stays out of line while the claim
@@ -144,8 +95,8 @@ let binary_emit t ~root ~kind ~aux ~a ~b ~c =
     else if t.cause >= 0 then t.cause
     else seq
   in
-  (* claim the next slot: grow toward capacity, then drop-oldest — the
-     same semantics and [dropped] accounting as the typed sink *)
+  (* claim the next slot: grow toward capacity, then drop-oldest, counting
+     each overwritten event in [dropped] *)
   let off =
     if t.len < t.capacity then begin
       if t.len = t.slots then grow_ring t;
@@ -188,12 +139,10 @@ let binary_emit t ~root ~kind ~aux ~a ~b ~c =
 let batch_begin t ~hint =
   if t.enabled then begin
     t.batch_time <- t.clock ();
-    if t.mode = Binary then begin
-      let want = min t.capacity (t.len + max 0 hint) in
-      while t.slots < want do
-        grow_ring t
-      done
-    end
+    let want = min t.capacity (t.len + max 0 hint) in
+    while t.slots < want do
+      grow_ring t
+    done
   end
 
 let batch_end t = t.batch_time <- -1
@@ -203,153 +152,106 @@ let batch_end t = t.batch_time <- -1
 let emit t body =
   if not t.enabled then -1
   else
-    match t.mode with
-    | Typed -> typed_emit t ~root:false body
-    | Binary ->
-        let kind, aux, a, b, c = Event.to_fields body in
-        binary_emit t ~root:false ~kind ~aux ~a ~b ~c
+    let kind, aux, a, b, c = Event.to_fields body in
+    binary_emit t ~root:false ~kind ~aux ~a ~b ~c
 
 let emit_root t body =
   if not t.enabled then -1
   else
-    match t.mode with
-    | Typed -> typed_emit t ~root:true body
-    | Binary ->
-        let kind, aux, a, b, c = Event.to_fields body in
-        binary_emit t ~root:true ~kind ~aux ~a ~b ~c
+    let kind, aux, a, b, c = Event.to_fields body in
+    binary_emit t ~root:true ~kind ~aux ~a ~b ~c
 
 (* --- specialized no-allocation emitters (engine hot path) ---
 
-   Field layouts must mirror Event.to_fields exactly; the parity tests in
-   test_obs compare each specialized emitter against the generic [emit]
-   in both modes. *)
+   Field layouts must mirror Event.to_fields exactly; the parity test in
+   test_obs compares each specialized emitter against the generic
+   [emit]. *)
 
 let emit_packet_classified t ~point ~fid =
   if not t.enabled then -1
   else
-    match t.mode with
-    | Binary ->
-        let aux = match point with Event.Ingress -> 0 | Event.Egress -> 1 in
-        binary_emit t ~root:true ~kind:0 ~aux ~a:fid ~b:0 ~c:0
-    | Typed -> typed_emit t ~root:true (Event.Packet_classified { point; fid })
+    let aux = match point with Event.Ingress -> 0 | Event.Egress -> 1 in
+    binary_emit t ~root:true ~kind:0 ~aux ~a:fid ~b:0 ~c:0
 
 let emit_counter_changed t ~cid ~value ~delta =
   if not t.enabled then -1
-  else
-    match t.mode with
-    | Binary -> binary_emit t ~root:false ~kind:1 ~aux:0 ~a:cid ~b:delta ~c:value
-    | Typed ->
-        typed_emit t ~root:false (Event.Counter_changed { cid; value; delta })
+  else binary_emit t ~root:false ~kind:1 ~aux:0 ~a:cid ~b:delta ~c:value
 
 let emit_term_flipped t ~tid ~status =
   if not t.enabled then -1
   else
-    match t.mode with
-    | Binary ->
-        binary_emit t ~root:false ~kind:2
-          ~aux:(if status then 1 else 0)
-          ~a:tid ~b:0 ~c:0
-    | Typed -> typed_emit t ~root:false (Event.Term_flipped { tid; status })
+    binary_emit t ~root:false ~kind:2
+      ~aux:(if status then 1 else 0)
+      ~a:tid ~b:0 ~c:0
 
 let emit_condition_rose t ~did =
   if not t.enabled then -1
-  else
-    match t.mode with
-    | Binary -> binary_emit t ~root:false ~kind:3 ~aux:0 ~a:did ~b:0 ~c:0
-    | Typed -> typed_emit t ~root:false (Event.Condition_rose { did })
+  else binary_emit t ~root:false ~kind:3 ~aux:0 ~a:did ~b:0 ~c:0
 
 let emit_action_fired t ~did ~aid =
   if not t.enabled then -1
-  else
-    match t.mode with
-    | Binary -> binary_emit t ~root:false ~kind:4 ~aux:0 ~a:did ~b:aid ~c:0
-    | Typed -> typed_emit t ~root:false (Event.Action_fired { did; aid })
+  else binary_emit t ~root:false ~kind:4 ~aux:0 ~a:did ~b:aid ~c:0
 
 let emit_fault_applied t ~did ~aid ~fault =
   if not t.enabled then -1
   else
-    match t.mode with
-    | Binary ->
-        let aux =
-          match fault with
-          | Event.Drop -> 0
-          | Event.Delay -> 1
-          | Event.Reorder -> 2
-          | Event.Dup -> 3
-          | Event.Modify -> 4
-        in
-        binary_emit t ~root:false ~kind:5 ~aux ~a:did ~b:aid ~c:0
-    | Typed -> typed_emit t ~root:false (Event.Fault_applied { did; aid; fault })
+    let aux =
+      match fault with
+      | Event.Drop -> 0
+      | Event.Delay -> 1
+      | Event.Reorder -> 2
+      | Event.Dup -> 3
+      | Event.Modify -> 4
+    in
+    binary_emit t ~root:false ~kind:5 ~aux ~a:did ~b:aid ~c:0
 
 let emit_control_sent t ~dst_nid ~ctl =
   if not t.enabled then -1
   else
-    match t.mode with
-    | Binary ->
-        let tag, b, c = Event.ctl_to_fields ctl in
-        binary_emit t ~root:false ~kind:6 ~aux:tag ~a:dst_nid ~b ~c
-    | Typed -> typed_emit t ~root:false (Event.Control_sent { dst_nid; ctl })
+    let tag, b, c = Event.ctl_to_fields ctl in
+    binary_emit t ~root:false ~kind:6 ~aux:tag ~a:dst_nid ~b ~c
 
 let emit_control_received t ~ctl =
   if not t.enabled then -1
   else
-    match t.mode with
-    | Binary ->
-        let tag, b, c = Event.ctl_to_fields ctl in
-        binary_emit t ~root:true ~kind:7 ~aux:tag ~a:0 ~b ~c
-    | Typed -> typed_emit t ~root:true (Event.Control_received { ctl })
+    let tag, b, c = Event.ctl_to_fields ctl in
+    binary_emit t ~root:true ~kind:7 ~aux:tag ~a:0 ~b ~c
 
 let emit_report_raised t ~nid ~rule =
   if not t.enabled then -1
   else
-    match t.mode with
-    | Binary -> (
-        match rule with
-        | None -> binary_emit t ~root:false ~kind:8 ~aux:0 ~a:nid ~b:0 ~c:0
-        | Some r -> binary_emit t ~root:false ~kind:8 ~aux:1 ~a:nid ~b:r ~c:0)
-    | Typed -> typed_emit t ~root:false (Event.Report_raised { nid; rule })
+    match rule with
+    | None -> binary_emit t ~root:false ~kind:8 ~aux:0 ~a:nid ~b:0 ~c:0
+    | Some r -> binary_emit t ~root:false ~kind:8 ~aux:1 ~a:nid ~b:r ~c:0
 
 (* --- readout --- *)
 
 let events t =
-  match t.mode with
-  | Typed ->
-      List.init t.len (fun i ->
-          match t.buf.((t.start + i) mod Array.length t.buf) with
-          | Some e -> e
-          | None -> assert false)
-  | Binary ->
-      List.init t.len (fun i ->
-          let idx = t.start + i in
-          let idx = if idx >= t.slots then idx - t.slots else idx in
-          match
-            Binlog.decode_slot t.ring ~off:(idx * Binlog.slot_bytes)
-              ~node:t.node
-          with
-          | Ok e -> e
-          | Error m -> failwith ("Recorder.events: corrupt slot: " ^ m))
+  List.init t.len (fun i ->
+      let idx = t.start + i in
+      let idx = if idx >= t.slots then idx - t.slots else idx in
+      match
+        Binlog.decode_slot t.ring ~off:(idx * Binlog.slot_bytes) ~node:t.node
+      with
+      | Ok e -> e
+      | Error m -> failwith ("Recorder.events: corrupt slot: " ^ m))
 
 let append_binary buf t =
   let sb = Binlog.slot_bytes in
-  match t.mode with
-  | Binary ->
-      (* at most two contiguous regions, blitted wholesale *)
-      if t.start + t.len <= t.slots then
-        Buffer.add_subbytes buf t.ring (t.start * sb) (t.len * sb)
-      else begin
-        let first = t.slots - t.start in
-        Buffer.add_subbytes buf t.ring (t.start * sb) (first * sb);
-        Buffer.add_subbytes buf t.ring 0 ((t.len - first) * sb)
-      end
-  | Typed ->
-      List.iter (fun e -> Binlog.add_slot_of_event buf ~sid:t.sid e) (events t)
+  (* at most two contiguous regions, blitted wholesale *)
+  if t.start + t.len <= t.slots then
+    Buffer.add_subbytes buf t.ring (t.start * sb) (t.len * sb)
+  else begin
+    let first = t.slots - t.start in
+    Buffer.add_subbytes buf t.ring (t.start * sb) (first * sb);
+    Buffer.add_subbytes buf t.ring 0 ((t.len - first) * sb)
+  end
 
 let length t = t.len
 let dropped t = t.dropped
 let truncated t = t.dropped > 0
 
 let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
   t.start <- 0;
   t.len <- 0;
   t.dropped <- 0;

@@ -5,15 +5,13 @@
     one sequence counter, so merging per-node logs by [seq] recovers the
     global order in which events were recorded.
 
-    {b Two sinks.} The default {!Binary} sink encodes each event straight
-    into a preallocated [Bytes] ring as a fixed 48-byte [vw-events/2]
-    slot ({!Binlog}) — no per-event allocation, which is what makes
-    always-on recording affordable at engine speed (see [bench micro]'s
-    [obs_ablation]). The legacy {!Typed} sink keeps boxed {!Event.t}s in
-    a circular array; it survives as the jsonl-cost reference for that
-    ablation. Both sinks share drop-oldest semantics, [dropped]
-    accounting, and the causal-id protocol, and both decode back to the
-    same typed events via {!events}.
+    {b One sink.} Each event is encoded straight into a preallocated
+    [Bytes] ring as a fixed 48-byte [vw-events/2] slot ({!Binlog}) — no
+    per-event allocation, which is what makes always-on recording
+    affordable at engine speed (see [bench micro]'s [obs_ablation]).
+    When the ring is full the oldest event is overwritten and counted in
+    {!dropped}. {!events} decodes the retained slots back into typed
+    events; JSONL is an export of them ([vwctl events export]).
 
     {b Zero cost when disabled.} {!null} is a permanently-disabled no-op
     sink; the engine guards every emission site with {!enabled}, so an
@@ -28,15 +26,12 @@
     with the [Control_sent] carrying an equal payload (see
     [Vw_core.Explain]). *)
 
-type mode = Typed | Binary
-
 type t
 
 val null : t
 (** The disabled sink: {!enabled} is false, every emitter is a no-op. *)
 
 val create :
-  ?mode:mode ->
   ?capacity:int ->
   ?strings:Strtab.t ->
   node:string ->
@@ -44,18 +39,16 @@ val create :
   seq:int ref ->
   unit ->
   t
-(** [mode] (default {!Binary}) selects the sink. [capacity] (default
-    16384) bounds retained events; beyond it the oldest are overwritten
-    ({!truncated} turns true, {!dropped} counts). The default keeps a
-    node's ring at 768 KiB — small enough that steady-state recording
-    stays in cache; raising it buys retention at measurable per-event
-    cost (see the obs_ablation bench). [seq] is the run-shared
-    sequence counter, [strings] the run-shared intern table for the
-    binary export header (a private one is created when omitted — fine
-    for single-recorder use). *)
+(** [capacity] (default 16384) bounds retained events; beyond it the
+    oldest are overwritten ({!truncated} turns true, {!dropped} counts).
+    The default keeps a node's ring at 768 KiB — small enough that
+    steady-state recording stays in cache; raising it buys retention at
+    measurable per-event cost (see the obs_ablation bench). [seq] is the
+    run-shared sequence counter, [strings] the run-shared intern table
+    for the binary export header (a private one is created when omitted
+    — fine for single-recorder use). *)
 
 val enabled : t -> bool
-val mode : t -> mode
 val node : t -> string
 
 val sid : t -> int
@@ -66,9 +59,9 @@ val set_nid : t -> int -> unit
 
 val emit : t -> Event.body -> int
 (** Record an event under the current cause (or as its own cause if none is
-    set); returns its sequence number, or [-1] when disabled. In Binary
-    mode this generic path flattens the already-built body — the engine
-    uses the specialized emitters below instead, which never build one. *)
+    set); returns its sequence number, or [-1] when disabled. This generic
+    path flattens the already-built body — the engine uses the specialized
+    emitters below instead, which never build one. *)
 
 val emit_root : t -> Event.body -> int
 (** Record a root event (its own cause) and make it the current cause. *)
@@ -76,7 +69,7 @@ val emit_root : t -> Event.body -> int
 (** {2 Specialized no-allocation emitters}
 
     One per event kind, taking the payload as plain arguments so the
-    Binary hot path goes from engine state to ring bytes without
+    hot path goes from engine state to ring bytes without
     constructing an [Event.body]. Field layouts mirror
     [Event.to_fields]; parity tests in test_obs keep them aligned.
     [emit_packet_classified] and [emit_control_received] record roots
@@ -96,7 +89,7 @@ val emit_report_raised : t -> nid:int -> rule:int option -> int
 val batch_begin : t -> hint:int -> unit
 (** Enter batched emission: read the sim clock once (it cannot advance
     within one callback, so every event in the batch gets the timestamp it
-    would have gotten unbatched) and pre-grow the binary ring toward
+    would have gotten unbatched) and pre-grow the ring toward
     [hint] further events, hoisting the per-event grow check. Slot claims
     stay per-event, so the drop-oldest [dropped] accounting is unchanged.
     No-op on a disabled recorder. *)
@@ -111,14 +104,12 @@ val set_cause : t -> int -> unit
 (** Restore a saved causal context ([-1] to leave it). *)
 
 val events : t -> Event.t list
-(** Retained events, oldest first — decoded from the ring in Binary
-    mode. *)
+(** Retained events, oldest first, decoded from the ring. *)
 
 val append_binary : Buffer.t -> t -> unit
 (** Append this recorder's retained events as raw [vw-events/2] slots,
-    oldest first. Binary mode blits the (at most two) contiguous ring
-    regions wholesale; Typed mode encodes each event through the slow
-    path. Callers write the {!Binlog.add_header} first. *)
+    oldest first: the (at most two) contiguous ring regions, blitted
+    wholesale. Callers write the {!Binlog.add_header} first. *)
 
 val length : t -> int
 val dropped : t -> int

@@ -61,10 +61,6 @@ flatten() {
          { key: "obs_ablation.recording_ns_per_packet",
            value: .obs_ablation.recording_ns_per_packet }
        else empty end),
-      (if (.obs_ablation.recording_jsonl_ns_per_packet? // empty) != "" then
-         { key: "obs_ablation.recording_jsonl_ns_per_packet",
-           value: .obs_ablation.recording_jsonl_ns_per_packet }
-       else empty end),
       (.batch // {} | to_entries[]
        | .key as $shape | .value | to_entries[]
        | select(.value | type == "object" and has("ns_per_packet"))

@@ -17,19 +17,22 @@ let compile src =
   | Ok t -> t
   | Error e -> Alcotest.failf "compile: %s" e
 
-(* --- classifier unit tests --- *)
+(* --- classifier unit tests ---
 
-let frame_bytes ~ethertype ~payload =
-  Vw_net.Eth.to_bytes
-    (Vw_net.Eth.make
-       ~dst:(Vw_net.Mac.of_int 2)
-       ~src:(Vw_net.Mac.of_int 1)
-       ~ethertype
-       (Vw_util.Hexutil.of_hex payload))
+   Through the engine's one path: [classify_frame_c] over
+   [Tables.compile]. *)
+
+let frame ~ethertype ~payload =
+  Vw_net.Eth.make
+    ~dst:(Vw_net.Mac.of_int 2)
+    ~src:(Vw_net.Mac.of_int 1)
+    ~ethertype
+    (Vw_util.Hexutil.of_hex payload)
 
 let classifier_tables =
-  compile
-    {|
+  Tables.compile
+    (compile
+       {|
 VAR SEQ;
 FILTER_TABLE
 rether_token: (12 2 0x9900), (14 2 0x0001)
@@ -44,68 +47,60 @@ END
 SCENARIO classify_only
 (TRUE) >> STOP;
 END
-|}
+|})
 
 let no_bindings = [| None |]
 
+let classify ~bindings =
+  Vw_engine.Classifier.classify_frame_c classifier_tables ~bindings
+
 let test_classify_first_match () =
-  let module C = Vw_engine.Classifier in
   (* token frames match the more specific rule first *)
   check (Alcotest.option Alcotest.int) "token hits rule 0" (Some 0)
-    (C.classify classifier_tables ~bindings:no_bindings
-       (frame_bytes ~ethertype:0x9900 ~payload:"0001deadbeef"));
+    (classify ~bindings:no_bindings
+       (frame ~ethertype:0x9900 ~payload:"0001deadbeef"));
   (* other rether frames fall to the catch-all *)
   check (Alcotest.option Alcotest.int) "ack hits rule 1" (Some 1)
-    (C.classify classifier_tables ~bindings:no_bindings
-       (frame_bytes ~ethertype:0x9900 ~payload:"0010deadbeef"));
+    (classify ~bindings:no_bindings
+       (frame ~ethertype:0x9900 ~payload:"0010deadbeef"));
   check (Alcotest.option Alcotest.int) "no match" None
-    (C.classify classifier_tables ~bindings:no_bindings
-       (frame_bytes ~ethertype:0x1234 ~payload:"0001"))
+    (classify ~bindings:no_bindings (frame ~ethertype:0x1234 ~payload:"0001"))
 
 let test_classify_mask () =
-  let module C = Vw_engine.Classifier in
   (* flagged wants bit 0x10 at offset 15 (payload byte 1) *)
   check (Alcotest.option Alcotest.int) "bit set" (Some 2)
-    (C.classify classifier_tables ~bindings:no_bindings
-       (frame_bytes ~ethertype:0x0800 ~payload:"0018"));
+    (classify ~bindings:no_bindings (frame ~ethertype:0x0800 ~payload:"0018"));
   check (Alcotest.option Alcotest.int) "bit clear" None
-    (C.classify classifier_tables ~bindings:no_bindings
-       (frame_bytes ~ethertype:0x0800 ~payload:"0008"))
+    (classify ~bindings:no_bindings (frame ~ethertype:0x0800 ~payload:"0008"))
 
 let test_classify_var_binding () =
-  let module C = Vw_engine.Classifier in
   let unbound = [| None |] in
   (* unbound variable: the filter cannot match *)
   check (Alcotest.option Alcotest.int) "unbound never matches" None
-    (C.classify classifier_tables ~bindings:unbound
-       (frame_bytes ~ethertype:0x0801 ~payload:"0011223344"));
+    (classify ~bindings:unbound
+       (frame ~ethertype:0x0801 ~payload:"0011223344"));
   let bound = [| Some (Vw_util.Hexutil.of_hex "00112233") |] in
   check (Alcotest.option Alcotest.int) "bound matches equal bytes" (Some 3)
-    (C.classify classifier_tables ~bindings:bound
-       (frame_bytes ~ethertype:0x0801 ~payload:"0011223344"));
+    (classify ~bindings:bound (frame ~ethertype:0x0801 ~payload:"0011223344"));
   check (Alcotest.option Alcotest.int) "bound rejects different bytes" None
-    (C.classify classifier_tables ~bindings:bound
-       (frame_bytes ~ethertype:0x0801 ~payload:"ff11223344"))
+    (classify ~bindings:bound (frame ~ethertype:0x0801 ~payload:"ff11223344"))
 
 let test_classify_truncated_frame () =
-  let module C = Vw_engine.Classifier in
   (* a frame shorter than a tuple's window must not match that tuple (nor
      crash); it can still fall through to a shorter filter *)
   check (Alcotest.option Alcotest.int) "header-only rether falls to catch-all"
     (Some 1)
-    (C.classify classifier_tables ~bindings:no_bindings
-       (frame_bytes ~ethertype:0x9900 ~payload:""));
+    (classify ~bindings:no_bindings (frame ~ethertype:0x9900 ~payload:""));
   check (Alcotest.option Alcotest.int) "short ip frame matches nothing" None
-    (C.classify classifier_tables ~bindings:no_bindings
-       (frame_bytes ~ethertype:0x0800 ~payload:"00"))
+    (classify ~bindings:no_bindings (frame ~ethertype:0x0800 ~payload:"00"))
 
-(* --- indexed vs linear classifier equivalence (property) ---
+(* --- compiled vs linear classifier equivalence (property) ---
 
    Random filter tables — literal, masked and variable tuples over a tiny
    byte alphabet, so bucket collisions, fallback interleavings and
-   first-match ties are dense — against random frames: the indexed
-   [classify] and the zero-copy [classify_frame] must return exactly what
-   the naive first-match [classify_linear] reference returns. *)
+   first-match ties are dense — against random frames: the compiled
+   [classify_frame_c] and [classify_batch] must return exactly what the
+   naive first-match [classify_linear] reference returns. *)
 
 let tables_of_filters filters =
   {
@@ -119,7 +114,6 @@ let tables_of_filters filters =
     conds = [||];
     actions = [||];
     rule_of_cond = [||];
-    cindex = Tables.build_index filters;
   }
 
 (* Tuples reach the compiled kernel's edges: 7- and 8-byte literals (the
@@ -175,23 +169,8 @@ let gen_equiv_case =
            (Bytes.of_string payload)) )
   >>= fun frames -> return (filters, bindings, frames)
 
-let prop_indexed_equals_linear =
-  QCheck.Test.make ~name:"indexed classifier == linear reference" ~count:500
-    (QCheck.make gen_equiv_case)
-    (fun (filters, bindings, frames) ->
-      let module C = Vw_engine.Classifier in
-      let t = tables_of_filters filters in
-      List.for_all
-        (fun frame ->
-          let data = Vw_net.Eth.to_bytes frame in
-          let expected = C.classify_linear t ~bindings data in
-          C.classify t ~bindings data = expected
-          && C.classify_frame t ~bindings frame = expected)
-        frames)
-
-(* The compiled SoA classifier, per-frame and batched, against the same
-   linear reference: equal matches, and the batch's per-frame scan counts
-   plus cumulative stats equal a fold of the per-frame compiled path. *)
+(* Equal matches, and the batch's per-frame scan counts plus cumulative
+   stats equal a fold of the per-frame compiled path. *)
 let prop_compiled_equals_linear =
   QCheck.Test.make ~name:"compiled SoA classifier (single + batch) == linear"
     ~count:500
@@ -1553,7 +1532,6 @@ let suite =
         Alcotest.test_case "mask matching" `Quick test_classify_mask;
         Alcotest.test_case "variable binding" `Quick test_classify_var_binding;
         Alcotest.test_case "truncated frames" `Quick test_classify_truncated_frame;
-        qtest prop_indexed_equals_linear;
         qtest prop_compiled_equals_linear;
         Alcotest.test_case "compiled classify allocates O(1) per frame" `Quick
           test_compiled_classify_no_alloc;

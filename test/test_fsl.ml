@@ -413,6 +413,44 @@ let test_codec_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated tables accepted"
 
+(* A literal must be exactly its tuple's [t_len] bytes, as the compiler
+   always makes it: the classification index keys on [t_len] bytes while
+   matching compares the pattern's own length, so a misfit decoded from
+   the wire would make the engine disagree with the linear reference. *)
+let test_codec_rejects_misfit_literal () =
+  let decode len =
+    let tu =
+      {
+        Tables.t_offset = 34;
+        t_len = 2;
+        t_mask = None;
+        t_pat = Tables.Bytes_pattern (Bytes.make len '\x13');
+      }
+    in
+    Tables_codec.of_bytes
+      (Tables_codec.to_bytes
+         {
+           Tables.scenario_name = "misfit";
+           inactivity_timeout = None;
+           vars = [||];
+           filters = [| { Tables.fid = 0; fname = "f"; f_tuples = [ tu ] } |];
+           nodes = [||];
+           counters = [||];
+           terms = [||];
+           conds = [||];
+           actions = [||];
+           rule_of_cond = [||];
+         })
+  in
+  check Alcotest.bool "2-byte literal decodes" true (Result.is_ok (decode 2));
+  List.iter
+    (fun len ->
+      check Alcotest.bool
+        (Printf.sprintf "%d-byte literal rejected" len)
+        true
+        (Result.is_error (decode len)))
+    [ 0; 3; 9 ]
+
 (* --- the compile cache --- *)
 
 let test_cache_hit_is_fresh_compile () =
@@ -424,8 +462,7 @@ let test_cache_hit_is_fresh_compile () =
     | Ok t -> t
     | Error e -> Alcotest.failf "cache miss failed to compile: %s" e
   in
-  check Alcotest.bool "miss equals a fresh compile" true
-    (Tables.equal fresh first);
+  check Alcotest.bool "miss equals a fresh compile" true (fresh = first);
   let second =
     match Compile_cache.parse_and_compile src with
     | Ok t -> t
@@ -450,8 +487,7 @@ let test_cache_distinct_scripts_distinct_entries () =
     | Ok t -> t
     | Error e -> Alcotest.fail e
   in
-  check Alcotest.bool "different scripts, different tables" false
-    (Tables.equal a b);
+  check Alcotest.bool "different scripts, different tables" false (a = b);
   let s = Compile_cache.stats () in
   check Alcotest.int "two misses" 2 s.Compile_cache.misses;
   check Alcotest.int "no hits" 0 s.Compile_cache.hits;
@@ -528,7 +564,6 @@ let test_compile_keyed_tuples () =
       conds = [||];
       actions = [||];
       rule_of_cond = [||];
-      cindex = Tables.build_index filters;
     }
   in
   let c = Tables.compile tables in
@@ -627,6 +662,8 @@ let suite =
         Alcotest.test_case "figure 5 roundtrip" `Quick test_codec_roundtrip_figure5;
         Alcotest.test_case "figure 6 roundtrip" `Quick test_codec_roundtrip_figure6;
         Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage;
+        Alcotest.test_case "rejects misfit literals" `Quick
+          test_codec_rejects_misfit_literal;
         qtest prop_wire_i64_roundtrip;
         qtest prop_wire_bytes_roundtrip;
       ] );

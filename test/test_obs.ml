@@ -99,35 +99,36 @@ let sample_bodies =
     Ev.Report_raised { nid = 1; rule = None };
   ]
 
-(* The binary ring must wrap exactly like the legacy typed array: same
-   retained tail, same [dropped] count, same [truncated] flag — that is
-   what keeps the stderr warning and the obs.events_truncated metric
-   honest now that Binary is the default sink. *)
-let test_binary_wrap_parity () =
-  let run mode =
-    let seq = ref 0 in
-    let now = ref Simtime.zero in
-    let r =
-      Rec.create ~mode ~capacity:4 ~node:"n" ~clock:(fun () -> !now) ~seq ()
-    in
-    List.iteri
-      (fun i body ->
-        now := Simtime.ms i;
-        if i mod 3 = 0 then ignore (Rec.emit_root r body)
-        else ignore (Rec.emit r body))
-      sample_bodies;
-    (Rec.events r, Rec.dropped r, Rec.truncated r)
+(* A wrapped ring retains exactly the newest [capacity] events, each
+   decoded intact, and counts every overwritten one — what keeps the
+   stderr warning and the obs.events_truncated metric honest. *)
+let test_binary_wrap_tail () =
+  let seq = ref 0 in
+  let now = ref Simtime.zero in
+  let r = Rec.create ~capacity:4 ~node:"n" ~clock:(fun () -> !now) ~seq () in
+  (* every third event is a root; the others carry the latest root's seq
+     as their cause *)
+  List.iteri
+    (fun i body ->
+      now := Simtime.ms i;
+      if i mod 3 = 0 then ignore (Rec.emit_root r body)
+      else ignore (Rec.emit r body))
+    sample_bodies;
+  let n = List.length sample_bodies in
+  let expected =
+    List.filteri (fun i _ -> i >= n - 4) sample_bodies
+    |> List.mapi (fun k body ->
+           let i = n - 4 + k in
+           let cause = i - (i mod 3) in
+           { Ev.seq = i; time = Simtime.ms i; node = "n"; nid = -1; cause; body })
   in
-  let evs_b, dropped_b, trunc_b = run Rec.Binary in
-  let evs_t, dropped_t, trunc_t = run Rec.Typed in
-  check Alcotest.int "both retain capacity" 4 (List.length evs_b);
-  check Alcotest.int "same dropped count" dropped_t dropped_b;
-  check Alcotest.int "dropped = overflow" 6 dropped_b;
-  check Alcotest.bool "both truncated" true (trunc_b && trunc_t);
-  check (Alcotest.list ev_t) "identical retained tail" evs_t evs_b
+  check Alcotest.int "dropped = n - capacity" (n - 4) (Rec.dropped r);
+  check Alcotest.bool "truncated" true (Rec.truncated r);
+  check (Alcotest.list ev_t) "newest four: seq, time, cause, body" expected
+    (Rec.events r)
 
 (* Each specialized no-allocation emitter must record exactly what the
-   generic [emit] would for the equivalent body, in both modes. *)
+   generic [emit] would for the equivalent body. *)
 let test_emitter_parity () =
   let cases =
     [
@@ -167,32 +168,22 @@ let test_emitter_parity () =
   in
   (* the packet_classified emitter is a root; give every recorder a live
      causal context first so root/non-root behaviour is observable *)
-  List.iter
-    (fun mode ->
-      let record emitters =
-        let seq = ref 0 in
-        let r =
-          Rec.create ~mode ~node:"n" ~clock:(fun () -> Simtime.ms 3) ~seq ()
-        in
-        ignore (Rec.emit_packet_classified r ~point:Ev.Ingress ~fid:0);
-        List.iter (fun f -> ignore (f r)) emitters;
-        Rec.events r
-      in
-      let specialized = record (List.map (fun (_, _, f) -> f) cases) in
-      let generic =
-        record
-          (List.map
-             (fun (root, body, _) r ->
-               if root then Rec.emit_root r body else Rec.emit r body)
-             cases)
-      in
-      check
-        (Alcotest.list ev_t)
-        (match mode with
-        | Rec.Binary -> "binary: specialized = generic"
-        | Rec.Typed -> "typed: specialized = generic")
-        generic specialized)
-    [ Rec.Binary; Rec.Typed ]
+  let record emitters =
+    let seq = ref 0 in
+    let r = Rec.create ~node:"n" ~clock:(fun () -> Simtime.ms 3) ~seq () in
+    ignore (Rec.emit_packet_classified r ~point:Ev.Ingress ~fid:0);
+    List.iter (fun f -> ignore (f r)) emitters;
+    Rec.events r
+  in
+  let specialized = record (List.map (fun (_, _, f) -> f) cases) in
+  let generic =
+    record
+      (List.map
+         (fun (root, body, _) r ->
+           if root then Rec.emit_root r body else Rec.emit r body)
+         cases)
+  in
+  check (Alcotest.list ev_t) "specialized = generic" generic specialized
 
 (* the point of the binary sink: zero words allocated per event once the
    ring has reached steady state *)
@@ -789,7 +780,7 @@ let test_batch_emission_byte_identical () =
   let capture ~capacity ~batched =
     let seq = ref 0 in
     let r =
-      Rec.create ~mode:Rec.Binary ~capacity ~node:"n"
+      Rec.create ~capacity ~node:"n"
         ~clock:(fun () -> Simtime.ms 7)
         ~seq ()
     in
@@ -812,7 +803,7 @@ let test_batch_emission_byte_identical () =
 let test_batch_end_restores_live_clock () =
   let seq = ref 0 in
   let now = ref Simtime.zero in
-  let r = Rec.create ~mode:Rec.Typed ~node:"n" ~clock:(fun () -> !now) ~seq () in
+  let r = Rec.create ~node:"n" ~clock:(fun () -> !now) ~seq () in
   Rec.batch_begin r ~hint:4;
   (* the sim clock cannot advance mid-batch; a test's can — the cached
      stamp must win until batch_end *)
@@ -843,8 +834,8 @@ let suite =
       ] );
     ( "obs.binlog",
       [
-        Alcotest.test_case "binary ring wraps like typed" `Quick
-          test_binary_wrap_parity;
+        Alcotest.test_case "wrapped ring keeps the tail" `Quick
+          test_binary_wrap_tail;
         Alcotest.test_case "specialized emitters match generic" `Quick
           test_emitter_parity;
         Alcotest.test_case "binary emit allocates nothing" `Quick
