@@ -402,26 +402,23 @@ let jsonl_export_ns testbed ~packets =
 (* Batched hot path: Fie.process_batch throughput, batch-size sweep     *)
 (* ------------------------------------------------------------------ *)
 
-(* One timed run: an arena of [batch] copies of the probe frame pushed
-   through node2's ingress engine until ~[packets] frames have been
-   processed. Host wall clock; verdicts discarded (the engine, not the
-   wire, is under measurement). *)
+(* One timed run: [batch] copies of the probe frame pushed through
+   node2's ingress engine until ~[packets] frames have been processed.
+   Host wall clock; verdicts discarded (the engine, not the wire, is under
+   measurement). *)
 let batch_run fie ~frame ~batch ~packets =
-  let arena = Vw_engine.Arena.create ~capacity:batch () in
-  for _ = 1 to batch do
-    Vw_engine.Arena.push arena frame
-  done;
+  let frames = Array.make batch frame in
   let iters = max 1 (packets / batch) in
-  let nop _ _ = () in
-  (* warm-up: fault the compile-lazy paths and touch the arrays *)
+  let nop _ = () in
+  (* warm-up: fault the compile-lazy paths *)
   ignore
-    (Vw_engine.Fie.process_batch fie Vw_stack.Hook.Ingress arena
-       ~on_verdict:nop);
+    (Vw_engine.Fie.process_batch fie Vw_stack.Hook.Ingress frames ~pos:0
+       ~len:batch ~on_verdict:nop);
   let t0 = Unix.gettimeofday () in
   for _ = 1 to iters do
     ignore
-      (Vw_engine.Fie.process_batch fie Vw_stack.Hook.Ingress arena
-         ~on_verdict:nop)
+      (Vw_engine.Fie.process_batch fie Vw_stack.Hook.Ingress frames ~pos:0
+         ~len:batch ~on_verdict:nop)
   done;
   let wall = Unix.gettimeofday () -. t0 in
   wall *. 1e9 /. float_of_int (iters * batch)

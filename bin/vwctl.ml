@@ -167,10 +167,22 @@ let duration_arg =
     & info [ "d"; "max-duration" ] ~docv:"SECONDS"
         ~doc:"Simulated-time budget for the scenario.")
 
+(* counts that size something (--batch, --events-capacity): 0 or a
+   negative value is a usage error, exit 124 like any malformed flag *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok n ->
+        Error (`Msg (Printf.sprintf "expected a positive integer, got %d" n))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let batch_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "batch" ] ~docv:"N"
         ~doc:
           "Frames per engine chunk for batched workloads ($(b,udp-blast)); \
@@ -195,7 +207,7 @@ let analysis_events_capacity = 65536
 
 let events_capacity_arg =
   Arg.(
-    value & opt (some int) None
+    value & opt (some positive_int) None
     & info [ "events-capacity" ] ~docv:"N"
         ~doc:
           (Printf.sprintf

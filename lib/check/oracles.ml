@@ -9,7 +9,6 @@ type defect =
   | Codec_drop_action
   | Events_drop_line
   | Conform_zero_cover
-  | Batch_skip_flush
 
 let defect_to_string = function
   | No_defect -> "none"
@@ -17,7 +16,6 @@ let defect_to_string = function
   | Codec_drop_action -> "codec-drop-action"
   | Events_drop_line -> "events-drop-line"
   | Conform_zero_cover -> "conform-zero-cover"
-  | Batch_skip_flush -> "batch-skip-flush"
 
 let defect_names =
   [
@@ -26,7 +24,6 @@ let defect_names =
     "codec-drop-action";
     "events-drop-line";
     "conform-zero-cover";
-    "batch-skip-flush";
   ]
 
 let defect_of_string = function
@@ -35,7 +32,6 @@ let defect_of_string = function
   | "codec-drop-action" -> Ok Codec_drop_action
   | "events-drop-line" -> Ok Events_drop_line
   | "conform-zero-cover" -> Ok Conform_zero_cover
-  | "batch-skip-flush" -> Ok Batch_skip_flush
   | s ->
       Error
         (Printf.sprintf "unknown defect %S (expected one of: %s)" s
@@ -50,7 +46,6 @@ let oracle_names =
     "generates_valid";
     "print_parse_fixpoint";
     "classifier_diff";
-    "batch_equiv";
     "codec_roundtrip";
     "events_roundtrip";
     "coverage_live_offline";
@@ -116,90 +111,6 @@ let check_classifier ~defect (o : Runner.outcome) =
         else go (i + 1) rest
   in
   go 0 o.Runner.o_trace
-
-(* --- batch_equiv --- *)
-
-(* A deliberately odd chunk size so the replay always ends on a partial
-   chunk for realistic trace lengths — where a "forgot to flush the tail"
-   bug hides. *)
-let batch_chunk = 7
-
-(* Replay the run's frames through [Classifier.classify_batch] in chunks
-   and demand, frame by frame, the same match and the same scan count as
-   the per-frame classifier, plus equal cumulative stats — the batched hot
-   path must be indistinguishable from the fold it replaces. The injected
-   [Batch_skip_flush] defect drops the final chunk's classification pass
-   (its slots keep their cleared no-match/zero values), the way a batching
-   loop that only fires on full chunks would. *)
-let check_batch ~defect (o : Runner.outcome) =
-  let tables = o.Runner.o_tables in
-  let compiled = Tables.compile tables in
-  let n_vars = Array.length tables.Tables.vars in
-  let frames =
-    List.filteri (fun i _ -> i < max_frames_checked) o.Runner.o_trace
-    |> List.map (fun (e : Vw_core.Trace.entry) -> e.Vw_core.Trace.frame)
-    |> Array.of_list
-  in
-  let total = Array.length frames in
-  let fids = Array.make batch_chunk (-1) in
-  let scanned = Array.make batch_chunk 0 in
-  let hits = Bytes.make batch_chunk '\000' in
-  let bs = Classifier.new_scan_stats () in
-  let rs = Classifier.new_scan_stats () in
-  let bad = ref None in
-  let base = ref 0 in
-  while !bad = None && !base < total do
-    let n = min batch_chunk (total - !base) in
-    let chunk = Array.sub frames !base n in
-    let bindings = Array.make n_vars None in
-    Array.fill fids 0 n (-1);
-    Array.fill scanned 0 n 0;
-    let last = !base + n = total in
-    if not (defect = Batch_skip_flush && last) then
-      Classifier.classify_batch ~stats:bs compiled ~bindings ~frames:chunk ~n
-        ~fids ~scanned ~hits;
-    for i = 0 to n - 1 do
-      if !bad = None then begin
-        let bindings' = Array.make n_vars None in
-        let before = rs.Classifier.filters_scanned in
-        let r =
-          Classifier.classify_frame_c ~stats:rs compiled ~bindings:bindings'
-            chunk.(i)
-        in
-        let want = match r with Some fid -> fid | None -> -1 in
-        let fid_str f = if f < 0 then "no match" else string_of_int f in
-        if fids.(i) <> want then
-          bad :=
-            fail "batch_equiv"
-              "frame %d: batched classifier says %s, per-frame says %s"
-              (!base + i)
-              (fid_str fids.(i))
-              (fid_str want)
-        else if scanned.(i) <> rs.Classifier.filters_scanned - before then
-          bad :=
-            fail "batch_equiv"
-              "frame %d: batch scanned %d filters, per-frame scanned %d"
-              (!base + i) scanned.(i)
-              (rs.Classifier.filters_scanned - before)
-      end
-    done;
-    base := !base + n
-  done;
-  match !bad with
-  | Some _ as f -> f
-  | None ->
-      if
-        bs.Classifier.filters_scanned <> rs.Classifier.filters_scanned
-        || bs.Classifier.index_hits <> rs.Classifier.index_hits
-        || bs.Classifier.index_misses <> rs.Classifier.index_misses
-      then
-        fail "batch_equiv"
-          "stats diverge: batch (%d scanned, %d hits, %d misses) vs \
-           per-frame (%d, %d, %d)"
-          bs.Classifier.filters_scanned bs.Classifier.index_hits
-          bs.Classifier.index_misses rs.Classifier.filters_scanned
-          rs.Classifier.index_hits rs.Classifier.index_misses
-      else None
 
 (* --- codec_roundtrip --- *)
 
@@ -504,7 +415,6 @@ let check ~defect (o : Runner.outcome) =
   let ( <|> ) a b = match a with Some _ -> a | None -> b () in
   check_fixpoint o.Runner.o_case
   <|> (fun () -> check_classifier ~defect o)
-  <|> (fun () -> check_batch ~defect o)
   <|> (fun () -> check_codec ~defect o)
   <|> (fun () -> check_events ~defect o)
   <|> (fun () -> check_counters o)

@@ -8,11 +8,6 @@
     - [classifier_diff]: the engine's classifier,
       [Classifier.classify_frame_c] over [Tables.compile], agrees with
       [Classifier.classify_linear] on every captured frame;
-    - [batch_equiv]: replaying the captured frames through
-      [Classifier.classify_batch] in chunks gives, frame by frame, the
-      same match and scan count as the per-frame compiled classifier, and
-      equal cumulative stats — the batched hot path is indistinguishable
-      from the fold it replaces;
     - [codec_roundtrip]: [Tables_codec] decode inverts encode and
       re-encoding is canonical;
     - [events_roundtrip]: the [vw-events/1] JSONL rendering reloads to the
@@ -45,9 +40,6 @@ type defect =
   | Conform_zero_cover
       (** coverage forgets every filter match before the conformance
           cross-check *)
-  | Batch_skip_flush
-      (** the batched classifier never flushes its final chunk, as a
-          batching loop firing only on full chunks would *)
 
 val defect_of_string : string -> (defect, string) result
 val defect_to_string : defect -> string

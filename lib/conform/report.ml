@@ -52,18 +52,7 @@ let counts cases =
 
 (* --- JSON (schema "vw-conform/1") --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Vw_report.Json
 
 let summary_json cases =
   let b = Buffer.create 1024 in
@@ -81,21 +70,21 @@ let summary_json cases =
   List.iteri
     (fun i c ->
       add "%s    {\n" (if i = 0 then "\n" else ",\n");
-      add "      \"case\": \"%s\",\n" (json_escape c.cs_name);
+      add "      \"case\": \"%s\",\n" (Json.escape c.cs_name);
       add "      \"ok\": %b,\n" c.cs_ok;
-      add "      \"outcome\": \"%s\",\n" (json_escape c.cs_outcome);
+      add "      \"outcome\": \"%s\",\n" (Json.escape c.cs_outcome);
       add "      \"truncated\": %b,\n" c.cs_truncated;
       add "      \"expects\": [";
       List.iteri
         (fun j x ->
           add "%s        {\n" (if j = 0 then "\n" else ",\n");
           add "          \"xid\": %d,\n" x.xr_xid;
-          add "          \"label\": \"%s\",\n" (json_escape x.xr_label);
-          add "          \"status\": \"%s\",\n" (json_escape x.xr_status);
+          add "          \"label\": \"%s\",\n" (Json.escape x.xr_label);
+          add "          \"status\": \"%s\",\n" (Json.escape x.xr_status);
           (match x.xr_at_ms with
           | Some ms -> add "          \"at_ms\": %g,\n" ms
           | None -> ());
-          add "          \"diagnosis\": \"%s\"\n" (json_escape x.xr_diagnosis);
+          add "          \"diagnosis\": \"%s\"\n" (Json.escape x.xr_diagnosis);
           add "        }")
         c.cs_expects;
       add "%s]\n" (if c.cs_expects = [] then "" else "\n      ");

@@ -44,7 +44,6 @@ type t = {
   switch : Vw_link.Switch.t option;
   bus : Vw_link.Bus.t option;
   mutable obs : observability option;
-  mutable arena : Vw_engine.Arena.t option; (* lazy, shared by all nodes *)
 }
 
 let engine t = t.engine
@@ -143,7 +142,7 @@ let create ?(config = default_config) specs =
       all;
   let by_name = Hashtbl.create 8 in
   List.iter (fun n -> Hashtbl.replace by_name n.node_name n) all;
-  { engine; trace; all; by_name; switch; bus; obs = None; arena = None }
+  { engine; trace; all; by_name; switch; bus; obs = None }
 
 let of_node_table ?config (tables : Vw_fsl.Tables.t) =
   create ?config
@@ -154,56 +153,35 @@ let run t ?until () = Vw_sim.Engine.run ?until t.engine
 
 (* --- batched injection ---
 
-   One arena serves the whole testbed: batches are processed to completion
-   before the next one starts, so there is never more than one in flight.
    Verdicts are applied per frame inside the batch (Accept continues the
    frame through the rest of the hook chain, exactly where a hook-returned
    Accept would), so reinjections interleave with the batch as unbatched
    processing would interleave them. *)
 
-let arena t =
-  match t.arena with
-  | Some a -> a
-  | None ->
-      let a = Vw_engine.Arena.create () in
-      t.arena <- Some a;
-      a
-
 let process_batch ?(batch = 128) t node point frames =
   if batch < 1 then invalid_arg "Testbed.process_batch: batch must be >= 1";
-  let a = arena t in
+  let frames = Array.of_list frames in
+  let n = Array.length frames in
   let host = node.node_host in
-  let on_verdict _i = function
+  let on_verdict = function
     | Vw_stack.Hook.Accept frame ->
         Vw_stack.Host.reinject host point
           ~from_priority:Vw_stack.Hook.priority_virtualwire frame
     | Vw_stack.Hook.Drop | Vw_stack.Hook.Stolen -> ()
   in
-  let total = ref 0 in
-  let stopped = ref false in
-  let rec go = function
-    | [] -> ()
-    | frames when not (!stopped || Vw_stack.Host.is_failed host) ->
-        Vw_engine.Arena.clear a;
-        let rec fill k = function
-          | f :: rest when k < batch ->
-              Vw_engine.Arena.push a f;
-              fill (k + 1) rest
-          | rest -> rest
-        in
-        let rest = fill 0 frames in
-        let n = Vw_engine.Arena.length a in
-        let processed =
-          Vw_engine.Fie.process_batch node.node_fie point a ~on_verdict
-        in
-        total := !total + processed;
-        if processed < n || Vw_sim.Engine.stop_requested t.engine then
-          stopped := true
-        else go rest
-    | _ -> ()
+  let rec go pos =
+    if pos = n || Vw_stack.Host.is_failed host then pos
+    else
+      let len = min batch (n - pos) in
+      let processed =
+        Vw_engine.Fie.process_batch node.node_fie point frames ~pos ~len
+          ~on_verdict
+      in
+      if processed < len || Vw_sim.Engine.stop_requested t.engine then
+        pos + processed
+      else go (pos + len)
   in
-  go frames;
-  !total
+  go 0
 
 (* --- observability --- *)
 

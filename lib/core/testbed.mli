@@ -70,15 +70,16 @@ val process_batch :
   Vw_net.Eth.t list ->
   int
 (** [process_batch t node point frames] feeds [frames], in order, through
-    [node]'s engine in chunks of [batch] (default 128) using the batched
-    hot path ({!Vw_engine.Fie.process_batch} over the testbed's shared,
-    lazily-allocated arena). Each frame's verdict is applied immediately:
-    [Accept] continues it through the rest of [node]'s hook chain (to the
-    NIC on egress, the demultiplexer on ingress) exactly as an unbatched
-    hook verdict would. Returns the number of frames processed — short of
-    [List.length frames] iff a STOP report fired mid-run or the node is
-    failed. Semantically identical to per-frame injection at every batch
-    size; only the constant factors change. *)
+    [node]'s engine in chunks of [batch] (default 128), each one
+    {!Vw_engine.Fie.process_batch} call. Each frame's verdict is applied
+    immediately: [Accept] continues it through the rest of [node]'s hook
+    chain (to the NIC on egress, the demultiplexer on ingress) exactly as
+    an unbatched hook verdict would. Returns the number of frames
+    processed — short of [List.length frames] iff a STOP report fired
+    mid-run, or the node was failed when the call began or became failed
+    (a [FAIL] action) while processing a frame. Semantically identical to
+    per-frame injection at every batch size; only the constant factors
+    change. *)
 
 (** {1 Observability}
 

@@ -150,25 +150,3 @@ let classify_fid_c stats (c : C.t) ~bindings (frame : Eth.t) =
 let classify_frame_c ?stats (c : C.t) ~bindings (frame : Eth.t) =
   let fid = classify_fid_c stats c ~bindings frame in
   if fid < 0 then None else Some fid
-
-(* Classify a whole batch in one pass, recording the per-frame match
-   ([Arena.no_match] for none), scan count and index hit/miss so a caller
-   interrupted mid-batch (STOP) can reconcile the cumulative stats down to
-   exactly the frames it actually processed. Totals added to [stats] equal
-   the sum of per-frame [classify_frame_c] calls by construction. *)
-let classify_batch ?stats (c : C.t) ~bindings ~frames ~n ~fids ~scanned ~hits =
-  let ls = new_scan_stats () in
-  let local = Some ls in
-  for i = 0 to n - 1 do
-    let scanned_before = ls.filters_scanned in
-    let hits_before = ls.index_hits in
-    fids.(i) <- classify_fid_c local c ~bindings frames.(i);
-    scanned.(i) <- ls.filters_scanned - scanned_before;
-    Bytes.set hits i (if ls.index_hits > hits_before then '\001' else '\000')
-  done;
-  match stats with
-  | Some s ->
-      s.filters_scanned <- s.filters_scanned + ls.filters_scanned;
-      s.index_hits <- s.index_hits + ls.index_hits;
-      s.index_misses <- s.index_misses + ls.index_misses
-  | None -> ()

@@ -6,12 +6,12 @@
     match the subsequent rules."). A tuple with an unbound variable never
     matches; a bound variable behaves as a literal pattern (see DESIGN.md).
 
-    The engine runs one path: {!classify_frame_c} and {!classify_batch}
-    over the compiled {!Vw_fsl.Tables.Compiled} table. They dispatch on
+    The engine runs one path: {!classify_frame_c} over the compiled
+    {!Vw_fsl.Tables.Compiled} table, once per frame. It dispatches on
     the classification index (one read of the discriminating field
     selects a bucket, merged in fid order with the always-scanned
-    fallback filters) and test short literal tuples as masked int words.
-    After warm-up they allocate nothing per filter or tuple tested: at
+    fallback filters) and tests short literal tuples as masked int words.
+    After warm-up it allocates nothing per filter or tuple tested: at
     most the [Some] of a match per frame.
 
     The paper's implementation "searches linearly through the packet type
@@ -57,24 +57,3 @@ val classify_frame_c :
     match (and the [Some] the caller builds for [~stats]) —
     regression-tested on a table where frames test up to 511 filters.
     Property-tested equal to {!classify_linear}. *)
-
-val classify_batch :
-  ?stats:scan_stats ->
-  Vw_fsl.Tables.Compiled.t ->
-  bindings:bytes option array ->
-  frames:Vw_net.Eth.t array ->
-  n:int ->
-  fids:int array ->
-  scanned:int array ->
-  hits:Bytes.t ->
-  unit
-(** Classify [frames.(0 .. n-1)] in one pass (the arrays are an
-    {!Arena.t}'s). Per frame [i]: [fids.(i)] gets the first matching fid
-    or −1, [scanned.(i)] the filters tested, [hits.(i)] whether the
-    discriminating field selected a bucket ('\001') or fell through to
-    the fallback scan ('\000'). The totals added to [stats] equal a fold
-    of {!classify_frame_c}; the per-frame breakdown lets a caller that
-    stops mid-batch subtract the unprocessed tail and keep batch and
-    single-packet stats identical. Only sound when [bindings] cannot
-    change mid-batch (no vars, or no BIND_VAR reachable). Allocates a
-    constant per call, nothing per frame. *)

@@ -846,9 +846,7 @@ let charge_cost t point ~scanned ~actions verdict =
       end
 
 (* Everything after classification: observers → cascade → first armed
-   fault → cost charge. [fid < 0] means "no filter matched". Shared by the
-   single-packet hooks and the pre-classified batch path, so the two
-   cannot drift. *)
+   fault → cost charge. [fid < 0] means "no filter matched". *)
 let process_classified t rt point (frame : Vw_net.Eth.t) ~fid ~scanned =
   let actions_before = t.stats.actions_executed in
   (match t.mx with
@@ -967,88 +965,33 @@ let egress_handler t (frame : Vw_net.Eth.t) =
     Vw_stack.Hook.Accept frame
   else handle_packet t Vw_stack.Hook.Egress frame
 
-(* --- the batched hot path ---
+(* --- the batched entry ---
 
-   [process_one] is exactly the hook handler for [point]: the linear
-   reference a batch must be indistinguishable from. [process_batch] runs
-   a filled arena through it frame by frame — amortizing the recorder's
-   slot claims, the classification pass (when sound) and the stop checks —
-   while keeping per-frame semantics, ordering and stats identical to the
-   fold (property-tested in test_engine and by the batch_equiv oracle). *)
+   [process_one] is exactly the hook handler for [point]. [process_batch]
+   folds it over a slice of frames inside one recorder batch, and stops
+   after a frame that requested a scenario stop or failed the host: either
+   would keep the next frames' deliveries from running unbatched. *)
 
 let process_one t point (frame : Vw_net.Eth.t) =
   match point with
   | Vw_stack.Hook.Ingress -> ingress_handler t frame
   | Vw_stack.Hook.Egress -> egress_handler t frame
 
-let process_batch t point (arena : Arena.t) ~on_verdict =
-  let n = arena.Arena.n in
-  let frames = arena.Arena.frames in
-  let verdicts = arena.Arena.verdicts in
+let process_batch t point frames ~pos ~len ~on_verdict =
+  if pos < 0 || len < 0 || pos > Array.length frames - len then
+    invalid_arg "Fie.process_batch: slice out of range";
   let engine = Vw_stack.Host.engine t.hst in
   let recording = Rec.enabled t.obs in
-  if recording then Rec.batch_begin t.obs ~hint:n;
+  if recording then Rec.batch_begin t.obs ~hint:len;
   Fun.protect ~finally:(fun () -> if recording then Rec.batch_end t.obs)
   @@ fun () ->
-  (* Pre-classify the whole batch only when classification cannot be
-     perturbed mid-batch: no vars (a BIND_VAR fired by frame i would
-     change how frame i+1 classifies) and no control frames (INIT/START
-     change the runtime itself). Otherwise each frame classifies right
-     before it is processed. Both orders give identical per-frame results
-     because classification reads only tables and bindings. *)
-  let pre =
-    match t.rt with
-    | Some rt when rt.started && Array.length rt.bindings = 0 ->
-        let rec has_control i =
-          i < n
-          && (frames.(i).Vw_net.Eth.ethertype
-              = Vw_net.Eth.ethertype_vw_control
-             || has_control (i + 1))
-        in
-        if has_control 0 then None
-        else begin
-          Classifier.classify_batch ~stats:t.cls rt.compiled
-            ~bindings:rt.bindings ~frames ~n ~fids:arena.Arena.fids
-            ~scanned:arena.Arena.scanned ~hits:arena.Arena.hits;
-          Some rt
-        end
-    | _ -> None
-  in
-  let processed = ref 0 in
-  let stop = ref false in
-  while (not !stop) && !processed < n do
-    let i = !processed in
-    let v =
-      match pre with
-      | Some rt ->
-          t.stats.packets_inspected <- t.stats.packets_inspected + 1;
-          process_classified t rt point frames.(i) ~fid:arena.Arena.fids.(i)
-            ~scanned:arena.Arena.scanned.(i)
-      | None -> process_one t point frames.(i)
-    in
-    verdicts.(i) <- v;
-    processed := i + 1;
-    on_verdict i v;
-    (* a STOP report (or scenario timeout) raised while processing frame i
-       must keep frames i+1.. from running, exactly as it would keep their
-       scheduled deliveries from running in the unbatched world *)
-    if Vw_sim.Engine.stop_requested engine then stop := true
+  let processed = ref 0 and stop = ref false in
+  while (not !stop) && !processed < len do
+    on_verdict (process_one t point frames.(pos + !processed));
+    incr processed;
+    stop :=
+      Vw_sim.Engine.stop_requested engine || Vw_stack.Host.is_failed t.hst
   done;
-  (* When STOP cut the batch short, the pre-classification pass has
-     already counted the unprocessed tail in the cumulative classifier
-     stats; subtract it so batch and single-packet runs report identical
-     counters (the linear fold never classifies the tail at all). *)
-  (match pre with
-  | Some _ when !processed < n ->
-      for j = !processed to n - 1 do
-        t.cls.Classifier.filters_scanned <-
-          t.cls.Classifier.filters_scanned - arena.Arena.scanned.(j);
-        if Bytes.get arena.Arena.hits j = '\001' then
-          t.cls.Classifier.index_hits <- t.cls.Classifier.index_hits - 1
-        else
-          t.cls.Classifier.index_misses <- t.cls.Classifier.index_misses - 1
-      done
-  | _ -> ());
   !processed
 
 let install hst =

@@ -12,6 +12,9 @@
     execute triggered actions. Counter-value and term-status changes
     propagate to remote nodes over the control plane.
 
+    Frames reach that pipeline one way, through the hook handlers: the
+    installed hooks call them, and so do {!process_one} and
+    {!process_batch} for injected frames.
     The classification step dispatches through the classification index
     that {!Vw_fsl.Tables.compile} builds at INIT and matches the frame in
     place (no serialization); observers and armed faults are precomputed
@@ -137,33 +140,35 @@ val send_control : t -> dst_nid:int -> Control.msg -> unit
 (** Exposed for the controller (which shares the engine's node table) and
     for tests. Local destinations are processed synchronously. *)
 
-(** {1 Batched hot path}
+(** {1 Direct entry}
 
     {!process_one} is exactly the hook handler the engine installed for
-    that point — the linear reference. {!process_batch} runs a filled
-    {!Arena.t} through the same per-frame pipeline while amortizing the
-    batch-invariant work: one recorder slot reservation, one
-    classification pass over the whole batch (when no variable bindings
-    or control frames can perturb it mid-batch), one stop-flag read per
-    frame instead of a scheduler round-trip. Semantics are identical to
-    folding {!process_one} — first-match-wins, per-frame cascades,
-    verdict application order, stats and recorded events — property-tested
-    in [test_engine.ml] and by the [batch_equiv] oracle in [vw_check]. *)
+    that point. {!process_batch} is its fold over a slice of frames inside
+    one recorder batch ({!Vw_obs.Recorder.batch_begin}): the same
+    classification, cascades, verdicts, stats and recorded events at every
+    batch size — tested in [test_engine.ml] ([engine.batch]). *)
 
 val process_one : t -> Vw_stack.Hook.point -> Vw_net.Eth.t -> Vw_stack.Hook.verdict
 (** Run one frame through the engine's handler for [point], control frames
     included — byte-for-byte the installed hook behaviour. *)
 
 val process_batch :
-  t -> Vw_stack.Hook.point -> Arena.t -> on_verdict:(int -> Vw_stack.Hook.verdict -> unit) -> int
-(** [process_batch t point arena ~on_verdict] processes frames
-    [0 .. Arena.length arena - 1] in order, storing each verdict in the
-    arena and calling [on_verdict i v] immediately after frame [i] — the
-    caller applies the verdict there (transmit / reinject), so DUP and
+  t ->
+  Vw_stack.Hook.point ->
+  Vw_net.Eth.t array ->
+  pos:int ->
+  len:int ->
+  on_verdict:(Vw_stack.Hook.verdict -> unit) ->
+  int
+(** [process_batch t point frames ~pos ~len ~on_verdict] runs
+    [frames.(pos) .. frames.(pos + len - 1)] through {!process_one} in
+    order, calling [on_verdict] with each frame's verdict right after that
+    frame — the caller applies it there (transmit / reinject), so DUP and
     REORDER reinjections interleave with the batch exactly as they would
-    unbatched. Returns the number of frames processed: fewer than the
-    batch length iff a STOP was requested mid-batch, in which case the
-    cumulative stats are reconciled to cover only the processed prefix. *)
+    unbatched. It stops after a frame that leaves a scenario stop
+    requested ({!Vw_sim.Engine.stop_requested}) or the host failed, and
+    returns the number of frames processed.
+    @raise Invalid_argument if [pos]/[len] is not a slice of [frames]. *)
 
 (** {1 Processing-cost model}
 

@@ -145,25 +145,12 @@ let coverage ?scenario t =
 
 (* --- JSON (schema "vw-campaign/1") --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let summary_json ?(extra = []) t =
   let b = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n  \"schema\": \"vw-campaign/1\",\n  \"command\": \"%s\",\n"
-    (json_escape t.command);
-  List.iter (fun (k, v) -> add "  \"%s\": %s,\n" (json_escape k) v) extra;
+    (Json.escape t.command);
+  List.iter (fun (k, v) -> add "  \"%s\": %s,\n" (Json.escape k) v) extra;
   add "  \"total\": %d,\n  \"passed\": %d,\n  \"failed\": %d,\n" (total t)
     (passed t) (failed t);
   add "  \"entries\": [";
@@ -171,27 +158,15 @@ let summary_json ?(extra = []) t =
     (fun i e ->
       add "%s    { \"name\": \"%s\", \"ok\": %b, \"detail\": \"%s\" }"
         (if i = 0 then "\n" else ",\n")
-        (json_escape e.e_name) e.e_ok (json_escape e.e_detail))
+        (Json.escape e.e_name) e.e_ok (Json.escape e.e_detail))
     t.entries;
   add "%s  ]\n}\n" (if t.entries = [] then "" else "\n");
   Buffer.contents b
 
 (* --- HTML index --- *)
 
-let html_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string b "&amp;"
-      | '<' -> Buffer.add_string b "&lt;"
-      | '>' -> Buffer.add_string b "&gt;"
-      | '"' -> Buffer.add_string b "&quot;"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let html_index ?title t =
+  let html_escape = Html_report.html_escape in
   let title =
     match title with Some s -> s | None -> "campaign: " ^ t.command
   in

@@ -381,19 +381,6 @@ let regressions t =
 
 (* --- JSON (schema "vw-compare/1") --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let status_name = function
   | New -> "new"
   | Fixed -> "fixed"
@@ -409,7 +396,7 @@ let side_json s =
     "{ \"dir\": \"%s\", \"command\": \"%s\", \"total\": %d, \"passed\": %d, \
      \"failed\": %d, \"coverage_pct\": %s, \"failures\": %d, \"health\": \
      %.1f }"
-    (json_escape s.s_dir) (json_escape s.s_command) s.s_total s.s_passed
+    (Json.escape s.s_dir) (Json.escape s.s_command) s.s_total s.s_passed
     s.s_failed pct
     (List.length s.s_journal)
     (health s)
@@ -433,8 +420,8 @@ let to_json t =
       add "%s    { \"name\": \"%s\", \"old_ok\": %s, \"new_ok\": %s, \
            \"detail\": \"%s\" }"
         (if i = 0 then "\n" else ",\n")
-        (json_escape ec.ec_name) (ok ec.ec_old_ok) (ok ec.ec_new_ok)
-        (json_escape ec.ec_detail))
+        (Json.escape ec.ec_name) (ok ec.ec_old_ok) (ok ec.ec_new_ok)
+        (Json.escape ec.ec_detail))
     t.c_entry_changes;
   add "%s  ],\n" (if t.c_entry_changes = [] then "" else "\n");
   add "  \"rule_deltas\": [";
@@ -454,7 +441,7 @@ let to_json t =
       (fun i nd ->
         add "%s    { \"name\": \"%s\", \"old\": %d, \"new\": %d }"
           (if i = 0 then "\n" else ",\n")
-          (json_escape nd.nd_name) nd.nd_old nd.nd_new)
+          (Json.escape nd.nd_name) nd.nd_old nd.nd_new)
       ds;
     add "%s  ]%s\n" (if ds = [] then "" else "\n") (if last then "" else ",")
   in
@@ -466,9 +453,9 @@ let to_json t =
       add "%s    { \"signature\": \"%s\", \"oracle\": \"%s\", \"status\": \
            \"%s\", \"old_count\": %d, \"new_count\": %d, \"detail\": \"%s\" }"
         (if i = 0 then "\n" else ",\n")
-        (json_escape sd.sd_signature) (json_escape sd.sd_oracle)
+        (Json.escape sd.sd_signature) (Json.escape sd.sd_oracle)
         (status_name sd.sd_status) sd.sd_old_count sd.sd_new_count
-        (json_escape sd.sd_detail))
+        (Json.escape sd.sd_detail))
     t.c_sigs;
   add "%s  ],\n" (if t.c_sigs = [] then "" else "\n");
   add "  \"bench\": [";
@@ -477,14 +464,14 @@ let to_json t =
       add "%s    { \"metric\": \"%s\", \"old\": %g, \"new\": %g, \
            \"delta_pct\": %.1f, \"verdict\": \"%s\" }"
         (if i = 0 then "\n" else ",\n")
-        (json_escape bm.bm_metric) bm.bm_old bm.bm_new bm.bm_delta_pct
-        (json_escape bm.bm_verdict))
+        (Json.escape bm.bm_metric) bm.bm_old bm.bm_new bm.bm_delta_pct
+        (Json.escape bm.bm_verdict))
     t.c_bench;
   add "%s  ],\n" (if t.c_bench = [] then "" else "\n");
   add "  \"regressions\": [";
   List.iteri
     (fun i r ->
-      add "%s    \"%s\"" (if i = 0 then "\n" else ",\n") (json_escape r))
+      add "%s    \"%s\"" (if i = 0 then "\n" else ",\n") (Json.escape r))
     regs;
   add "%s  ],\n" (if regs = [] then "" else "\n");
   add "  \"regressed\": %b\n}\n" (regs <> []);

@@ -100,24 +100,11 @@ let dead_terms t = List.filter (fun tm -> tm.flips = 0) t.terms
 
 (* --- JSON (schema "vw-cover/1") --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n  \"schema\": \"vw-cover/1\",\n  \"scenario\": \"%s\",\n"
-    (json_escape t.scenario);
+    (Json.escape t.scenario);
   add "  \"rules\": {\n    \"total\": %d, \"fired\": %d, \"coverage_pct\": %.2f,\n"
     (total_rules t) (fired_rules t) (coverage_pct t);
   add "    \"per_rule\": [";
@@ -136,13 +123,13 @@ let to_json t =
     (fun i f ->
       add "%s      { \"fid\": %d, \"name\": \"%s\", \"matched\": %d }"
         (if i = 0 then "\n" else ",\n")
-        f.fid (json_escape f.fname) f.matched)
+        f.fid (Json.escape f.fname) f.matched)
     t.filters;
   add "%s    ],\n" (if t.filters = [] then "" else "\n");
   add "    \"dead\": [%s]\n  },\n"
     (String.concat ", "
        (List.map
-          (fun f -> Printf.sprintf "\"%s\"" (json_escape f.fname))
+          (fun f -> Printf.sprintf "\"%s\"" (Json.escape f.fname))
           (dead_filters t)));
   add "  \"counters\": {\n    \"total\": %d, \"changed\": %d,\n"
     (List.length t.counters)
@@ -152,13 +139,13 @@ let to_json t =
     (fun i c ->
       add "%s      { \"cid\": %d, \"name\": \"%s\", \"changes\": %d }"
         (if i = 0 then "\n" else ",\n")
-        c.cid (json_escape c.cname) c.changes)
+        c.cid (Json.escape c.cname) c.changes)
     t.counters;
   add "%s    ],\n" (if t.counters = [] then "" else "\n");
   add "    \"dead\": [%s]\n  },\n"
     (String.concat ", "
        (List.map
-          (fun c -> Printf.sprintf "\"%s\"" (json_escape c.cname))
+          (fun c -> Printf.sprintf "\"%s\"" (Json.escape c.cname))
           (dead_counters t)));
   add "  \"terms\": {\n    \"total\": %d, \"flipped\": %d,\n"
     (List.length t.terms)

@@ -19,6 +19,11 @@ val render :
     [metrics] adds the histogram section; [title] defaults to the
     scenario name from [tables]. *)
 
+val html_escape : string -> string
+(** [html_escape s] is [s] with ampersand, angle brackets and double
+    quote replaced by character references: safe as HTML text and inside
+    a double-quoted attribute. *)
+
 (** {1 Conformance}
 
     The [vwctl conform --html] section takes plain strings, so the report

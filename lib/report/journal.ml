@@ -64,38 +64,25 @@ let v ?run_seed ?repro ?sim_s ?(tables_digest = "") ~command ~case ~index
 
 (* --- JSON (schema "vw-failures/1") --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json r =
   let b = Buffer.create 256 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\"schema\":\"vw-failures/1\"";
-  add ",\"command\":\"%s\"" (json_escape r.r_command);
-  add ",\"case\":\"%s\"" (json_escape r.r_case);
+  add ",\"command\":\"%s\"" (Json.escape r.r_command);
+  add ",\"case\":\"%s\"" (Json.escape r.r_case);
   add ",\"index\":%d" r.r_index;
-  add ",\"oracle\":\"%s\"" (json_escape r.r_oracle);
+  add ",\"oracle\":\"%s\"" (Json.escape r.r_oracle);
   add ",\"seed\":%d" r.r_seed;
   (match r.r_run_seed with
   | Some s -> add ",\"run_seed\":%d" s
   | None -> ());
-  add ",\"signature\":\"%s\"" (json_escape r.r_signature);
-  add ",\"detail\":\"%s\"" (json_escape r.r_detail);
+  add ",\"signature\":\"%s\"" (Json.escape r.r_signature);
+  add ",\"detail\":\"%s\"" (Json.escape r.r_detail);
   (match r.r_repro with
-  | Some p -> add ",\"repro\":\"%s\"" (json_escape p)
+  | Some p -> add ",\"repro\":\"%s\"" (Json.escape p)
   | None -> ());
   (match r.r_sim_s with Some t -> add ",\"sim_s\":%.6f" t | None -> ());
-  add ",\"tables_digest\":\"%s\"" (json_escape r.r_tables_digest);
+  add ",\"tables_digest\":\"%s\"" (Json.escape r.r_tables_digest);
   add "}\n";
   Buffer.contents b
 

@@ -196,3 +196,16 @@ let to_string = function String s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List l -> Some l | _ -> None
 let obj_keys = function Obj kvs -> List.map fst kvs | _ -> []
+
+let escape s =
+  let b = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b

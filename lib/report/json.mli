@@ -1,4 +1,5 @@
-(** A minimal JSON reader, just enough to make the tool's own output
+(** A minimal JSON reader (plus the string escaper the tool's JSON
+    writers share), just enough to make the tool's own output
     schemas ([vw-events/1], [vw-metrics/1], [vw-bench-micro/1], the Chrome
     trace-event format) first-class {e inputs}: the run-analysis layer can
     consume a saved [--events] file exactly as it consumes a live recorder.
@@ -37,3 +38,13 @@ val to_bool : t -> bool option
 val to_list : t -> t list option
 val obj_keys : t -> string list
 (** Keys of an object in source order, [[]] for non-objects. *)
+
+(** {1 Writing} *)
+
+val escape : string -> string
+(** [escape s] is the body of a JSON string literal for [s], without
+    the quotes: a quote or backslash gets a backslash, a byte below 0x20
+    becomes [\u00XX], every other byte is copied. The one escaper of the
+    report, journal, campaign and conformance JSON writers
+    ([Vw_obs.Event] keeps its own, whose short [\n]/[\r]/[\t] escapes
+    vw-events/1 fixes). *)

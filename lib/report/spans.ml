@@ -63,19 +63,6 @@ let flows events =
 
 (* --- Chrome trace-event JSON --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let filter_name (tables : T.t) fid =
   if fid >= 0 && fid < Array.length tables.T.filters then
     tables.T.filters.(fid).T.fname
@@ -150,7 +137,7 @@ let to_chrome_json tables events =
       emit
         "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %d, \"tid\": 0, \
          \"args\": {\"name\": \"%s\"}}"
-        pid (json_escape node))
+        pid (Json.escape node))
     (List.sort compare (List.rev !pid_names));
   List.iter
     (fun span ->
@@ -161,9 +148,9 @@ let to_chrome_json tables events =
         "{\"name\": \"%s\", \"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, \
          \"pid\": %d, \"tid\": %d, \"args\": {\"node\": \"%s\", \"nid\": %d, \
          \"cause\": %d, \"events\": %d}}"
-        (json_escape (span_name tables span.root))
+        (Json.escape (span_name tables span.root))
         (us_of span.t_start) (us_of dur) pid lane
-        (json_escape span.root.Ev.node)
+        (Json.escape span.root.Ev.node)
         span.root.Ev.nid span.root.Ev.seq
         (1 + List.length span.steps);
       List.iter
@@ -208,12 +195,12 @@ let to_chrome_json tables events =
           emit
             "{\"name\": \"%s\", \"cat\": \"control\", \"ph\": \"s\", \"id\": \
              %d, \"ts\": %.3f, \"pid\": %d, \"tid\": %d}"
-            (json_escape name) i (us_of sent.Ev.time)
+            (Json.escape name) i (us_of sent.Ev.time)
             (pid_of sent.Ev.node) sent_lane;
           emit
             "{\"name\": \"%s\", \"cat\": \"control\", \"ph\": \"f\", \"bp\": \
              \"e\", \"id\": %d, \"ts\": %.3f, \"pid\": %d, \"tid\": %d}"
-            (json_escape name) i (us_of recv.Ev.time)
+            (Json.escape name) i (us_of recv.Ev.time)
             (pid_of recv.Ev.node) recv_lane
       | _ -> ())
     all_flows;

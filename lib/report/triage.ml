@@ -95,19 +95,6 @@ let promote ~corpus_dir cs =
 
 (* --- JSON (schema "vw-triage/1") --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json ?(threshold = default_threshold) cs =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -122,15 +109,15 @@ let to_json ?(threshold = default_threshold) cs =
       add "%s    { \"signature\": \"%s\", \"oracle\": \"%s\", \
            \"command\": \"%s\", \"count\": %d, \"recurring\": %b,\n"
         (if i = 0 then "\n" else ",\n")
-        (json_escape c.signature) (json_escape c.oracle)
-        (json_escape c.command) c.count
+        (Json.escape c.signature) (Json.escape c.oracle)
+        (Json.escape c.command) c.count
         (c.count >= threshold);
       add "      \"seeds\": [%s],\n"
         (String.concat ", " (List.map string_of_int c.seeds));
       add "      \"detail\": \"%s\",\n"
-        (json_escape c.last.Journal.r_detail);
+        (Json.escape c.last.Journal.r_detail);
       (match c.repro with
-      | Some p -> add "      \"repro\": \"%s\" }" (json_escape p)
+      | Some p -> add "      \"repro\": \"%s\" }" (Json.escape p)
       | None -> add "      \"repro\": null }"))
     cs;
   add "%s  ]\n}\n" (if cs = [] then "" else "\n");

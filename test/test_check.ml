@@ -152,25 +152,6 @@ let fuzz_self_check () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "minimized case does not replay: %s" e
 
-let fuzz_batch_self_check () =
-  (* the batched-classifier oracle catches a batching loop that only
-     flushes full chunks: skipping the final classify_batch leaves the
-     last chunk's matches and scan counts unset *)
-  let cfg =
-    {
-      Fuzz.default_config with
-      runs = 200;
-      seed = 42;
-      defect = Oracles.Batch_skip_flush;
-      progress_every = 0;
-    }
-  in
-  match (Fuzz.execute ~ppf:null_ppf cfg).Fuzz.found with
-  | None -> Alcotest.fail "injected batch-flush defect not caught in 200 runs"
-  | Some f ->
-      check Alcotest.string "caught by the batch oracle" "batch_equiv"
-        f.Fuzz.failure.Oracles.oracle
-
 let fuzz_conform_self_check () =
   (* the conform<->coverage cross-oracle catches a sabotaged coverage side:
      zeroing every filter's match count must contradict any passing packet
@@ -224,8 +205,6 @@ let suite =
           `Quick fuzz_self_check;
         Alcotest.test_case "self-check: conform/coverage cross-oracle" `Quick
           fuzz_conform_self_check;
-        Alcotest.test_case "self-check: batched classifier oracle" `Quick
-          fuzz_batch_self_check;
         Alcotest.test_case "campaign output deterministic" `Quick
           fuzz_deterministic;
         Alcotest.test_case "defect names round-trip" `Quick defect_names_parse;

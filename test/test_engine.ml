@@ -99,8 +99,8 @@ let test_classify_truncated_frame () =
    Random filter tables — literal, masked and variable tuples over a tiny
    byte alphabet, so bucket collisions, fallback interleavings and
    first-match ties are dense — against random frames: the compiled
-   [classify_frame_c] and [classify_batch] must return exactly what the
-   naive first-match [classify_linear] reference returns. *)
+   [classify_frame_c] must return exactly what the naive first-match
+   [classify_linear] reference returns. *)
 
 let tables_of_filters filters =
   {
@@ -169,48 +169,26 @@ let gen_equiv_case =
            (Bytes.of_string payload)) )
   >>= fun frames -> return (filters, bindings, frames)
 
-(* Equal matches, and the batch's per-frame scan counts plus cumulative
-   stats equal a fold of the per-frame compiled path. *)
 let prop_compiled_equals_linear =
-  QCheck.Test.make ~name:"compiled SoA classifier (single + batch) == linear"
-    ~count:500
+  QCheck.Test.make ~name:"compiled SoA classifier == linear" ~count:500
     (QCheck.make gen_equiv_case)
     (fun (filters, bindings, frames) ->
       let module C = Vw_engine.Classifier in
       let t = tables_of_filters filters in
       let ct = Tables.compile t in
-      let frames_a = Array.of_list frames in
-      let n = Array.length frames_a in
-      let fids = Array.make n (-3) and scanned = Array.make n (-3) in
-      let hits = Bytes.make n '\255' in
-      let bs = C.new_scan_stats () in
-      C.classify_batch ~stats:bs ct ~bindings ~frames:frames_a ~n ~fids
-        ~scanned ~hits;
-      let rs = C.new_scan_stats () in
-      let ok = ref true in
-      Array.iteri
-        (fun i frame ->
-          let expected =
-            C.classify_linear t ~bindings (Vw_net.Eth.to_bytes frame)
-          in
-          let before = rs.C.filters_scanned in
-          let got = C.classify_frame_c ~stats:rs ct ~bindings frame in
-          if got <> expected then ok := false;
-          if fids.(i) <> Option.value expected ~default:(-1) then ok := false;
-          if scanned.(i) <> rs.C.filters_scanned - before then ok := false)
-        frames_a;
-      !ok
-      && bs.C.filters_scanned = rs.C.filters_scanned
-      && bs.C.index_hits = rs.C.index_hits
-      && bs.C.index_misses = rs.C.index_misses)
+      List.for_all
+        (fun frame ->
+          C.classify_frame_c ct ~bindings frame
+          = C.classify_linear t ~bindings (Vw_net.Eth.to_bytes frame))
+        frames)
 
 (* --- the compiled classifier allocates a constant per frame ---
 
    The blast_mixed1k shape: singleton buckets, one 256-filter shared
    bucket whose second tuple never matches, and 255 masked filters in the
    always-scanned fallback, so a frame tests anywhere from 1 to 511
-   filters. What [classify_frame_c] and [classify_batch] allocate must not
-   grow with that number. *)
+   filters. What [classify_frame_c] allocates must not grow with that
+   number. *)
 
 let blast_shape_tables () =
   compile
@@ -258,38 +236,33 @@ let test_compiled_classify_no_alloc () =
   let n = Array.length frames in
   let bindings = [||] in
   let stats = C.new_scan_stats () in
-  let fids = Array.make n 0 and scanned = Array.make n 0 in
-  let hits = Bytes.make n '\000' in
-  let single () =
+  let classify frame =
+    let before = stats.C.filters_scanned in
+    let fid = C.classify_frame_c ~stats ct ~bindings frame in
+    (Option.value fid ~default:(-1), stats.C.filters_scanned - before)
+  in
+  let results = Array.map classify frames in
+  check (Alcotest.array Alcotest.int) "first matches" [| 5; -1; -1; 575 |]
+    (Array.map fst results);
+  check (Alcotest.array Alcotest.int) "filters tested per frame"
+    [| 1; 511; 255; 256 |] (Array.map snd results);
+  let run () =
     for i = 0 to n - 1 do
       ignore (Sys.opaque_identity (C.classify_frame_c ~stats ct ~bindings frames.(i)))
     done
   in
-  let batch () =
-    C.classify_batch ~stats ct ~bindings ~frames ~n ~fids ~scanned ~hits
-  in
   let rounds = 1000 in
-  let words_per_frame run =
-    for _ = 1 to 16 do
-      run ()
-    done;
-    let w0 = Gc.minor_words () in
-    for _ = 1 to rounds do
-      run ()
-    done;
-    (Gc.minor_words () -. w0) /. float_of_int (rounds * n)
-  in
-  let per_single = words_per_frame single in
-  let per_batch = words_per_frame batch in
-  check (Alcotest.array Alcotest.int) "first matches" [| 5; -1; -1; 575 |] fids;
-  check (Alcotest.array Alcotest.int) "filters tested per frame"
-    [| 1; 511; 255; 256 |] scanned;
-  if per_single > 8.0 then
+  for _ = 1 to 16 do
+    run ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    run ()
+  done;
+  let per_frame = (Gc.minor_words () -. w0) /. float_of_int (rounds * n) in
+  if per_frame > 8.0 then
     Alcotest.failf "classify_frame_c allocated %.1f minor words per frame"
-      per_single;
-  if per_batch > 8.0 then
-    Alcotest.failf "classify_batch allocated %.1f minor words per frame"
-      per_batch
+      per_frame
 
 (* --- end-to-end scenario helpers --- *)
 
@@ -1499,9 +1472,8 @@ PING_R: (udp_ping, alice, bob, RECV)
 
 let test_batch_stop_cuts_short () =
   (* STOP on the third frame: the triggering frame's verdict still
-     applies, the tail of the batch is never processed, and the stats a
-     pre-classification pass accumulated for that tail are reconciled
-     away — identical to the one-by-one world *)
+     applies and the tail of the batch is never processed, so it is never
+     classified or counted either — identical to the one-by-one world *)
   let src =
     script ~header:"batch_stop"
       ~rules:
@@ -1523,6 +1495,45 @@ PING_R: (udp_ping, alice, bob, RECV)
   check (Alcotest.option Alcotest.int) "inspected exactly the processed head"
     (Some 3)
     (List.assoc_opt "packets_inspected" stats)
+
+let test_batch_fail_cuts_short () =
+  (* FAIL( bob ) on the third frame: bob's NIC goes silent, so the frames
+     after it are never inspected, counted or recorded — as when they are
+     injected one by one and the failed host stops the feed *)
+  let src =
+    script ~header:"batch_fail"
+      ~rules:
+        {|
+PING_R: (udp_ping, alice, bob, RECV)
+(TRUE) >> ENABLE_CNTR( PING_R );
+((PING_R = 3)) >> FAIL( bob );
+|}
+  in
+  let processed, _, stats, _ =
+    same_at_every_batch_size ~sizes:[ 10; 4 ] ~scenario:"batch_fail" ~n:10 src
+  in
+  check Alcotest.int "batch cut short at the FAIL frame" 3 processed;
+  check (Alcotest.option Alcotest.int) "inspected exactly the processed head"
+    (Some 3)
+    (List.assoc_opt "packets_inspected" stats)
+
+let test_batch_rejects_bad_slice () =
+  let testbed = Testbed.create [ ("alice", Vw_net.Mac.of_int 1, alice_ip) ] in
+  let fie = Testbed.fie (Testbed.node testbed "alice") in
+  let frames = Array.of_list (batch_frames 2) in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos=%d len=%d" pos len)
+        (Invalid_argument "Fie.process_batch: slice out of range")
+        (fun () ->
+          ignore
+            (Fie.process_batch fie Vw_stack.Hook.Ingress frames ~pos ~len
+               ~on_verdict:ignore)))
+    [ (-1, 1); (0, -1); (0, 3); (2, 1) ];
+  check Alcotest.int "an empty slice at the end processes nothing" 0
+    (Fie.process_batch fie Vw_stack.Hook.Ingress frames ~pos:2 ~len:0
+       ~on_verdict:ignore)
 
 let suite =
   [
@@ -1548,6 +1559,10 @@ let suite =
           test_batch_reorder_across_boundary;
         Alcotest.test_case "STOP cuts the batch short" `Quick
           test_batch_stop_cuts_short;
+        Alcotest.test_case "FAIL cuts the batch short" `Quick
+          test_batch_fail_cuts_short;
+        Alcotest.test_case "process_batch rejects a bad slice" `Quick
+          test_batch_rejects_bad_slice;
       ] );
     ( "engine.counters",
       [

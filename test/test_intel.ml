@@ -471,7 +471,21 @@ let test_cli_error_exit_codes () =
   let rc, _ = run_capture "compare /nonexistent/a /nonexistent/b" in
   Alcotest.(check int) "compare on missing dirs exits 1" 1 rc;
   let rc, _ = run_capture "cover quickstart --fail-under 101" in
-  Alcotest.(check int) "cover --fail-under exits 3" 3 rc
+  Alcotest.(check int) "cover --fail-under exits 3" 3 rc;
+  let rc, _ =
+    run_capture "run quickstart -w udp-blast -b 640 -d 2 --batch 0"
+  in
+  Alcotest.(check int) "--batch 0 is a usage error (124)" 124 rc;
+  let events = Filename.temp_file "vw_intel_cli" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove events with Sys_error _ -> ())
+    (fun () ->
+      let rc, _ =
+        run_capture
+          (Printf.sprintf "run quickstart --events-capacity 0 --events %s"
+             (Filename.quote events))
+      in
+      Alcotest.(check int) "--events-capacity 0 is a usage error (124)" 124 rc)
 
 (* campaign artifacts and journals must be byte-identical at every --jobs
    level: the executor reduces outcomes to plan order before the journal
