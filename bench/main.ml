@@ -21,6 +21,12 @@ let section_enabled name = sections = [] || List.mem name sections
 
 let header title = Printf.printf "\n== %s ==\n%!" title
 
+(* Every host-time measurement here reads this one clock: monotonic (it
+   never steps), wall time (not process CPU time), the clock the bechamel
+   rows and e2ebench use. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+let elapsed_s t0 = float_of_int (now_ns () - t0) /. 1e9
+
 (* In --json mode each section contributes a fragment ("key": {...}) and
    the driver prints them as ONE vw-bench-micro/1 object, so `micro
    campaign --json` stays a single parseable document. *)
@@ -350,25 +356,26 @@ let micro_classify_results () =
     results []
   |> List.sort compare
 
-(* Whole-pipeline throughput: drive the fig8 UDP echo testbed and divide
-   host wall-clock time by the packets the two engines inspected. The
-   actions:true/actions:false delta isolates the cascade cost per matched
-   packet. *)
-let micro_pipeline ?(obs = false) ?(samples = 2000) ~actions () =
+(* One run of the flight-recorder ablation: 6000 UDP echoes through the
+   fig8 testbed with 25 filters and the 25-action rule, host wall time
+   divided by the packets the two engines inspected. (End-to-end speed is
+   e2ebench's job: its echo_rules and echo_actions_rec workloads time this
+   pipeline with repeated rounds and a spread.) *)
+let micro_pipeline ~obs =
   let testbed =
-    Workload.make_testbed (Workload.Vw { n_filters = 25; actions })
+    Workload.make_testbed (Workload.Vw { n_filters = 25; actions = true })
   in
   (* the recorder must be wired in before INIT traffic so the on/off
      ablation measures identical deployments *)
   if obs then Testbed.enable_observability testbed;
   Workload.deploy_overhead
-    ~script:(Workload.udp_overhead_script ~n_filters:25 ~actions)
+    ~script:(Workload.udp_overhead_script ~n_filters:25 ~actions:true)
     testbed;
   (* the cost model withholds packets in *simulated* time; it does not
      affect the host-time measurement but keeps the run realistic *)
-  let t0 = Sys.time () in
-  let rtts = Workload.udp_rtt_run testbed ~samples ~payload_size:256 in
-  let wall = Sys.time () -. t0 in
+  let t0 = now_ns () in
+  let rtts = Workload.udp_rtt_run testbed ~samples:6000 ~payload_size:256 in
+  let wall = elapsed_s t0 in
   let packets =
     List.fold_left
       (fun acc n ->
@@ -385,142 +392,98 @@ let micro_pipeline ?(obs = false) ?(samples = 2000) ~actions () =
 
 (* What `vwctl run --events x.jsonl` adds on top of recording: decode the
    run's binary rings into typed events and render each as a JSONL line.
-   Host wall clock, per inspected packet. The default-capacity rings keep
+   Host wall time, per inspected packet. The default-capacity rings keep
    only the newest events (about one in twelve on this pipeline), so the
    cost per exported event is scaled up to every event the run recorded. *)
 let jsonl_export_ns testbed ~packets =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_ns () in
   let events = Testbed.events testbed in
   List.iter (fun e -> ignore (Vw_obs.Event.to_json e)) events;
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = elapsed_s t0 in
   wall *. 1e9
   /. float_of_int (max 1 (List.length events))
   *. float_of_int (Testbed.events_recorded testbed)
   /. float_of_int (max 1 packets)
 
 (* ------------------------------------------------------------------ *)
-(* Batched hot path: Fie.process_batch throughput, batch-size sweep     *)
+(* Engine entry: Fie.process_one throughput, one frame at a time        *)
 (* ------------------------------------------------------------------ *)
 
-(* One timed run: [batch] copies of the probe frame pushed through
-   node2's ingress engine until ~[packets] frames have been processed.
-   Host wall clock; verdicts discarded (the engine, not the wire, is under
-   measurement). *)
-let batch_run fie ~frame ~batch ~packets =
-  let frames = Array.make batch frame in
-  let iters = max 1 (packets / batch) in
-  let nop _ = () in
+(* One timed run: [packets] copies of the probe frame through node2's
+   ingress engine, one [Fie.process_one] each. Verdicts are discarded
+   (the engine, not the wire, is under measurement). *)
+let engine_run fie ~frame ~packets =
+  let process () =
+    ignore (Vw_engine.Fie.process_one fie Vw_stack.Hook.Ingress frame)
+  in
   (* warm-up: fault the compile-lazy paths *)
-  ignore
-    (Vw_engine.Fie.process_batch fie Vw_stack.Hook.Ingress frames ~pos:0
-       ~len:batch ~on_verdict:nop);
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    ignore
-      (Vw_engine.Fie.process_batch fie Vw_stack.Hook.Ingress frames ~pos:0
-         ~len:batch ~on_verdict:nop)
+  process ();
+  let t0 = now_ns () in
+  for _ = 1 to packets do
+    process ()
   done;
-  let wall = Unix.gettimeofday () -. t0 in
-  wall *. 1e9 /. float_of_int (iters * batch)
+  float_of_int (now_ns () - t0) /. float_of_int packets
 
-let batch_sizes = [ 1; 8; 32; 128 ]
-
-(* best-of-[rounds] ns/packet per batch size, on a freshly deployed engine *)
-let batch_sweep ?(rounds = 3) ?(obs = false) ~script ~packets () =
-  let testbed, fie, tables = Workload.batch_engine ~script in
+(* best-of-3 ns/packet on a freshly deployed engine *)
+let engine_row ?(obs = false) ~script ~packets () =
+  let testbed, fie, tables = Workload.direct_engine ~script in
   if obs then Testbed.enable_observability testbed;
-  Workload.batch_engine_start fie tables;
-  let frame = ping_eth in
-  List.map
-    (fun batch ->
-      let best = ref infinity in
-      for _ = 1 to rounds do
-        Gc.compact ();
-        let ns = batch_run fie ~frame ~batch ~packets in
-        if ns < !best then best := ns
-      done;
-      (batch, !best))
-    batch_sizes
+  Workload.direct_engine_start fie tables;
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    Gc.compact ();
+    best := Float.min !best (engine_run fie ~frame:ping_eth ~packets)
+  done;
+  !best
 
-let batch_bench () =
-  (* the batched equivalent of the pipeline rows: 25 filters, counters
-     only — the shape the 1M packets/sec target is stated against *)
-  let rules_only =
-    batch_sweep
-      ~script:(Workload.udp_overhead_script ~n_filters:25 ~actions:false)
-      ~packets:262_144 ()
+let engine_bench () =
+  let udp25 = Workload.udp_overhead_script ~n_filters:25 ~actions:false in
+  let rows =
+    [
+      (* 25 filters, counters only — the shape the 1M packets/sec target
+         is stated against *)
+      ("rules_only", engine_row ~script:udp25 ~packets:262_144 ());
+      (* adversarial shapes at 1k-10k filters: a 1000-filter single shared
+         bucket degenerates every classification to the linear scan; 10k
+         singleton buckets stress the dispatch itself at scale *)
+      ( "adv_1k_shared",
+        engine_row
+          ~script:(Workload.shared_bucket_script ~n_filters:1000)
+          ~packets:8_192 () );
+      ( "adv_10k_singleton",
+        engine_row
+          ~script:(Workload.big_singleton_script ~n_filters:10_000)
+          ~packets:65_536 () );
+      (* rules_only again with the binary flight recorder live: the delta
+         prices recording per packet (2 events: classified + counter
+         change) *)
+      ("recording", engine_row ~obs:true ~script:udp25 ~packets:262_144 ());
+    ]
   in
-  (* adversarial shapes at 1k-10k filters: a 1000-filter single shared
-     bucket degenerates every classification to the linear scan; 10k
-     singleton buckets stress the dispatch itself at scale *)
-  let adv_1k =
-    batch_sweep
-      ~script:(Workload.shared_bucket_script ~n_filters:1000)
-      ~packets:8_192 ()
+  let recording_ns =
+    List.assoc "recording" rows -. List.assoc "rules_only" rows
   in
-  let adv_10k =
-    batch_sweep
-      ~script:(Workload.big_singleton_script ~n_filters:10_000)
-      ~packets:65_536 ()
-  in
-  (* rules_only again with the binary flight recorder live: the delta at
-     each batch size prices recording per packet (2 events: classified +
-     counter change) *)
-  let recording =
-    batch_sweep
-      ~script:(Workload.udp_overhead_script ~n_filters:25 ~actions:false)
-      ~packets:262_144 ~obs:true ()
-  in
-  let ns_at b rows = List.assoc b rows in
-  let recording_ns = ns_at 128 recording -. ns_at 128 rules_only in
   let pps ns = if ns > 0.0 then 1e9 /. ns else 0.0 in
-  if json_mode then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "  \"batch\": {\n";
-    let shape name rows ~last:is_last ~extra =
-      Buffer.add_string buf (Printf.sprintf "    %S: {\n" name);
-      List.iteri
-        (fun i (b, ns) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "      \"b%d\": { \"ns_per_packet\": %.1f, \
-                \"packets_per_sec\": %.0f }%s\n"
-               b ns (pps ns)
-               (if i = List.length rows - 1 && extra = "" then "" else ",")))
-        rows;
-      if extra <> "" then Buffer.add_string buf extra;
-      Buffer.add_string buf
-        (Printf.sprintf "    }%s\n" (if is_last then "" else ","))
-    in
-    shape "rules_only" rules_only ~last:false ~extra:"";
-    shape "adv_1k_shared" adv_1k ~last:false ~extra:"";
-    shape "adv_10k_singleton" adv_10k ~last:false ~extra:"";
-    shape "recording" recording ~last:true
-      ~extra:
-        (Printf.sprintf "      \"recording_ns_per_packet\": %.1f\n"
-           recording_ns);
-    Buffer.add_string buf "  },\n";
-    Buffer.contents buf
-  end
+  if json_mode then
+    Printf.sprintf
+      "  \"engine\": {\n%s,\n    \"recording_ns_per_packet\": %.1f\n  },\n"
+      (String.concat ",\n"
+         (List.map
+            (fun (name, ns) ->
+              Printf.sprintf
+                "    %S: { \"ns_per_packet\": %.1f, \"packets_per_sec\": %.0f }"
+                name ns (pps ns))
+            rows))
+      recording_ns
   else begin
-    header "Batched hot path (Fie.process_batch, host wall clock)";
-    Printf.printf "%-20s %6s %14s %14s\n" "shape" "batch" "ns/packet"
-      "packets/sec";
+    header "Engine entry (Fie.process_one per frame, host wall time)";
+    Printf.printf "%-20s %14s %14s\n" "shape" "ns/packet" "packets/sec";
     List.iter
-      (fun (name, rows) ->
-        List.iter
-          (fun (b, ns) ->
-            Printf.printf "%-20s %6d %14.1f %14.0f\n" name b ns (pps ns))
-          rows)
-      [
-        ("rules_only", rules_only);
-        ("adv_1k_shared", adv_1k);
-        ("adv_10k_singleton", adv_10k);
-        ("recording", recording);
-      ];
+      (fun (name, ns) ->
+        Printf.printf "%-20s %14.1f %14.0f\n" name ns (pps ns))
+      rows;
     Printf.printf
-      "recording cost at batch 128: %.1f ns per packet (binary ring, 2 \
-       events per packet)\n"
+      "recording cost: %.1f ns per packet (binary ring, 2 events per packet)\n"
       recording_ns;
     ""
   end
@@ -530,19 +493,11 @@ let micro () =
   let adversarial, classify =
     List.partition (fun (n, _) -> is_adversarial n) all_results
   in
-  let (w0, p0, ns0, pps0), _ = micro_pipeline ~actions:false () in
-  let (w1, p1, ns1, pps1), _ = micro_pipeline ~actions:true () in
-  let cascade_ns = ns1 -. ns0 in
-  (* flight-recorder ablation: the same rules+actions pipeline with the
-     recorder disabled (the default no-op sink — this IS the w1 row,
-     re-measured so the group shares cache state) and with the binary
-     vw-events/2 ring. "Disabled costs nothing" means off ≈ w1; the on row
-     prices the recording itself, and the JSONL export of the on run what
-     `run --events x.jsonl` adds on top. More samples than the pipeline
-     rows: the recording cost is a difference of two wall clocks, so each
-     needs the extra stability. *)
-  let obs_samples = 6000 in
-  (* The recording cost is a difference of two short wall clocks, so host
+  (* Flight-recorder ablation: the rules+actions pipeline with the
+     recorder disabled (the default no-op sink) and with the binary
+     vw-events/2 ring. The on row prices the recording itself, and the
+     JSONL export of the on run what `run --events x.jsonl` adds on top.
+     The recording cost is a difference of two short wall clocks, so host
      load drift would swamp a single measurement. Interleave the two
      configurations round-robin (drift hits each config equally), compact
      the heap before every run, and keep the per-config minimum. *)
@@ -553,9 +508,7 @@ let micro () =
     List.iteri
       (fun i obs ->
         Gc.compact ();
-        let ((_, packets, ns, _) as r), testbed =
-          micro_pipeline ~obs ~samples:obs_samples ~actions:true ()
-        in
+        let ((_, packets, ns, _) as r), testbed = micro_pipeline ~obs in
         let _, _, best_ns, _ = best.(i) in
         if ns < best_ns then best.(i) <- r;
         if obs then
@@ -612,17 +565,7 @@ let micro () =
              (if i = List.length adv_shapes - 1 then "" else ",")))
       adv_shapes;
     Buffer.add_string buf "  },\n";
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"pipeline\": {\n\
-         \    \"rules_only\": { \"wall_s\": %.4f, \"packets\": %d, \
-          \"ns_per_packet\": %.1f, \"packets_per_sec\": %.0f },\n\
-         \    \"rules_actions\": { \"wall_s\": %.4f, \"packets\": %d, \
-          \"ns_per_packet\": %.1f, \"packets_per_sec\": %.0f },\n\
-         \    \"cascade_ns_per_packet\": %.1f\n\
-         \  },\n"
-         w0 p0 ns0 pps0 w1 p1 ns1 pps1 cascade_ns);
-    Buffer.add_string buf (batch_bench ());
+    Buffer.add_string buf (engine_bench ());
     Buffer.add_string buf
       (Printf.sprintf
          "  \"obs_ablation\": {\n\
@@ -657,15 +600,8 @@ let micro () =
     Printf.printf
       "(shared-bucket and masked-fallback are built so the indexed scan \
        degenerates to the linear one — the honest floor of the index win)\n";
-    header "Whole-pipeline throughput (host wall clock, fig8 UDP echo)";
-    Printf.printf "%-16s %10s %10s %14s %14s\n" "config" "wall_s" "packets"
-      "ns/packet" "packets/sec";
-    Printf.printf "%-16s %10.3f %10d %14.1f %14.0f\n" "rules-only" w0 p0 ns0
-      pps0;
-    Printf.printf "%-16s %10.3f %10d %14.1f %14.0f\n" "rules+actions" w1 p1
-      ns1 pps1;
-    Printf.printf "cascade cost: %.1f ns per inspected packet\n" cascade_ns;
-    header "Flight-recorder ablation (rules+actions pipeline)";
+    header
+      "Flight-recorder ablation (rules+actions fig8 UDP echo, host wall time)";
     Printf.printf "%-16s %10s %10s %14s %14s\n" "recorder" "wall_s" "packets"
       "ns/packet" "packets/sec";
     Printf.printf "%-16s %10.3f %10d %14.1f %14.0f\n" "off" woff poff nsoff
@@ -676,7 +612,7 @@ let micro () =
       "recording cost: %.1f ns per inspected packet (disabled recorder is \
        a single branch per would-be event); JSONL export adds %.1f ns\n"
       recording_ns !export_ns;
-    ignore (batch_bench ())
+    ignore (engine_bench ())
   end
 
 (* ------------------------------------------------------------------ *)
@@ -688,7 +624,7 @@ let micro () =
    repeats. Trials are independent jobs, so the executor can spread them
    over domains; the speedup over jobs=1 is bounded by the core count of
    the machine running the bench, which the JSON records as "cores". Wall
-   time is host time (gettimeofday), not CPU time — CPU time sums across
+   time is host wall time ([now_ns]), not CPU time — CPU time sums across
    domains and would hide the parallelism.
 
    256 trials per level is deliberately large: at 16 the pool spin-up and
@@ -720,9 +656,9 @@ let campaign_run ~jobs =
   let workers = Vw_exec.Executor.effective_jobs ~jobs in
   let chunk = Vw_exec.Executor.auto_chunk ~jobs:workers campaign_trials in
   let plan = Vw_exec.Plan.init campaign_trials campaign_trial in
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_ns () in
   let outs = Vw_exec.Executor.run ~jobs plan in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = elapsed_s t0 in
   assert (List.length outs = campaign_trials);
   (wall, float_of_int campaign_trials /. wall, chunk, workers)
 

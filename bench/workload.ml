@@ -131,17 +131,17 @@ let big_singleton_script ~n_filters =
   ^ "udp_ping: (34 2 0x1388), (36 2 0x1389)\n"
   ^ adversarial_scenario
 
-(* --- direct-engine deployment for the batched hot-path bench ---
+(* --- direct-engine deployment for the engine-entry bench ---
 
-   The batch section measures [Fie.process_batch] itself, so the testbed
+   The engine section measures [Fie.process_one] itself, so the testbed
    is deployed locally: node2's engine gets the tables via [init_local]
    (no control-plane traffic, no cost model, no simulation running) and
-   the measurement drives its ingress hook directly. *)
-let batch_engine ~script =
+   the measurement drives its ingress handler directly. *)
+let direct_engine ~script =
   let tables =
     match Vw_fsl.Compile.parse_and_compile script with
     | Ok t -> t
-    | Error e -> failwith ("bench batch compile: " ^ e)
+    | Error e -> failwith ("bench engine compile: " ^ e)
   in
   let testbed =
     Testbed.of_node_table
@@ -151,10 +151,10 @@ let batch_engine ~script =
   let fie = Testbed.fie (Testbed.node testbed "node2") in
   (testbed, fie, tables)
 
-let batch_engine_start fie tables =
+let direct_engine_start fie tables =
   (match Vw_engine.Fie.init_local fie ~controller_nid:0 tables with
   | Ok () -> ()
-  | Error e -> failwith ("bench batch init: " ^ e));
+  | Error e -> failwith ("bench engine init: " ^ e));
   Vw_engine.Fie.start_local fie
 
 (* The CPU-cost model used for the intrusiveness experiments: calibrated so

@@ -33,10 +33,27 @@ module Host = Vw_stack.Host
 module Tcp = Vw_tcp.Tcp
 module Rether = Vw_rether.Rether
 
-let write_text_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+(* Every file the CLI writes goes through here, so an unwritable path is
+   an [Error] the command reports as "error: ..." with exit 1 — never an
+   uncaught [Sys_error] once the work is done. [None] writes nothing. *)
+let write_file path write =
+  match path with
+  | None -> Ok ()
+  | Some path -> (
+      match
+        let oc = open_out_bin path in
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () ->
+            write oc;
+            close_out oc)
+      with
+      | () -> Ok ()
+      | exception Sys_error e -> Error e)
+
+let write_error e =
+  Printf.eprintf "error: %s\n" e;
+  1
 
 let read_file path =
   let ic = open_in_bin path in
@@ -151,9 +168,9 @@ let workload_arg =
     & info [ "w"; "workload" ] ~docv:"KIND"
         ~doc:
           "Traffic to drive through the testbed: $(b,tcp-stream), \
-           $(b,udp-ping), $(b,udp-blast) (one-way bursts through the \
-           batched hot path), $(b,rether) (token ring plus a TCP stream), \
-           or $(b,idle).")
+           $(b,udp-ping), $(b,udp-blast) (one-way UDP bursts injected at \
+           the sender's engine), $(b,rether) (token ring plus a TCP \
+           stream), or $(b,idle).")
 
 let bytes_arg =
   Arg.(
@@ -167,8 +184,8 @@ let duration_arg =
     & info [ "d"; "max-duration" ] ~docv:"SECONDS"
         ~doc:"Simulated-time budget for the scenario.")
 
-(* counts that size something (--batch, --events-capacity): 0 or a
-   negative value is a usage error, exit 124 like any malformed flag *)
+(* counts that size something (--events-capacity): 0 or a negative value
+   is a usage error, exit 124 like any malformed flag *)
 let positive_int =
   let parse s =
     match Arg.conv_parser Arg.int s with
@@ -178,16 +195,6 @@ let positive_int =
     | Error _ as e -> e
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
-
-let batch_arg =
-  Arg.(
-    value
-    & opt (some positive_int) None
-    & info [ "batch" ] ~docv:"N"
-        ~doc:
-          "Frames per engine chunk for batched workloads ($(b,udp-blast)); \
-           default 128. Every value produces byte-identical events, stats \
-           and traces — batching only changes constant factors.")
 
 let rll_arg =
   Arg.(
@@ -385,8 +392,8 @@ let warn_truncation testbed ~capacity =
 (* vwctl run --repeat N: the same scenario as a campaign of N trials, trial
    i on a testbed seeded S+i. One Vw_exec job per trial; the reducer prints
    trials in plan order, so --jobs does not change the output. *)
-let run_repeat_campaign ~tables ~src ~script_path ~workload ~bytes ~batch
-    ~duration ~rll ~opts ~repeat =
+let run_repeat_campaign ~tables ~src ~script_path ~workload ~bytes ~duration
+    ~rll ~opts ~repeat =
   let base_seed =
     match opts.seed with Some s -> s | None -> Vw_util.Prng.run_seed ()
   in
@@ -406,7 +413,7 @@ let run_repeat_campaign ~tables ~src ~script_path ~workload ~bytes ~batch
         match
           Scenario.run testbed ~script:src
             ~max_duration:(Vw_sim.Simtime.sec duration)
-            ~workload:(make_workload ?batch workload ~bytes)
+            ~workload:(make_workload workload ~bytes)
         with
         | Error e ->
             Vw_exec.Job.result ~verdict:`Fail (seed, "error: " ^ e ^ "\n")
@@ -576,7 +583,7 @@ let run_cmd =
              per node, one complete event per causal context, flow arrows \
              for control hops).")
   in
-  let run script_path workload bytes batch duration rll trace_n verbose
+  let run script_path workload bytes duration rll trace_n verbose
       counters show_stats opts repeat events_out events_format metrics_out
       pcap_out trace_json_out events_capacity =
     setup_logs verbose;
@@ -614,7 +621,7 @@ let run_cmd =
             end
             else
               run_repeat_campaign ~tables ~src ~script_path ~workload ~bytes
-                ~batch ~duration ~rll ~opts ~repeat
+                ~duration ~rll ~opts ~repeat
         | Ok tables -> (
             let config =
               {
@@ -637,7 +644,7 @@ let run_cmd =
             match
               Scenario.run testbed ~script:src
                 ~max_duration:(Vw_sim.Simtime.sec duration)
-                ~workload:(make_workload ?batch workload ~bytes)
+                ~workload:(make_workload workload ~bytes)
             with
             | Error e ->
                 Printf.eprintf "error: %s\n" e;
@@ -692,59 +699,53 @@ let run_cmd =
                 (match (stats_json, mx) with
                 | true, Some mx -> print_string (Metrics.to_json mx)
                 | _ -> ());
-                (match (metrics_out, mx) with
-                | Some path, Some mx ->
-                    let oc = open_out path in
-                    output_string oc (Metrics.to_json mx);
-                    close_out oc
-                | _ -> ());
-                (match events_out with
-                | Some path ->
-                    let oc = open_out_bin path in
-                    (match events_format with
-                    | `Json ->
-                        write_events_jsonl oc
-                          ~scenario:result.Scenario.scenario_name
-                          ~recorded:(Testbed.events_recorded testbed)
-                          ~dropped:(Testbed.events_dropped testbed)
-                          (Testbed.events testbed)
-                    | `Bin -> (
-                        match
-                          Testbed.events_binary testbed
-                            ~scenario:result.Scenario.scenario_name
-                        with
-                        | Some data -> output_string oc data
-                        | None -> ()));
-                    close_out oc
-                | None -> ());
-                (match trace_json_out with
-                | Some path ->
-                    let oc = open_out path in
-                    output_string oc
-                      (Vw_report.Spans.to_chrome_json tables
-                         (Testbed.events testbed));
-                    close_out oc
-                | None -> ());
-                (match pcap_out with
-                | Some path ->
-                    let oc = open_out_bin path in
-                    Trace.to_pcap (Testbed.trace testbed) oc;
-                    close_out oc
-                | None -> ());
-                if need_obs then
-                  warn_truncation testbed ~capacity:events_capacity;
-                if trace_n > 0 then begin
-                  let entries = Trace.entries (Testbed.trace testbed) in
-                  let total = List.length entries in
-                  Printf.printf "--- last %d of %d captured frames ---\n"
-                    (min trace_n total) total;
-                  List.iteri
-                    (fun i e ->
-                      if i >= total - trace_n then
-                        Format.printf "%a@." Trace.pp_entry e)
-                    entries
-                end;
-                if Scenario.passed result then 0 else 2))
+                let written =
+                  let ( let* ) = Result.bind in
+                  let* () =
+                    write_file metrics_out (fun oc ->
+                        Option.iter
+                          (fun mx -> output_string oc (Metrics.to_json mx))
+                          mx)
+                  in
+                  let* () =
+                    write_file events_out (fun oc ->
+                        match events_format with
+                        | `Json ->
+                            write_events_jsonl oc
+                              ~scenario:result.Scenario.scenario_name
+                              ~recorded:(Testbed.events_recorded testbed)
+                              ~dropped:(Testbed.events_dropped testbed)
+                              (Testbed.events testbed)
+                        | `Bin ->
+                            Option.iter (output_string oc)
+                              (Testbed.events_binary testbed
+                                 ~scenario:result.Scenario.scenario_name))
+                  in
+                  let* () =
+                    write_file trace_json_out (fun oc ->
+                        output_string oc
+                          (Vw_report.Spans.to_chrome_json tables
+                             (Testbed.events testbed)))
+                  in
+                  write_file pcap_out (Trace.to_pcap (Testbed.trace testbed))
+                in
+                match written with
+                | Error e -> write_error e
+                | Ok () ->
+                    if need_obs then
+                      warn_truncation testbed ~capacity:events_capacity;
+                    if trace_n > 0 then begin
+                      let entries = Trace.entries (Testbed.trace testbed) in
+                      let total = List.length entries in
+                      Printf.printf "--- last %d of %d captured frames ---\n"
+                        (min trace_n total) total;
+                      List.iteri
+                        (fun i e ->
+                          if i >= total - trace_n then
+                            Format.printf "%a@." Trace.pp_entry e)
+                        entries
+                    end;
+                    if Scenario.passed result then 0 else 2))
   in
   Cmd.v
     (Cmd.info "run"
@@ -752,9 +753,9 @@ let run_cmd =
          "Compile a script, build a simulated testbed from its node table, \
           deploy over the control plane and run the scenario.")
     Term.(
-      const run $ script_arg $ workload_arg $ bytes_arg $ batch_arg
-      $ duration_arg $ rll_arg $ trace_arg $ verbose_arg $ counters_arg
-      $ stats_arg $ campaign_opts_term $ repeat_arg $ events_arg
+      const run $ script_arg $ workload_arg $ bytes_arg $ duration_arg
+      $ rll_arg $ trace_arg $ verbose_arg $ counters_arg $ stats_arg
+      $ campaign_opts_term $ repeat_arg $ events_arg
       $ events_format_arg $ metrics_arg $ pcap_arg $ trace_json_arg
       $ events_capacity_arg)
 
@@ -979,17 +980,13 @@ let report_cmd =
                     ?result ()
                 in
                 match
-                  let oc = open_out output in
-                  output_string oc html;
-                  close_out oc
+                  write_file (Some output) (fun oc -> output_string oc html)
                 with
-                | () ->
+                | Ok () ->
                     Printf.printf "wrote %s (%d events analyzed)\n" output
                       (List.length events);
                     0
-                | exception Sys_error e ->
-                    Printf.eprintf "error: %s\n" e;
-                    1)))
+                | Error e -> write_error e)))
   in
   Cmd.v
     (Cmd.info "report"
@@ -1032,23 +1029,31 @@ let suite_campaign ~with_cover (report : Vw_core.Suite.report) =
   in
   Vw_report.Campaign.v ~command:"suite" entries
 
+(* stops writing at the first file that fails and returns its error *)
 let write_campaign_dir ?(failures = []) dir campaign ~summary =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let status = ref (Ok ()) in
   let write name contents =
-    let oc = open_out (Filename.concat dir name) in
-    output_string oc contents;
-    close_out oc
+    if Result.is_ok !status then
+      status :=
+        write_file
+          (Some (Filename.concat dir name))
+          (fun oc -> output_string oc contents)
   in
-  Vw_report.Campaign.iter_covers campaign (fun ~name cover ->
-      write (name ^ ".cover.json") (Vw_report.Coverage.to_json cover));
-  (match Vw_report.Campaign.coverage campaign with
-  | Some cover -> write "campaign-cover.json" (Vw_report.Coverage.to_json cover)
-  | None -> ());
-  if failures <> [] then
-    write "failures.jsonl"
-      (String.concat "" (List.map Vw_report.Journal.to_json failures));
-  write "campaign.json" summary;
-  write "index.html" (Vw_report.Campaign.html_index campaign)
+  match if not (Sys.file_exists dir) then Sys.mkdir dir 0o755 with
+  | exception Sys_error e -> Error e
+  | () ->
+      Vw_report.Campaign.iter_covers campaign (fun ~name cover ->
+          write (name ^ ".cover.json") (Vw_report.Coverage.to_json cover));
+      (match Vw_report.Campaign.coverage campaign with
+      | Some cover ->
+          write "campaign-cover.json" (Vw_report.Coverage.to_json cover)
+      | None -> ());
+      if failures <> [] then
+        write "failures.jsonl"
+          (String.concat "" (List.map Vw_report.Journal.to_json failures));
+      write "campaign.json" summary;
+      write "index.html" (Vw_report.Campaign.html_index campaign);
+      !status
 
 let suite_cmd =
   let dir_arg = Arg.(required & pos 0 (some dir) None & info [] ~docv:"DIR") in
@@ -1165,10 +1170,8 @@ let suite_cmd =
           match
             write_campaign_dir ~failures:failure_records out campaign ~summary
           with
-          | () -> if Vw_core.Suite.ok report then 0 else 2
-          | exception Sys_error e ->
-              Printf.eprintf "error: %s\n" e;
-              1)
+          | Ok () -> if Vw_core.Suite.ok report then 0 else 2
+          | Error e -> write_error e)
     end
   in
   Cmd.v
@@ -1382,34 +1385,36 @@ let conform_cmd =
         Format.fprintf human "%a" Vw_conform.Report.pp report_cases;
         Format.pp_print_flush human ();
         if json then print_string (Vw_conform.Report.summary_json report_cases);
-        (match html with
-        | Some path ->
-            write_text_file path
-              (Vw_report.Html_report.render_conform
-                 (List.map
-                    (fun c ->
-                      {
-                        Vw_report.Html_report.cc_name =
-                          c.Vw_conform.Report.cs_name;
-                        cc_ok = c.Vw_conform.Report.cs_ok;
-                        cc_outcome = c.Vw_conform.Report.cs_outcome;
-                        cc_expects =
-                          List.map
-                            (fun (x : Vw_conform.Report.xres) ->
-                              {
-                                Vw_report.Html_report.ce_label =
-                                  x.Vw_conform.Report.xr_label;
-                                ce_status = x.Vw_conform.Report.xr_status;
-                                ce_at_ms = x.Vw_conform.Report.xr_at_ms;
-                                ce_diagnosis =
-                                  x.Vw_conform.Report.xr_diagnosis;
-                              })
-                            c.Vw_conform.Report.cs_expects;
-                      })
-                    report_cases));
-            Printf.eprintf "wrote %s\n%!" path
-        | None -> ());
-        if Vw_conform.Report.ok report_cases then 0 else 2
+        match
+          write_file html (fun oc ->
+              output_string oc
+                (Vw_report.Html_report.render_conform
+                  (List.map
+                     (fun c ->
+                       {
+                         Vw_report.Html_report.cc_name =
+                           c.Vw_conform.Report.cs_name;
+                         cc_ok = c.Vw_conform.Report.cs_ok;
+                         cc_outcome = c.Vw_conform.Report.cs_outcome;
+                         cc_expects =
+                           List.map
+                             (fun (x : Vw_conform.Report.xres) ->
+                               {
+                                 Vw_report.Html_report.ce_label =
+                                   x.Vw_conform.Report.xr_label;
+                                 ce_status = x.Vw_conform.Report.xr_status;
+                                 ce_at_ms = x.Vw_conform.Report.xr_at_ms;
+                                 ce_diagnosis =
+                                   x.Vw_conform.Report.xr_diagnosis;
+                               })
+                             c.Vw_conform.Report.cs_expects;
+                       })
+                     report_cases)))
+        with
+        | Error e -> write_error e
+        | Ok () ->
+            Option.iter (Printf.eprintf "wrote %s\n%!") html;
+            if Vw_conform.Report.ok report_cases then 0 else 2
       end
     end
   in
@@ -1639,18 +1644,20 @@ let triage_cmd =
         if json then
           print_string (Vw_report.Triage.to_json ~threshold clusters)
         else Format.printf "%a" (Vw_report.Triage.pp ~threshold) clusters;
-        (match html with
-        | Some path ->
-            write_text_file path
-              (Vw_report.Html_report.render_fleet ~journal:records ~clusters
-                 ~threshold ());
-            Printf.printf "wrote %s\n" path
-        | None -> ());
+        let html_written =
+          write_file html (fun oc ->
+              output_string oc
+                (Vw_report.Html_report.render_fleet ~journal:records ~clusters
+                   ~threshold ()))
+          |> Result.map (fun () ->
+                 Option.iter (Printf.printf "wrote %s\n") html)
+        in
         let recurring = Vw_report.Triage.recurring ~threshold clusters in
         let promoted =
-          match promote with
-          | None -> Ok ()
-          | Some dir -> (
+          match (html_written, promote) with
+          | (Error _ as e), _ -> e
+          | Ok (), None -> Ok ()
+          | Ok (), Some dir -> (
               match Vw_report.Triage.promote ~corpus_dir:dir recurring with
               | Ok written ->
                   List.iter
@@ -1754,16 +1761,19 @@ let compare_cmd =
         let t = Vw_report.Compare.analyze ~bench ~old_side ~new_side () in
         if json then print_string (Vw_report.Compare.to_json t)
         else Format.printf "%a" Vw_report.Compare.pp t;
-        (match html with
-        | Some path ->
-            write_text_file path
-              (Vw_report.Html_report.render_fleet
-                 ~title:"VirtualWire campaign comparison"
-                 ~journal:new_side.Vw_report.Compare.s_journal ~compare:t ());
-            Printf.printf "wrote %s\n" path
-        | None -> ());
-        if fail_on_regression && Vw_report.Compare.regressions t <> [] then 4
-        else 0
+        match
+          write_file html (fun oc ->
+              output_string oc
+                (Vw_report.Html_report.render_fleet
+                   ~title:"VirtualWire campaign comparison"
+                   ~journal:new_side.Vw_report.Compare.s_journal ~compare:t ()))
+        with
+        | Error e -> write_error e
+        | Ok () ->
+            Option.iter (Printf.printf "wrote %s\n") html;
+            if fail_on_regression && Vw_report.Compare.regressions t <> [] then
+              4
+            else 0
   in
   Cmd.v
     (Cmd.info "compare"
@@ -1838,13 +1848,14 @@ let events_cmd =
                 output_string oc
                   (Vw_obs.Binlog.of_events ~scenario ~recorded ~dropped events)
           in
-          (match output with
-          | Some path ->
-              let oc = open_out_bin path in
-              write oc;
-              close_out oc
-          | None -> write stdout);
-          0
+          match output with
+          | None ->
+              write stdout;
+              0
+          | Some _ -> (
+              match write_file output write with
+              | Ok () -> 0
+              | Error e -> write_error e)
     in
     Cmd.v
       (Cmd.info "export"

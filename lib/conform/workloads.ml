@@ -26,19 +26,17 @@ let kind_of_string = function
    from the command line. They follow the paper's conventions: TCP flows
    use ports 0x6000 -> 0x4000 between the first and last nodes of the node
    table; UDP ping uses 0x1388 -> 0x1389. *)
-let make ?batch kind ~bytes testbed =
+let make kind ~bytes testbed =
   let all = Testbed.nodes testbed in
   let first = List.hd all in
   let last = List.nth all (List.length all - 1) in
   match kind with
   | Idle -> ()
   | Udp_blast ->
-      (* One-way firehose through the batched hot path: bursts of UDP
-         frames are hand-built (explicit IP idents, so the byte stream is
-         identical at every batch size — [Host.udp_send] would consume its
-         own ident counter) and injected at the sender's egress FIE via
-         [Testbed.process_batch]. The burst size is fixed; [batch] only
-         changes how the engine chunks it, which must not be observable. *)
+      (* One-way firehose: bursts of UDP frames are hand-built (frame i
+         carries IP ident i) and injected at the sender's egress FIE via
+         [Testbed.process_batch], one 32-frame burst per simulated
+         millisecond. *)
       let engine = Testbed.engine testbed in
       let ha = Testbed.host first and hb = Testbed.host last in
       Host.udp_bind hb ~port:0x1389 (fun ~src:_ ~src_port:_ _ -> ());
@@ -63,8 +61,7 @@ let make ?batch kind ~bytes testbed =
           let n = min burst (count - sent) in
           let frames = List.init n (fun j -> frame (sent + j)) in
           ignore
-            (Testbed.process_batch ?batch testbed first Vw_stack.Hook.Egress
-               frames);
+            (Testbed.process_batch testbed first Vw_stack.Hook.Egress frames);
           ignore
             (Vw_sim.Engine.schedule_after engine ~delay:(Vw_sim.Simtime.ms 1)
                (fun () -> tick (sent + n)))

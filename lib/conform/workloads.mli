@@ -14,7 +14,7 @@ val kind_of_string : string -> (kind, string) result
 (** Accepts the CLI spellings: udp-ping, udp-blast, tcp-stream, rether,
     http-failover, idle. *)
 
-val make : ?batch:int -> kind -> bytes:int -> Vw_core.Testbed.t -> unit
+val make : kind -> bytes:int -> Vw_core.Testbed.t -> unit
 (** [make kind ~bytes testbed] starts the workload on [testbed]. TCP flows
     run from the first node of the node table to the last on ports
     0x6000 -> 0x4000 (the paper's convention); udp-ping uses
@@ -22,11 +22,9 @@ val make : ?batch:int -> kind -> bytes:int -> Vw_core.Testbed.t -> unit
     first and fetches [max 1 (bytes/64)] pages from the first.
 
     udp-blast drives [max 1 (bytes/64)] one-way 64-byte UDP frames
-    (0x1388 -> 0x1389) through the sender's engine in fixed 32-frame
-    bursts via the batched hot path ({!Vw_core.Testbed.process_batch}).
-    [batch] sets the engine chunk size (default 128) and must not change
-    any observable output — the stats-parity conformance tests hold every
-    batch size to that. Other workloads ignore [batch]. *)
+    (0x1388 -> 0x1389), injected at the sender's egress engine in
+    32-frame bursts, one per simulated millisecond
+    ({!Vw_core.Testbed.process_batch}). *)
 
 (** Per-script run directives, embedded as comments:
       [# vwctl: workload=udp-ping bytes=640 expect=fail duration=10 arp=on]

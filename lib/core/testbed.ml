@@ -151,37 +151,26 @@ let of_node_table ?config (tables : Vw_fsl.Tables.t) =
 
 let run t ?until () = Vw_sim.Engine.run ?until t.engine
 
-(* --- batched injection ---
+(* --- injected frames ---
 
-   Verdicts are applied per frame inside the batch (Accept continues the
-   frame through the rest of the hook chain, exactly where a hook-returned
-   Accept would), so reinjections interleave with the batch as unbatched
-   processing would interleave them. *)
+   One frame at a time through the node's engine, applying each verdict
+   where the installed hook's verdict would apply: an Accept continues
+   through the rest of the chain, so DUP and REORDER reinjections
+   interleave with the list as they would on the wire. *)
 
-let process_batch ?(batch = 128) t node point frames =
-  if batch < 1 then invalid_arg "Testbed.process_batch: batch must be >= 1";
-  let frames = Array.of_list frames in
-  let n = Array.length frames in
+let process_batch t node point frames =
   let host = node.node_host in
-  let on_verdict = function
-    | Vw_stack.Hook.Accept frame ->
-        Vw_stack.Host.reinject host point
-          ~from_priority:Vw_stack.Hook.priority_virtualwire frame
-    | Vw_stack.Hook.Drop | Vw_stack.Hook.Stolen -> ()
+  let rec go n = function
+    | frame :: rest when not (Vw_stack.Host.is_failed host) ->
+        (match Vw_engine.Fie.process_one node.node_fie point frame with
+        | Vw_stack.Hook.Accept frame ->
+            Vw_stack.Host.reinject host point
+              ~from_priority:Vw_stack.Hook.priority_virtualwire frame
+        | Vw_stack.Hook.Drop | Vw_stack.Hook.Stolen -> ());
+        if Vw_sim.Engine.stop_requested t.engine then n + 1 else go (n + 1) rest
+    | _ -> n
   in
-  let rec go pos =
-    if pos = n || Vw_stack.Host.is_failed host then pos
-    else
-      let len = min batch (n - pos) in
-      let processed =
-        Vw_engine.Fie.process_batch node.node_fie point frames ~pos ~len
-          ~on_verdict
-      in
-      if processed < len || Vw_sim.Engine.stop_requested t.engine then
-        pos + processed
-      else go (pos + len)
-  in
-  go 0
+  go 0 frames
 
 (* --- observability --- *)
 

@@ -63,23 +63,16 @@ val run : t -> ?until:Vw_sim.Simtime.t -> unit -> unit
 (** Convenience: run the simulation. *)
 
 val process_batch :
-  ?batch:int ->
-  t ->
-  node ->
-  Vw_stack.Hook.point ->
-  Vw_net.Eth.t list ->
-  int
-(** [process_batch t node point frames] feeds [frames], in order, through
-    [node]'s engine in chunks of [batch] (default 128), each one
-    {!Vw_engine.Fie.process_batch} call. Each frame's verdict is applied
-    immediately: [Accept] continues it through the rest of [node]'s hook
-    chain (to the NIC on egress, the demultiplexer on ingress) exactly as
-    an unbatched hook verdict would. Returns the number of frames
-    processed — short of [List.length frames] iff a STOP report fired
-    mid-run, or the node was failed when the call began or became failed
-    (a [FAIL] action) while processing a frame. Semantically identical to
-    per-frame injection at every batch size; only the constant factors
-    change. *)
+  t -> node -> Vw_stack.Hook.point -> Vw_net.Eth.t list -> int
+(** [process_batch t node point frames] feeds [frames], in order, one at a
+    time through [node]'s engine ({!Vw_engine.Fie.process_one}). Each
+    frame's verdict is applied immediately: [Accept] continues it through
+    the rest of [node]'s hook chain (to the NIC on egress, the
+    demultiplexer on ingress) with {!Vw_stack.Host.reinject}, which drops
+    it if the frame's own action failed the node. Returns the number of frames processed — short of
+    [List.length frames] iff a STOP report fired mid-run, or the node was
+    failed when the call began or became failed (a [FAIL] action) while
+    processing a frame. *)
 
 (** {1 Observability}
 

@@ -965,34 +965,12 @@ let egress_handler t (frame : Vw_net.Eth.t) =
     Vw_stack.Hook.Accept frame
   else handle_packet t Vw_stack.Hook.Egress frame
 
-(* --- the batched entry ---
-
-   [process_one] is exactly the hook handler for [point]. [process_batch]
-   folds it over a slice of frames inside one recorder batch, and stops
-   after a frame that requested a scenario stop or failed the host: either
-   would keep the next frames' deliveries from running unbatched. *)
+(* --- the direct entry: exactly the hook handler for [point] --- *)
 
 let process_one t point (frame : Vw_net.Eth.t) =
   match point with
   | Vw_stack.Hook.Ingress -> ingress_handler t frame
   | Vw_stack.Hook.Egress -> egress_handler t frame
-
-let process_batch t point frames ~pos ~len ~on_verdict =
-  if pos < 0 || len < 0 || pos > Array.length frames - len then
-    invalid_arg "Fie.process_batch: slice out of range";
-  let engine = Vw_stack.Host.engine t.hst in
-  let recording = Rec.enabled t.obs in
-  if recording then Rec.batch_begin t.obs ~hint:len;
-  Fun.protect ~finally:(fun () -> if recording then Rec.batch_end t.obs)
-  @@ fun () ->
-  let processed = ref 0 and stop = ref false in
-  while (not !stop) && !processed < len do
-    on_verdict (process_one t point frames.(pos + !processed));
-    incr processed;
-    stop :=
-      Vw_sim.Engine.stop_requested engine || Vw_stack.Host.is_failed t.hst
-  done;
-  !processed
 
 let install hst =
   let t =

@@ -13,8 +13,8 @@
     propagate to remote nodes over the control plane.
 
     Frames reach that pipeline one way, through the hook handlers: the
-    installed hooks call them, and so do {!process_one} and
-    {!process_batch} for injected frames.
+    installed hooks call them, and so does {!process_one} for injected
+    frames.
     The classification step dispatches through the classification index
     that {!Vw_fsl.Tables.compile} builds at INIT and matches the frame in
     place (no serialization); observers and armed faults are precomputed
@@ -140,35 +140,12 @@ val send_control : t -> dst_nid:int -> Control.msg -> unit
 (** Exposed for the controller (which shares the engine's node table) and
     for tests. Local destinations are processed synchronously. *)
 
-(** {1 Direct entry}
-
-    {!process_one} is exactly the hook handler the engine installed for
-    that point. {!process_batch} is its fold over a slice of frames inside
-    one recorder batch ({!Vw_obs.Recorder.batch_begin}): the same
-    classification, cascades, verdicts, stats and recorded events at every
-    batch size — tested in [test_engine.ml] ([engine.batch]). *)
+(** {1 Direct entry} *)
 
 val process_one : t -> Vw_stack.Hook.point -> Vw_net.Eth.t -> Vw_stack.Hook.verdict
 (** Run one frame through the engine's handler for [point], control frames
-    included — byte-for-byte the installed hook behaviour. *)
-
-val process_batch :
-  t ->
-  Vw_stack.Hook.point ->
-  Vw_net.Eth.t array ->
-  pos:int ->
-  len:int ->
-  on_verdict:(Vw_stack.Hook.verdict -> unit) ->
-  int
-(** [process_batch t point frames ~pos ~len ~on_verdict] runs
-    [frames.(pos) .. frames.(pos + len - 1)] through {!process_one} in
-    order, calling [on_verdict] with each frame's verdict right after that
-    frame — the caller applies it there (transmit / reinject), so DUP and
-    REORDER reinjections interleave with the batch exactly as they would
-    unbatched. It stops after a frame that leaves a scenario stop
-    requested ({!Vw_sim.Engine.stop_requested}) or the host failed, and
-    returns the number of frames processed.
-    @raise Invalid_argument if [pos]/[len] is not a slice of [frames]. *)
+    included — byte-for-byte the installed hook behaviour. The caller
+    applies the verdict. *)
 
 (** {1 Processing-cost model}
 

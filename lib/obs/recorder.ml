@@ -14,10 +14,6 @@ type t = {
   mutable len : int;
   mutable dropped : int;
   mutable cause : int;
-  mutable batch_time : int;
-      (* timestamp cached by batch_begin (-1 = not in a batch): within one
-         batch the sim clock cannot advance, so one clock() call covers
-         every event the batch emits *)
 }
 
 let null =
@@ -35,7 +31,6 @@ let null =
     len = 0;
     dropped = 0;
     cause = -1;
-    batch_time = -1;
   }
 
 let create ?(capacity = 16384) ?strings ~node ~clock ~seq () =
@@ -57,7 +52,6 @@ let create ?(capacity = 16384) ?strings ~node ~clock ~seq () =
     len = 0;
     dropped = 0;
     cause = -1;
-    batch_time = -1;
   }
 
 let enabled t = t.enabled
@@ -116,7 +110,7 @@ let binary_emit t ~root ~kind ~aux ~a ~b ~c =
   set_64u ring (off + Binlog.o_seq)
     (Int64.logor (Int64.of_int seq) (Int64.shift_left (Int64.of_int t.sid) 48));
   set_64u ring (off + Binlog.o_time)
-    (Int64.of_int (if t.batch_time >= 0 then t.batch_time else t.clock ()));
+    (Int64.of_int (t.clock ()));
   set_64u ring (off + Binlog.o_cause)
     (Int64.logor (Int64.of_int cause)
        (Int64.shift_left (Int64.of_int (t.nid land 0xffff)) 48));
@@ -125,27 +119,6 @@ let binary_emit t ~root ~kind ~aux ~a ~b ~c =
   set_64u ring (off + Binlog.o_b) (Int64.of_int b);
   set_64u ring (off + Binlog.o_c) (Int64.of_int c);
   seq
-
-(* --- batched emission ---
-
-   The batch processor brackets a batch with [batch_begin]/[batch_end]:
-   the sim clock is read once (it cannot advance within one callback, so
-   every event in the batch carries the same timestamp it would have
-   carried unbatched) and the binary ring is pre-grown to cover the
-   expected emission count, taking the grow check off the per-event claim.
-   The claim itself stays per-event so the drop-oldest accounting is
-   byte-identical to unbatched emission (parity-tested in test_obs). *)
-
-let batch_begin t ~hint =
-  if t.enabled then begin
-    t.batch_time <- t.clock ();
-    let want = min t.capacity (t.len + max 0 hint) in
-    while t.slots < want do
-      grow_ring t
-    done
-  end
-
-let batch_end t = t.batch_time <- -1
 
 (* --- generic emitters (compat path; used by tests and cold sites) --- *)
 
@@ -255,5 +228,4 @@ let clear t =
   t.start <- 0;
   t.len <- 0;
   t.dropped <- 0;
-  t.cause <- -1;
-  t.batch_time <- -1
+  t.cause <- -1

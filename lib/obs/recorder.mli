@@ -86,17 +86,6 @@ val emit_control_sent : t -> dst_nid:int -> ctl:Event.ctl -> int
 val emit_control_received : t -> ctl:Event.ctl -> int
 val emit_report_raised : t -> nid:int -> rule:int option -> int
 
-val batch_begin : t -> hint:int -> unit
-(** Enter batched emission: read the sim clock once (it cannot advance
-    within one callback, so every event in the batch gets the timestamp it
-    would have gotten unbatched) and pre-grow the ring toward
-    [hint] further events, hoisting the per-event grow check. Slot claims
-    stay per-event, so the drop-oldest [dropped] accounting is unchanged.
-    No-op on a disabled recorder. *)
-
-val batch_end : t -> unit
-(** Leave batched emission; subsequent events read the clock again. *)
-
 val cause : t -> int
 (** The current causal context, [-1] when outside any. *)
 

@@ -47,5 +47,6 @@ val stop : t -> unit
 
 val stop_requested : t -> bool
 (** Whether a {!stop} is pending — i.e. [run] will return before the next
-    queued event. Batch processors poll this between frames so a STOP cuts
-    a batch short exactly where it would have cut the event stream. *)
+    queued event. Callers feeding frames in a loop poll this between
+    frames so a STOP cuts the feed short exactly where it would have cut
+    the event stream. *)

@@ -45,14 +45,6 @@ flatten() {
        | { key: ("classify_ns." + .key), value: .value }),
       (.classify_adversarial_ns // {} | to_entries[]
        | { key: ("classify_adversarial_ns." + .key), value: .value }),
-      (.pipeline // {} | to_entries[]
-       | select(.value | type == "object" and has("ns_per_packet"))
-       | { key: ("pipeline." + .key + ".ns_per_packet"),
-           value: .value.ns_per_packet }),
-      (if (.pipeline.cascade_ns_per_packet? // empty) != "" then
-         { key: "pipeline.cascade_ns_per_packet",
-           value: .pipeline.cascade_ns_per_packet }
-       else empty end),
       (.obs_ablation // {} | to_entries[]
        | select(.value | type == "object" and has("ns_per_packet"))
        | { key: ("obs_ablation." + .key + ".ns_per_packet"),
@@ -61,14 +53,13 @@ flatten() {
          { key: "obs_ablation.recording_ns_per_packet",
            value: .obs_ablation.recording_ns_per_packet }
        else empty end),
-      (.batch // {} | to_entries[]
-       | .key as $shape | .value | to_entries[]
+      (.engine // {} | to_entries[]
        | select(.value | type == "object" and has("ns_per_packet"))
-       | { key: ("batch." + $shape + "." + .key + ".ns_per_packet"),
+       | { key: ("engine." + .key + ".ns_per_packet"),
            value: .value.ns_per_packet }),
-      (if (.batch.recording.recording_ns_per_packet? // empty) != "" then
-         { key: "batch.recording.recording_ns_per_packet",
-           value: .batch.recording.recording_ns_per_packet }
+      (if (.engine.recording_ns_per_packet? // empty) != "" then
+         { key: "engine.recording_ns_per_packet",
+           value: .engine.recording_ns_per_packet }
        else empty end),
       (.campaign // {} | to_entries[]
        | select(.value | type == "object" and has("wall_s"))

@@ -1311,15 +1311,16 @@ Y: (bob)
     done
   done
 
-(* --- batched hot path: process_batch must be the fold of process_one ---
+(* --- injected frames: Testbed.process_batch against the hook chain ---
 
    Frames are hand-built (valid UDP all the way through bob's stack, the
-   payload carrying a tag the capture can read) and injected at bob's
-   ingress via Testbed.process_batch. The same frame list at batch=1 and
-   at a larger batch must give identical deliveries, identical engine
-   stats, and an identical binary event log — including when DELAY steals
-   a frame mid-batch, REORDER's window spans a chunk boundary, or STOP
-   cuts the batch short. *)
+   payload carrying a tag the capture can read) and handed to bob's
+   ingress on two fresh testbeds: through Testbed.process_batch, and as
+   bytes off the wire through the installed ingress hook chain. Both must
+   give identical deliveries, identical engine stats and an identical
+   binary event log — including when DELAY steals a frame, a REORDER
+   window spans two process_batch calls, or STOP or FAIL cuts the list
+   short. *)
 
 let batch_frame tag =
   let payload = Bytes.make 32 'p' in
@@ -1340,7 +1341,9 @@ let batch_frame tag =
 let batch_frames n = List.init n (fun i -> batch_frame (Printf.sprintf "%03d" (i + 1)))
 
 (* bob (nid 1) is the controller so STOP executes locally and reaches the
-   sim engine synchronously, mid-batch — as it would mid-fold. *)
+   sim engine synchronously, mid-list. bob's NIC is re-attached to its
+   own uplink through a netif that also hands the test its receive
+   callback: [wire frame] delivers [frame] the way the link would. *)
 let batch_testbed src =
   let testbed =
     Testbed.create
@@ -1362,19 +1365,52 @@ let batch_testbed src =
     nodes;
   List.iter (fun node -> Fie.start_local (Testbed.fie node)) nodes;
   let arrivals = ref [] in
-  let bob = Testbed.host (Testbed.node testbed "bob") in
+  let bob_node = Testbed.node testbed "bob" in
+  let bob = Testbed.host bob_node in
   Host.udp_bind bob ~port:5001 (fun ~src:_ ~src_port:_ payload ->
       arrivals := Bytes.sub_string payload 0 3 :: !arrivals);
-  (testbed, arrivals)
+  let uplink =
+    match Testbed.link bob_node with
+    | Some l -> Vw_link.Netif.of_link_endpoint (Vw_link.Link.endpoint_a l)
+    | None -> Alcotest.fail "bob has no uplink"
+  in
+  let receive = ref ignore in
+  Host.attach bob
+    {
+      uplink with
+      Vw_link.Netif.set_receive =
+        (fun f ->
+          receive := f;
+          uplink.Vw_link.Netif.set_receive f);
+    };
+  (testbed, arrivals, fun frame -> !receive (Vw_net.Eth.to_bytes frame))
 
-(* one run: inject [n] tagged frames at bob's ingress in chunks of
-   [batch], drain, and return every observable the batch must preserve *)
-let batch_run ~scenario ~batch ~n src =
-  let testbed, arrivals = batch_testbed src in
+(* one run: give [n] tagged frames to bob's ingress, drain, and return
+   every observable the two paths must share. [`Process_batch cut] makes
+   two calls, the first with frames 1..cut; [`Wire] delivers them one by
+   one until the scenario stops, as the link would (a failed host's NIC
+   drops the rest itself). *)
+let batch_run ~scenario ~via ~n src =
+  let testbed, arrivals, wire = batch_testbed src in
   let bob = Testbed.node testbed "bob" in
+  let frames = batch_frames n in
   let processed =
-    Testbed.process_batch ~batch testbed bob Vw_stack.Hook.Ingress
-      (batch_frames n)
+    match via with
+    | `Process_batch cut ->
+        let call = Testbed.process_batch testbed bob Vw_stack.Hook.Ingress in
+        let head = List.filteri (fun i _ -> i < cut) frames
+        and tail = List.filteri (fun i _ -> i >= cut) frames in
+        let first = call head in
+        if first < List.length head then first else first + call tail
+    | `Wire ->
+        let rec feed k = function
+          | [] -> k
+          | frame :: rest ->
+              wire frame;
+              if Engine.stop_requested (Testbed.engine testbed) then k + 1
+              else feed (k + 1) rest
+        in
+        feed 0 frames
   in
   Testbed.run testbed ~until:(Simtime.sec 1.0) ();
   let stats = Fie.stats_fields (Fie.stats (Testbed.fie bob)) in
@@ -1385,27 +1421,29 @@ let batch_run ~scenario ~batch ~n src =
   in
   (processed, List.rev !arrivals, stats, events)
 
-let same_at_every_batch_size ?(sizes = [ 2; 3; 32 ]) ~scenario ~n src =
-  let reference = batch_run ~scenario ~batch:1 ~n src in
-  List.iter
-    (fun batch ->
-      let got = batch_run ~scenario ~batch ~n src in
-      let r_processed, r_arrivals, r_stats, r_events = reference in
-      let g_processed, g_arrivals, g_stats, g_events = got in
-      let name fmt = Printf.sprintf "batch=%d: %s" batch fmt in
-      check Alcotest.int (name "frames processed") r_processed g_processed;
-      check
-        (Alcotest.list Alcotest.string)
-        (name "deliveries") r_arrivals g_arrivals;
-      check
-        (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-        (name "engine stats") r_stats g_stats;
-      check Alcotest.bool (name "binary event log byte-identical") true
-        (String.equal r_events g_events))
-    sizes;
-  reference
+(* the process_batch run, after checking it against the wire; FAIL passes
+   [~deliveries:false] (see test_batch_fail_cuts_short) *)
+let same_as_hook_chain ?(cut = max_int) ?(deliveries = true) ~scenario ~n src
+    =
+  let _, r_arrivals, r_stats, r_events =
+    batch_run ~scenario ~via:`Wire ~n src
+  in
+  let ((_, arrivals, stats, events) as got) =
+    batch_run ~scenario ~via:(`Process_batch cut) ~n src
+  in
+  if deliveries then
+    check
+      (Alcotest.list Alcotest.string)
+      "deliveries as through the hook chain" r_arrivals arrivals;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "engine stats as through the hook chain" r_stats stats;
+  check Alcotest.bool "binary event log byte-identical to the hook chain's"
+    true
+    (String.equal r_events events);
+  got
 
-let test_batch_equals_single () =
+let test_batch_equals_hook_chain () =
   let src =
     script ~header:"batch_parity"
       ~rules:
@@ -1417,7 +1455,7 @@ PING_R: (udp_ping, alice, bob, RECV)
 |}
   in
   let processed, arrivals, _, _ =
-    same_at_every_batch_size ~scenario:"batch_parity" ~n:12 src
+    same_as_hook_chain ~scenario:"batch_parity" ~n:12 src
   in
   check Alcotest.int "all frames processed" 12 processed;
   (* frame 3 dropped, frame 5 duplicated: 12 deliveries *)
@@ -1427,9 +1465,8 @@ PING_R: (udp_ping, alice, bob, RECV)
     (List.length (List.filter (String.equal "005") arrivals))
 
 let test_batch_delay_mid_batch () =
-  (* the DELAY steals frame 2 inside a 5-frame batch; its timer matures
-     after the batch returns, and it must arrive last — exactly as when
-     the frames are processed one by one *)
+  (* the DELAY steals frame 2 of 5; its timer matures after the call
+     returns, and it must arrive last *)
   let src =
     script ~header:"batch_delay"
       ~rules:
@@ -1440,7 +1477,7 @@ PING_R: (udp_ping, alice, bob, RECV)
 |}
   in
   let _, arrivals, _, _ =
-    same_at_every_batch_size ~sizes:[ 5; 2 ] ~scenario:"batch_delay" ~n:5 src
+    same_as_hook_chain ~scenario:"batch_delay" ~n:5 src
   in
   check
     (Alcotest.list Alcotest.string)
@@ -1449,9 +1486,9 @@ PING_R: (udp_ping, alice, bob, RECV)
     arrivals
 
 let test_batch_reorder_across_boundary () =
-  (* a 3-frame REORDER window filled by chunks of 2: the buffer must
-     straddle the chunk boundary and release 3-1-2 once the third frame
-     lands in the second chunk *)
+  (* a 3-frame REORDER window filled by two calls, frames 1-2 then 3:
+     the buffer must outlive the first call and release 3-1-2 once the
+     third frame lands in the second *)
   let src =
     script ~header:"batch_reorder"
       ~rules:
@@ -1461,9 +1498,10 @@ PING_R: (udp_ping, alice, bob, RECV)
 ((PING_R >= 1)) >> REORDER( udp_ping, alice, bob, RECV, 3, [3 1 2] );
 |}
   in
-  let _, arrivals, _, _ =
-    same_at_every_batch_size ~sizes:[ 2; 3 ] ~scenario:"batch_reorder" ~n:3 src
+  let processed, arrivals, _, _ =
+    same_as_hook_chain ~cut:2 ~scenario:"batch_reorder" ~n:3 src
   in
+  check Alcotest.int "both calls processed" 3 processed;
   check
     (Alcotest.list Alcotest.string)
     "window released 3 1 2 across the boundary"
@@ -1472,8 +1510,8 @@ PING_R: (udp_ping, alice, bob, RECV)
 
 let test_batch_stop_cuts_short () =
   (* STOP on the third frame: the triggering frame's verdict still
-     applies and the tail of the batch is never processed, so it is never
-     classified or counted either — identical to the one-by-one world *)
+     applies and the tail of the list is never processed, so it is never
+     classified or counted either *)
   let src =
     script ~header:"batch_stop"
       ~rules:
@@ -1484,7 +1522,7 @@ PING_R: (udp_ping, alice, bob, RECV)
 |}
   in
   let processed, arrivals, stats, _ =
-    same_at_every_batch_size ~sizes:[ 10; 4 ] ~scenario:"batch_stop" ~n:10 src
+    same_as_hook_chain ~scenario:"batch_stop" ~n:10 src
   in
   check Alcotest.int "batch cut short at the STOP frame" 3 processed;
   check
@@ -1498,8 +1536,10 @@ PING_R: (udp_ping, alice, bob, RECV)
 
 let test_batch_fail_cuts_short () =
   (* FAIL( bob ) on the third frame: bob's NIC goes silent, so the frames
-     after it are never inspected, counted or recorded — as when they are
-     injected one by one and the failed host stops the feed *)
+     after it are never inspected, counted or recorded. The third frame
+     itself differs: off the wire it is already past the NIC and reaches
+     the socket, while process_batch hands its Accept to Host.reinject,
+     which drops frames on a failed host. *)
   let src =
     script ~header:"batch_fail"
       ~rules:
@@ -1509,31 +1549,39 @@ PING_R: (udp_ping, alice, bob, RECV)
 ((PING_R = 3)) >> FAIL( bob );
 |}
   in
-  let processed, _, stats, _ =
-    same_at_every_batch_size ~sizes:[ 10; 4 ] ~scenario:"batch_fail" ~n:10 src
+  let processed, arrivals, stats, _ =
+    same_as_hook_chain ~deliveries:false ~scenario:"batch_fail" ~n:10 src
   in
   check Alcotest.int "batch cut short at the FAIL frame" 3 processed;
+  check
+    (Alcotest.list Alcotest.string)
+    "the FAIL frame died with its host" [ "001"; "002" ] arrivals;
   check (Alcotest.option Alcotest.int) "inspected exactly the processed head"
     (Some 3)
     (List.assoc_opt "packets_inspected" stats)
 
-let test_batch_rejects_bad_slice () =
-  let testbed = Testbed.create [ ("alice", Vw_net.Mac.of_int 1, alice_ip) ] in
-  let fie = Testbed.fie (Testbed.node testbed "alice") in
-  let frames = Array.of_list (batch_frames 2) in
-  List.iter
-    (fun (pos, len) ->
-      Alcotest.check_raises
-        (Printf.sprintf "pos=%d len=%d" pos len)
-        (Invalid_argument "Fie.process_batch: slice out of range")
-        (fun () ->
-          ignore
-            (Fie.process_batch fie Vw_stack.Hook.Ingress frames ~pos ~len
-               ~on_verdict:ignore)))
-    [ (-1, 1); (0, -1); (0, 3); (2, 1) ];
-  check Alcotest.int "an empty slice at the end processes nothing" 0
-    (Fie.process_batch fie Vw_stack.Hook.Ingress frames ~pos:2 ~len:0
-       ~on_verdict:ignore)
+(* the entry conditions: nothing reaches the engine from a call with no
+   frames or on a node that is already failed *)
+let test_batch_entry () =
+  let src =
+    script ~header:"batch_entry"
+      ~rules:
+        {|
+PING_R: (udp_ping, alice, bob, RECV)
+(TRUE) >> ENABLE_CNTR( PING_R );
+|}
+  in
+  let testbed, arrivals, _ = batch_testbed src in
+  let bob = Testbed.node testbed "bob" in
+  let inspected () = (Fie.stats (Testbed.fie bob)).Fie.packets_inspected in
+  check Alcotest.int "an empty list processes nothing" 0
+    (Testbed.process_batch testbed bob Vw_stack.Hook.Ingress []);
+  Host.fail (Testbed.host bob);
+  check Alcotest.int "a failed node processes no frame" 0
+    (Testbed.process_batch testbed bob Vw_stack.Hook.Ingress (batch_frames 4));
+  check Alcotest.int "nothing inspected" 0 (inspected ());
+  Testbed.run testbed ~until:(Simtime.sec 1.0) ();
+  check (Alcotest.list Alcotest.string) "nothing delivered" [] !arrivals
 
 let suite =
   [
@@ -1551,8 +1599,8 @@ let suite =
       ] );
     ( "engine.batch",
       [
-        Alcotest.test_case "batch == fold of process_one" `Quick
-          test_batch_equals_single;
+        Alcotest.test_case "process_batch == ingress hook chain" `Quick
+          test_batch_equals_hook_chain;
         Alcotest.test_case "DELAY steals a frame mid-batch" `Quick
           test_batch_delay_mid_batch;
         Alcotest.test_case "REORDER window spans a chunk boundary" `Quick
@@ -1561,8 +1609,8 @@ let suite =
           test_batch_stop_cuts_short;
         Alcotest.test_case "FAIL cuts the batch short" `Quick
           test_batch_fail_cuts_short;
-        Alcotest.test_case "process_batch rejects a bad slice" `Quick
-          test_batch_rejects_bad_slice;
+        Alcotest.test_case "an empty list or failed node processes nothing"
+          `Quick test_batch_entry;
       ] );
     ( "engine.counters",
       [

@@ -472,20 +472,49 @@ let test_cli_error_exit_codes () =
   Alcotest.(check int) "compare on missing dirs exits 1" 1 rc;
   let rc, _ = run_capture "cover quickstart --fail-under 101" in
   Alcotest.(check int) "cover --fail-under exits 3" 3 rc;
-  let rc, _ =
-    run_capture "run quickstart -w udp-blast -b 640 -d 2 --batch 0"
-  in
-  Alcotest.(check int) "--batch 0 is a usage error (124)" 124 rc;
-  let events = Filename.temp_file "vw_intel_cli" ".jsonl" in
+  let events = Filename.temp_file "vw_intel_cli" ".jsonl"
+  and journal = Filename.temp_file "vw_intel_cli" ".jsonl" in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove events with Sys_error _ -> ())
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ events; journal ])
     (fun () ->
       let rc, _ =
         run_capture
           (Printf.sprintf "run quickstart --events-capacity 0 --events %s"
              (Filename.quote events))
       in
-      Alcotest.(check int) "--events-capacity 0 is a usage error (124)" 124 rc)
+      Alcotest.(check int) "--events-capacity 0 is a usage error (124)" 124 rc;
+      let ping = "run quickstart -w udp-ping -b 640 -d 2" in
+      let rc, _ =
+        run_capture
+          (Printf.sprintf "%s --events %s" ping (Filename.quote events))
+      in
+      Alcotest.(check int) "event log captured" 0 rc;
+      (* an output path under a regular file cannot be created: every
+         command reports it and exits 1 once its work is done *)
+      let bad = Filename.quote (Filename.concat events "out") in
+      List.iter
+        (fun (what, args) ->
+          let rc, _ = run_capture args in
+          Alcotest.(check int) (what ^ " to an unwritable path exits 1") 1 rc)
+        [
+          ("run --metrics", Printf.sprintf "%s --metrics %s" ping bad);
+          ("run --events", Printf.sprintf "%s --events %s" ping bad);
+          ("run --pcap", Printf.sprintf "%s --pcap %s" ping bad);
+          ("run --trace-json", Printf.sprintf "%s --trace-json %s" ping bad);
+          ( "events export -o",
+            Printf.sprintf "events export %s -o %s" (Filename.quote events)
+              bad );
+          ( "conform --html",
+            Printf.sprintf "conform %s --html %s"
+              (Filename.concat "conformance" "inject_probe.fsl")
+              bad );
+          ( "triage --html",
+            Printf.sprintf "triage %s --html %s" (Filename.quote journal) bad
+          );
+        ])
 
 (* campaign artifacts and journals must be byte-identical at every --jobs
    level: the executor reduces outcomes to plan order before the journal

@@ -763,62 +763,6 @@ let test_explain_bad_rule () =
     (Invalid_argument "Explain.rule_deps: no rule 7") (fun () ->
       ignore (Explain.rule_deps tables ~rule:7))
 
-(* --- batched recording: batch_begin/batch_end must be unobservable --- *)
-
-let test_batch_emission_byte_identical () =
-  (* the same emission sequence wrapped in batch_begin/batch_end vs not:
-     byte-identical binary export and identical drop accounting — also
-     when the ring wraps mid-batch, and when the hint overshoots the
-     capacity *)
-  let emit_sequence r =
-    for i = 0 to 9 do
-      ignore
-        (Rec.emit_root r (Ev.Packet_classified { point = Ev.Ingress; fid = i }));
-      ignore (Rec.emit r (Ev.Counter_changed { cid = 0; value = i; delta = 1 }))
-    done
-  in
-  let capture ~capacity ~batched =
-    let seq = ref 0 in
-    let r =
-      Rec.create ~capacity ~node:"n"
-        ~clock:(fun () -> Simtime.ms 7)
-        ~seq ()
-    in
-    if batched then Rec.batch_begin r ~hint:64;
-    emit_sequence r;
-    if batched then Rec.batch_end r;
-    let buf = Buffer.create 256 in
-    Rec.append_binary buf r;
-    (Buffer.contents buf, Rec.dropped r, Rec.length r)
-  in
-  List.iter
-    (fun capacity ->
-      check
-        Alcotest.(triple string int int)
-        (Printf.sprintf "capacity %d" capacity)
-        (capture ~capacity ~batched:false)
-        (capture ~capacity ~batched:true))
-    [ 64; 8 (* 8 < 20 events: the ring wraps mid-batch *) ]
-
-let test_batch_end_restores_live_clock () =
-  let seq = ref 0 in
-  let now = ref Simtime.zero in
-  let r = Rec.create ~node:"n" ~clock:(fun () -> !now) ~seq () in
-  Rec.batch_begin r ~hint:4;
-  (* the sim clock cannot advance mid-batch; a test's can — the cached
-     stamp must win until batch_end *)
-  now := Simtime.ms 9;
-  ignore (Rec.emit_root r (Ev.Condition_rose { did = 0 }));
-  Rec.batch_end r;
-  ignore (Rec.emit_root r (Ev.Condition_rose { did = 1 }));
-  match Rec.events r with
-  | [ a; b ] ->
-      check Alcotest.int "batched event at the cached time" Simtime.zero
-        a.Ev.time;
-      check Alcotest.int "post-batch event back on the live clock"
-        (Simtime.ms 9) b.Ev.time
-  | es -> Alcotest.failf "expected 2 events, got %d" (List.length es)
-
 let suite =
   [
     ( "obs.recorder",
@@ -827,10 +771,6 @@ let suite =
         Alcotest.test_case "ring wrap" `Quick test_recorder_wrap;
         Alcotest.test_case "shared sequence counter" `Quick
           test_recorders_share_seq;
-        Alcotest.test_case "batched emission byte-identical" `Quick
-          test_batch_emission_byte_identical;
-        Alcotest.test_case "batch_end restores the live clock" `Quick
-          test_batch_end_restores_live_clock;
       ] );
     ( "obs.binlog",
       [
