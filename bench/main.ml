@@ -54,7 +54,7 @@ let fig7 () =
     (fun offered ->
       let run config =
         let testbed =
-          Workload.prepare ~half_duplex:true
+          Workload.prepare ~shared_bus:true
             ~script_of:Workload.tcp_overhead_script config
         in
         Workload.tcp_offered_load_run testbed ~offered_mbps:offered ~duration

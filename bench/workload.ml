@@ -172,7 +172,7 @@ type vw_config =
   | Vw of { n_filters : int; actions : bool }
   | Vw_rll of { n_filters : int; actions : bool }
 
-let make_testbed ?(half_duplex = false) config =
+let make_testbed ?(shared_bus = false) config =
   let rll =
     match config with
     | Vw_rll _ ->
@@ -184,15 +184,15 @@ let make_testbed ?(half_duplex = false) config =
     {
       Testbed.default_config with
       rll;
-      (* [half_duplex] selects the contended topology of the Figure 7
+      (* [shared_bus] selects the contended topology of the Figure 7
          experiment: one shared 100 Mbps collision domain (100 m of cable,
          0.5 µs propagation), which is where RLL's extra acks hurt. *)
-      topology = (if half_duplex then Testbed.Shared_bus else Testbed.Star);
+      topology = (if shared_bus then Testbed.Shared_bus else Testbed.Star);
       link =
         {
           Vw_link.Link.default_config with
           propagation =
-            (if half_duplex then Simtime.ns 500
+            (if shared_bus then Simtime.ns 500
              else Vw_link.Link.default_config.propagation);
           max_queue = 512;
         };
@@ -211,8 +211,8 @@ let deploy_overhead ~script testbed =
   (* let INIT/START propagate before measurement traffic begins *)
   Vw_core.Testbed.run testbed ~until:(Simtime.ms 8) ()
 
-let prepare ?half_duplex ~script_of config =
-  let testbed = make_testbed ?half_duplex config in
+let prepare ?shared_bus ~script_of config =
+  let testbed = make_testbed ?shared_bus config in
   (match config with
   | Bare -> ()
   | Vw { n_filters; actions } | Vw_rll { n_filters; actions } ->
@@ -247,7 +247,7 @@ let tcp_offered_load_run testbed ~offered_mbps ~duration =
   let rec pump () =
     if Engine.now engine < stop_at then begin
       Tcp.send conn (Bytes.create chunk);
-      ignore (Engine.schedule_after engine ~delay:(Simtime.ms 1) pump)
+      Engine.schedule_after engine ~delay:(Simtime.ms 1) pump
     end
   in
   Tcp.on_established conn (fun () -> pump ());
@@ -277,7 +277,7 @@ let udp_rtt_run testbed ~samples ~payload_size =
       Stats.add rtts (Simtime.to_sec Simtime.(Engine.now engine - !sent_at));
       decr remaining;
       if !remaining > 0 then
-        ignore (Engine.schedule_after engine ~delay:(Simtime.us 50) send_ping));
+        Engine.schedule_after engine ~delay:(Simtime.us 50) send_ping);
   send_ping ();
   Engine.run engine ~until:Simtime.(Engine.now engine + Simtime.sec 30.0);
   rtts

@@ -72,9 +72,8 @@ let () =
           (function
             | Ok resp ->
                 fetched := resp.Http.resp_body :: !fetched;
-                ignore
-                  (Engine.schedule_after engine ~delay:(Simtime.ms 50)
-                     (fun () -> fetch (i + 1)))
+                Engine.schedule_after engine ~delay:(Simtime.ms 50)
+                  (fun () -> fetch (i + 1))
             | Error _ ->
                 (* primary is gone: switch to the standby and retry the
                    same page *)

@@ -60,13 +60,12 @@ let () =
     Host.udp_bind alice ~port:5000 (fun ~src:_ ~src_port:_ _ ->
         incr pongs_received);
     for i = 0 to 9 do
-      ignore
-        (Engine.schedule_after engine
-           ~delay:(i * Simtime.ms 5)
-           (fun () ->
-             Host.udp_send alice ~src_port:5000
-               ~dst:(Host.ip bob) ~dst_port:5001
-               (Bytes.of_string (Printf.sprintf "ping-%d" (i + 1)))))
+      Engine.schedule_after engine
+        ~delay:(i * Simtime.ms 5)
+        (fun () ->
+          Host.udp_send alice ~src_port:5000
+            ~dst:(Host.ip bob) ~dst_port:5001
+            (Bytes.of_string (Printf.sprintf "ping-%d" (i + 1))))
     done
   in
 

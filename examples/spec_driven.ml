@@ -60,12 +60,11 @@ let () =
         Host.udp_send bob ~src_port:0x1389 ~dst:src ~dst_port:src_port payload);
     Host.udp_bind alice ~port:0x1388 (fun ~src:_ ~src_port:_ _ -> ());
     for i = 0 to 11 do
-      ignore
-        (Engine.schedule_after engine
-           ~delay:(i * Simtime.ms 10)
-           (fun () ->
-             Host.udp_send alice ~src_port:0x1388 ~dst:(Host.ip bob)
-               ~dst_port:0x1389 (Bytes.create 32)))
+      Engine.schedule_after engine
+        ~delay:(i * Simtime.ms 10)
+        (fun () ->
+          Host.udp_send alice ~src_port:0x1388 ~dst:(Host.ip bob)
+            ~dst_port:0x1389 (Bytes.create 32))
     done
   in
   match Scenario.run testbed ~script ~max_duration:(Simtime.sec 10.0) ~workload with

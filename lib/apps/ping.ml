@@ -62,19 +62,17 @@ let run ?(count = 5) ?(interval = Vw_sim.Simtime.ms 10) ?(payload_size = 56)
              if !received + !unreachable = count then finish ()
          | Icmp.Echo_reply _ | Icmp.Echo_request _ -> ()));
   for seq = 1 to count do
-    ignore
-      (Vw_sim.Engine.schedule_after engine
-         ~delay:((seq - 1) * interval)
-         (fun () ->
-           if not !finished then begin
-             incr transmitted;
-             Hashtbl.replace sent_at seq (Vw_sim.Engine.now engine);
-             Host.send_icmp host ~dst
-               (Icmp.Echo_request
-                  { id; seq; payload = Bytes.create payload_size })
-           end))
+    Vw_sim.Engine.schedule_after engine
+      ~delay:((seq - 1) * interval)
+      (fun () ->
+        if not !finished then begin
+          incr transmitted;
+          Hashtbl.replace sent_at seq (Vw_sim.Engine.now engine);
+          Host.send_icmp host ~dst
+            (Icmp.Echo_request
+               { id; seq; payload = Bytes.create payload_size })
+        end)
   done;
-  ignore
-    (Vw_sim.Engine.schedule_after engine
-       ~delay:Vw_sim.Simtime.(((count - 1) * interval) + timeout)
-       finish)
+  Vw_sim.Engine.schedule_after engine
+    ~delay:Vw_sim.Simtime.(((count - 1) * interval) + timeout)
+    finish

@@ -62,12 +62,11 @@ let make kind ~bytes testbed =
           let frames = List.init n (fun j -> frame (sent + j)) in
           ignore
             (Testbed.process_batch testbed first Vw_stack.Hook.Egress frames);
-          ignore
-            (Vw_sim.Engine.schedule_after engine ~delay:(Vw_sim.Simtime.ms 1)
-               (fun () -> tick (sent + n)))
+          Vw_sim.Engine.schedule_after engine ~delay:(Vw_sim.Simtime.ms 1)
+            (fun () -> tick (sent + n))
         end
       in
-      ignore (Vw_sim.Engine.schedule_after engine ~delay:0 (fun () -> tick 0))
+      Vw_sim.Engine.schedule_after engine ~delay:0 (fun () -> tick 0)
   | Udp_ping ->
       let engine = Testbed.engine testbed in
       let a = Testbed.host first and b = Testbed.host last in
@@ -76,12 +75,11 @@ let make kind ~bytes testbed =
       Host.udp_bind a ~port:0x1388 (fun ~src:_ ~src_port:_ _ -> ());
       let count = max 1 (bytes / 64) in
       for i = 0 to count - 1 do
-        ignore
-          (Vw_sim.Engine.schedule_after engine
-             ~delay:(i * Vw_sim.Simtime.ms 5)
-             (fun () ->
-               Host.udp_send a ~src_port:0x1388 ~dst:(Host.ip b)
-                 ~dst_port:0x1389 (Bytes.create 64)))
+        Vw_sim.Engine.schedule_after engine
+          ~delay:(i * Vw_sim.Simtime.ms 5)
+          (fun () ->
+            Host.udp_send a ~src_port:0x1388 ~dst:(Host.ip b)
+              ~dst_port:0x1389 (Bytes.create 64))
       done
   | Tcp_stream ->
       ignore
@@ -124,9 +122,8 @@ let make kind ~bytes testbed =
             ~path:(Printf.sprintf "/page%d" i)
             (function
               | Ok _ ->
-                  ignore
-                    (Vw_sim.Engine.schedule_after engine
-                       ~delay:(Vw_sim.Simtime.ms 50) (fun () -> fetch (i + 1)))
+                  Vw_sim.Engine.schedule_after engine
+                    ~delay:(Vw_sim.Simtime.ms 50) (fun () -> fetch (i + 1))
               | Error _ ->
                   current := (!current + 1) mod Array.length servers;
                   fetch i)

@@ -64,9 +64,8 @@ let deploy_only ?controller testbed ~script =
           let start_at =
             Vw_sim.Simtime.(Vw_sim.Engine.now engine + Vw_sim.Simtime.ms 5)
           in
-          ignore
-            (Vw_sim.Engine.schedule_at engine ~time:start_at (fun () ->
-                 Vw_engine.Controller.start ctl));
+          Vw_sim.Engine.schedule_at engine ~time:start_at (fun () ->
+              Vw_engine.Controller.start ctl);
           Ok (ctl, tables))
 
 let run ?controller ?(max_duration = Vw_sim.Simtime.sec 60.0)
@@ -81,10 +80,9 @@ let run ?controller ?(max_duration = Vw_sim.Simtime.sec 60.0)
           outcome := Stopped;
           Vw_sim.Engine.stop engine);
       (* workload starts shortly after START has reached everyone *)
-      ignore
-        (Vw_sim.Engine.schedule_at engine
-           ~time:Vw_sim.Simtime.(t0 + Vw_sim.Simtime.ms 10)
-           (fun () -> workload testbed));
+      Vw_sim.Engine.schedule_at engine
+        ~time:Vw_sim.Simtime.(t0 + Vw_sim.Simtime.ms 10)
+        (fun () -> workload testbed);
       (* inactivity watchdog, per the scenario header *)
       (match tables.Vw_fsl.Tables.inactivity_timeout with
       | None -> ()
@@ -105,11 +103,9 @@ let run ?controller ?(max_duration = Vw_sim.Simtime.sec 60.0)
               Vw_sim.Engine.stop engine
             end
             else
-              ignore
-                (Vw_sim.Engine.schedule_after engine ~delay:check_every check)
+              Vw_sim.Engine.schedule_after engine ~delay:check_every check
           in
-          ignore
-            (Vw_sim.Engine.schedule_after engine ~delay:check_every check));
+          Vw_sim.Engine.schedule_after engine ~delay:check_every check);
       Vw_sim.Engine.run engine ~until:Vw_sim.Simtime.(t0 + max_duration);
       let errors =
         List.map

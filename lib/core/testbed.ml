@@ -81,7 +81,7 @@ let create ?(config = default_config) specs =
   let switch, bus, attach_host =
     match config.topology with
     | Star ->
-        let sw = Vw_link.Switch.create engine () in
+        let sw = Vw_link.Switch.create engine in
         ( Some sw,
           None,
           fun host ->
@@ -91,16 +91,7 @@ let create ?(config = default_config) specs =
             ignore (Vw_link.Switch.attach sw (Vw_link.Link.endpoint_b l));
             Some l )
     | Shared_bus ->
-        let bus_config =
-          {
-            Vw_link.Bus.bandwidth_bps = config.link.bandwidth_bps;
-            propagation = config.link.propagation;
-            loss_rate = config.link.loss_rate;
-            corrupt_rate = config.link.corrupt_rate;
-            max_queue = config.link.max_queue;
-          }
-        in
-        let bus = Vw_link.Bus.create engine bus_config ~n:(List.length specs) in
+        let bus = Vw_link.Bus.create engine config.link ~n:(List.length specs) in
         let next = ref 0 in
         ( None,
           Some bus,

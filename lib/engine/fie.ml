@@ -836,11 +836,10 @@ let charge_cost t point ~scanned ~actions verdict =
       else begin
         match verdict with
         | Vw_stack.Hook.Accept frame ->
-            ignore
-              (Vw_sim.Engine.schedule_after
-                 (Vw_stack.Host.engine t.hst)
-                 ~delay:cost
-                 (fun () -> reinject t point frame));
+            Vw_sim.Engine.schedule_after
+              (Vw_stack.Host.engine t.hst)
+              ~delay:cost
+              (fun () -> reinject t point frame);
             Vw_stack.Hook.Stolen
         | (Vw_stack.Hook.Drop | Vw_stack.Hook.Stolen) as v -> v
       end

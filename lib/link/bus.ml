@@ -1,11 +1,3 @@
-type config = {
-  bandwidth_bps : float;
-  propagation : Vw_sim.Simtime.t;
-  loss_rate : float;
-  corrupt_rate : float;
-  max_queue : int;
-}
-
 type frame = { data : bytes; mutable attempts : int }
 
 type endpoint = {
@@ -20,7 +12,7 @@ type endpoint = {
 
 and t = {
   engine : Vw_sim.Engine.t;
-  config : config;
+  config : Link.config;
   stats : Media_stats.t;
   prng : Vw_util.Prng.t;
   mutable endpoints : endpoint array;
@@ -28,16 +20,6 @@ and t = {
   mutable busy_until : Vw_sim.Simtime.t;
   mutable tx_start : Vw_sim.Simtime.t;
   mutable tx_owner : int;
-  mutable pending : Vw_sim.Engine.handle list;
-      (* completion event of the live transmission, cancellable on
-         collision *)
-  mutable tx_id : int;
-      (* generation counter: lets a completion detect that the channel was
-         (legitimately) re-acquired at the very instant it ended *)
-  mutable down : bool;
-  mutable debug_log : (string -> unit) option;
-      (* per-bus, not a module global: a bus belongs to one testbed, and
-         testbeds on different domains must not share hooks *)
 }
 
 let backoff_slot = 51_200 (* ns; the classic Ethernet slot time *)
@@ -55,10 +37,6 @@ let create engine config ~n =
       busy_until = Vw_sim.Simtime.zero;
       tx_start = Vw_sim.Simtime.zero;
       tx_owner = -1;
-      pending = [];
-      tx_id = 0;
-      down = false;
-      debug_log = None;
     }
   in
   let mk i =
@@ -71,15 +49,6 @@ let endpoint t i = t.endpoints.(i)
 let stats t = t.stats
 let set_receive ep fn = ep.rx <- fn
 let queue_length ep = Queue.length ep.queue
-let set_down t d = t.down <- d
-
-let tx_time t len =
-  Vw_sim.Simtime.ns
-    (int_of_float ((float_of_int (len * 8) /. t.config.bandwidth_bps *. 1e9) +. 0.5))
-
-let cancel_pending t =
-  List.iter (Vw_sim.Engine.cancel t.engine) t.pending;
-  t.pending <- []
 
 let finish_frame ep =
   ignore (Queue.pop ep.queue);
@@ -92,20 +61,8 @@ let finish_frame ep =
 let contention_delay t =
   interframe_gap + Vw_util.Prng.int t.prng 4_000
 
-let set_debug_log t f = t.debug_log <- f
-
-let log t fmt =
-  match t.debug_log with
-  | None -> Printf.ikfprintf (fun _ -> ()) () fmt
-  | Some f ->
-      Printf.ksprintf
-        (fun s -> f (Printf.sprintf "t=%d %s" (Vw_sim.Engine.now t.engine) s))
-        fmt
-
 let rec attempt ep =
   let t = ep.bus in
-  log t "attempt ep%d q=%d owner=%d busy=%d" ep.index (Queue.length ep.queue)
-    t.tx_owner t.busy_until;
   match Queue.peek_opt ep.queue with
   | None -> ep.engaged <- false
   | Some frame ->
@@ -117,30 +74,24 @@ let rec attempt ep =
              plus the interframe gap and a small randomization (sub-slot)
              that keeps two deferring stations from colliding forever. *)
           let wake = Vw_sim.Simtime.(t.busy_until + contention_delay t) in
-          log t "defer ep%d wake=%d" ep.index wake;
-          ignore
-            (Vw_sim.Engine.schedule_at t.engine ~time:wake (fun () -> attempt ep))
+          Vw_sim.Engine.schedule_at t.engine ~time:wake (fun () -> attempt ep)
         end
         else collide t ep frame
       else start_transmission ep frame
 
 and collide t ep frame =
-  log t "collide ep%d owner=%d" ep.index t.tx_owner;
   (* The in-flight transmission has not propagated to [ep] yet: both frames
-     die. The current owner aborts and backs off; so does [ep]. *)
-  cancel_pending t;
-  t.tx_id <- t.tx_id + 1;
+     die and both senders back off. The owner's frame is still the head of
+     its queue (a frame leaves it only on completion or give-up); backing
+     it off is what aborts its pending completion. *)
   let owner = t.endpoints.(t.tx_owner) in
   t.busy_until <- Vw_sim.Engine.now t.engine (* channel frees immediately *);
   t.tx_owner <- -1;
-  (match Queue.peek_opt owner.queue with
-  | Some owner_frame -> back_off owner owner_frame
-  | None -> owner.engaged <- false);
+  back_off owner (Queue.peek owner.queue);
   back_off ep frame
 
 and back_off ep frame =
   let t = ep.bus in
-  log t "back_off ep%d attempts=%d" ep.index frame.attempts;
   frame.attempts <- frame.attempts + 1;
   if frame.attempts >= max_attempts then begin
     t.stats.dropped_collision <- t.stats.dropped_collision + 1;
@@ -151,95 +102,58 @@ and back_off ep frame =
     let k = min frame.attempts 10 in
     let slots = Vw_util.Prng.int t.prng (1 lsl k) in
     let delay = Vw_sim.Simtime.ns ((slots * backoff_slot) + 1) in
-    ignore
-      (Vw_sim.Engine.schedule_after t.engine ~delay (fun () -> attempt ep))
+    Vw_sim.Engine.schedule_after t.engine ~delay (fun () -> attempt ep)
   end
 
 and start_transmission ep frame =
   let t = ep.bus in
-  log t "start ep%d len=%d" ep.index (Bytes.length frame.data);
   let now = Vw_sim.Engine.now t.engine in
-  let duration = tx_time t (Bytes.length frame.data) in
+  let duration = Link.tx_time t.config (Bytes.length frame.data) in
   t.tx_start <- now;
   t.busy_until <- Vw_sim.Simtime.(now + duration);
   t.tx_owner <- ep.index;
-  t.tx_id <- t.tx_id + 1;
-  let my_id = t.tx_id in
-  (* Note: any previous completion either already ran (channel idle) or is
-     queued to run at this very instant; it must NOT be cancelled here —
-     its frame did finish on the wire. Only collisions cancel. *)
-  let complete =
-    Vw_sim.Engine.schedule_at t.engine ~time:t.busy_until (fun () ->
+  (* A collision backs [frame] off, which bumps [attempts]: the completion
+     then finds a different count and does nothing. Any earlier completion
+     still queued for this instant is not aborted — its frame did finish on
+     the wire. *)
+  let attempts = frame.attempts in
+  Vw_sim.Engine.schedule_at t.engine ~time:t.busy_until (fun () ->
+      if frame.attempts = attempts then begin
         (* release the channel only if it was not legitimately re-acquired
            at the instant this transmission ended *)
-        if t.tx_id = my_id then begin
-          t.tx_owner <- -1;
-          t.pending <- []
-        end;
+        if t.tx_owner = ep.index then t.tx_owner <- -1;
         finish_frame ep;
         deliver t ep frame.data;
         if not (Queue.is_empty ep.queue) then begin
           ep.engaged <- true;
-          ignore
-            (Vw_sim.Engine.schedule_after t.engine
-               ~delay:(contention_delay t) (fun () -> attempt ep))
-        end)
-  in
-  t.pending <- [ complete ]
+          Vw_sim.Engine.schedule_after t.engine ~delay:(contention_delay t)
+            (fun () -> attempt ep)
+        end
+      end)
 
 and deliver t sender data =
-  if not t.down then begin
-    let arrival =
-      Vw_sim.Simtime.(Vw_sim.Engine.now t.engine + t.config.propagation)
-    in
-    Array.iter
-      (fun dst ->
-        if dst.index <> sender.index then
-          if Vw_util.Prng.bool t.prng t.config.loss_rate then
-            t.stats.dropped_loss <- t.stats.dropped_loss + 1
-          else begin
-            let data =
-              if
-                Bytes.length data > 0
-                && Vw_util.Prng.bool t.prng t.config.corrupt_rate
-              then begin
-                t.stats.corrupted <- t.stats.corrupted + 1;
-                let copy = Bytes.copy data in
-                let pos = Vw_util.Prng.int t.prng (Bytes.length copy) in
-                Bytes.set copy pos
-                  (Char.chr
-                     (Char.code (Bytes.get copy pos)
-                     lxor (1 + Vw_util.Prng.int t.prng 255)));
-                copy
-              end
-              else data
-            in
-            t.stats.delivered <- t.stats.delivered + 1;
-            ignore
-              (Vw_sim.Engine.schedule_at t.engine ~time:arrival (fun () ->
-                   dst.rx data))
-          end)
-      t.endpoints
-  end
+  let arrival =
+    Vw_sim.Simtime.(Vw_sim.Engine.now t.engine + t.config.propagation)
+  in
+  Array.iter
+    (fun dst ->
+      if
+        dst.index <> sender.index
+        && not (Link.lost t.config t.prng t.stats)
+      then begin
+        let data = Link.corrupt t.config t.prng t.stats data in
+        t.stats.delivered <- t.stats.delivered + 1;
+        Vw_sim.Engine.schedule_at t.engine ~time:arrival (fun () ->
+            dst.rx data)
+      end)
+    t.endpoints
 
 let send ep data =
   let t = ep.bus in
   t.stats.sent <- t.stats.sent + 1;
-  if t.down then ()
-  else if Queue.length ep.queue >= t.config.max_queue then
+  if Queue.length ep.queue >= t.config.max_queue then
     t.stats.dropped_queue <- t.stats.dropped_queue + 1
   else begin
     Queue.add { data; attempts = 0 } ep.queue;
     if not ep.engaged then attempt ep
   end
-
-let debug_state t =
-  Printf.sprintf "busy_until=%d tx_start=%d owner=%d pending=%d eps=[%s]"
-    t.busy_until t.tx_start t.tx_owner (List.length t.pending)
-    (String.concat ";"
-       (Array.to_list
-          (Array.map
-             (fun ep ->
-               Printf.sprintf "q=%d engaged=%b" (Queue.length ep.queue)
-                 ep.engaged)
-             t.endpoints)))

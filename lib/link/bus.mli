@@ -1,38 +1,23 @@
 (** A shared half-duplex medium with simplified CSMA/CD.
 
-    [n] endpoints share one channel (an Ethernet hub / coax segment; also
-    the two ends of a half-duplex link). A sender that senses the carrier
-    defers to the end of the ongoing transmission plus a small random
-    jitter. A sender that starts before the ongoing transmission's signal
-    has propagated to it collides with it: both frames die and both senders
-    back off exponentially (slot 51.2 µs, attempt capped at 16). Delivered
-    frames reach {e every other} endpoint, as on a real shared segment. *)
-
-type config = {
-  bandwidth_bps : float;
-  propagation : Vw_sim.Simtime.t;
-  loss_rate : float;
-  corrupt_rate : float;
-  max_queue : int;
-}
+    [n] endpoints share one channel (an Ethernet hub / coax segment). A
+    sender that senses the carrier defers to the end of the ongoing
+    transmission plus a small random jitter. A sender that starts before
+    the ongoing transmission's signal has propagated to it collides with
+    it: both frames die and both senders back off exponentially (slot
+    51.2 µs, attempt capped at 16). The collided transmission's completion
+    event stays queued but finds its frame's attempt count changed and does
+    nothing. Delivered frames reach {e every other} endpoint, as on a real
+    shared segment, each drawing {!Link}'s loss and corruption. *)
 
 type t
 type endpoint
 
-val create : Vw_sim.Engine.t -> config -> n:int -> t
+val create : Vw_sim.Engine.t -> Link.config -> n:int -> t
 val endpoint : t -> int -> endpoint
 val stats : t -> Media_stats.t
 val send : endpoint -> bytes -> unit
 val set_receive : endpoint -> (bytes -> unit) -> unit
+
 val queue_length : endpoint -> int
-val set_down : t -> bool -> unit
-
-(**/**)
-
-val debug_state : t -> string
-(** Internal state dump for debugging; not part of the stable API. *)
-
-val set_debug_log : t -> (string -> unit) option -> unit
-(** Event-trace hook for debugging; not part of the stable API. Per-bus
-    state (never a module global) so testbeds running on different domains
-    cannot race on it. *)
+(** Frames queued at this endpoint, including one in flight. *)

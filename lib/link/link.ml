@@ -3,7 +3,6 @@ type config = {
   propagation : Vw_sim.Simtime.t;
   loss_rate : float;
   corrupt_rate : float;
-  half_duplex : bool;
   max_queue : int;
 }
 
@@ -13,139 +12,92 @@ let default_config =
     propagation = Vw_sim.Simtime.us 5;
     loss_rate = 0.0;
     corrupt_rate = 0.0;
-    half_duplex = false;
     max_queue = 64;
   }
 
-(* Full-duplex direction: a FIFO of frames serialized back to back. *)
+let tx_time config len =
+  Vw_sim.Simtime.ns
+    (int_of_float ((float_of_int (len * 8) /. config.bandwidth_bps *. 1e9) +. 0.5))
+
+let lost config prng (stats : Media_stats.t) =
+  let lost = Vw_util.Prng.bool prng config.loss_rate in
+  if lost then stats.dropped_loss <- stats.dropped_loss + 1;
+  lost
+
+let corrupt config prng (stats : Media_stats.t) data =
+  if Bytes.length data > 0 && Vw_util.Prng.bool prng config.corrupt_rate then begin
+    stats.corrupted <- stats.corrupted + 1;
+    let copy = Bytes.copy data in
+    let pos = Vw_util.Prng.int prng (Bytes.length copy) in
+    Bytes.set copy pos
+      (Char.chr
+         (Char.code (Bytes.get copy pos) lxor (1 + Vw_util.Prng.int prng 255)));
+    copy
+  end
+  else data
+
+(* One direction: a FIFO of frames serialized back to back. *)
 type direction = {
   queue : bytes Queue.t;
   mutable busy : bool;
   mutable rx : bytes -> unit; (* receiver at the far end *)
 }
 
-type impl =
-  | Full_duplex of direction array (* index = sending endpoint *)
-  | Half_duplex of Bus.t
-
 type t = {
   engine : Vw_sim.Engine.t;
   config : config;
-  impl : impl;
-  fd_stats : Media_stats.t; (* used only in full-duplex mode *)
+  dirs : direction array; (* index = sending endpoint *)
+  stats : Media_stats.t;
   prng : Vw_util.Prng.t;
-  mutable down : bool;
 }
 
 type endpoint = { link : t; index : int }
 
 let create engine config =
-  let impl =
-    if config.half_duplex then
-      Half_duplex
-        (Bus.create engine
-           {
-             Bus.bandwidth_bps = config.bandwidth_bps;
-             propagation = config.propagation;
-             loss_rate = config.loss_rate;
-             corrupt_rate = config.corrupt_rate;
-             max_queue = config.max_queue;
-           }
-           ~n:2)
-    else
-      Full_duplex
-        (Array.init 2 (fun _ ->
-             { queue = Queue.create (); busy = false; rx = ignore }))
-  in
   {
     engine;
     config;
-    impl;
-    fd_stats = Media_stats.create ();
+    dirs =
+      Array.init 2 (fun _ ->
+          { queue = Queue.create (); busy = false; rx = ignore });
+    stats = Media_stats.create ();
     prng = Vw_sim.Engine.prng engine;
-    down = false;
   }
 
 let endpoint_a t = { link = t; index = 0 }
 let endpoint_b t = { link = t; index = 1 }
-
-let stats t =
-  match t.impl with Full_duplex _ -> t.fd_stats | Half_duplex bus -> Bus.stats bus
-
-let config t = t.config
-
-let set_down t d =
-  t.down <- d;
-  match t.impl with Half_duplex bus -> Bus.set_down bus d | Full_duplex _ -> ()
-
-let tx_time t len =
-  Vw_sim.Simtime.ns
-    (int_of_float ((float_of_int (len * 8) /. t.config.bandwidth_bps *. 1e9) +. 0.5))
+let stats t = t.stats
 
 let rec pump_direction t dir =
   match Queue.peek_opt dir.queue with
   | None -> dir.busy <- false
   | Some data ->
       dir.busy <- true;
-      let duration = tx_time t (Bytes.length data) in
-      ignore
-        (Vw_sim.Engine.schedule_after t.engine ~delay:duration (fun () ->
-             ignore (Queue.pop dir.queue);
-             transmit_done t dir data;
-             pump_direction t dir))
+      let duration = tx_time t.config (Bytes.length data) in
+      Vw_sim.Engine.schedule_after t.engine ~delay:duration (fun () ->
+          ignore (Queue.pop dir.queue);
+          transmit_done t dir data;
+          pump_direction t dir)
 
 and transmit_done t dir data =
-  if not t.down then
-    if Vw_util.Prng.bool t.prng t.config.loss_rate then
-      t.fd_stats.dropped_loss <- t.fd_stats.dropped_loss + 1
-    else begin
-      let data =
-        if Bytes.length data > 0 && Vw_util.Prng.bool t.prng t.config.corrupt_rate
-        then begin
-          t.fd_stats.corrupted <- t.fd_stats.corrupted + 1;
-          let copy = Bytes.copy data in
-          let pos = Vw_util.Prng.int t.prng (Bytes.length copy) in
-          Bytes.set copy pos
-            (Char.chr
-               (Char.code (Bytes.get copy pos) lxor (1 + Vw_util.Prng.int t.prng 255)));
-          copy
-        end
-        else data
-      in
-      t.fd_stats.delivered <- t.fd_stats.delivered + 1;
-      ignore
-        (Vw_sim.Engine.schedule_after t.engine ~delay:t.config.propagation
-           (fun () -> dir.rx data))
-    end
+  if not (lost t.config t.prng t.stats) then begin
+    let data = corrupt t.config t.prng t.stats data in
+    t.stats.delivered <- t.stats.delivered + 1;
+    Vw_sim.Engine.schedule_after t.engine ~delay:t.config.propagation
+      (fun () -> dir.rx data)
+  end
 
 let send ep data =
   let t = ep.link in
-  match t.impl with
-  | Half_duplex bus -> Bus.send (Bus.endpoint bus ep.index) data
-  | Full_duplex dirs ->
-      t.fd_stats.sent <- t.fd_stats.sent + 1;
-      if t.down then ()
-      else begin
-        let dir = dirs.(ep.index) in
-        if Queue.length dir.queue >= t.config.max_queue then
-          t.fd_stats.dropped_queue <- t.fd_stats.dropped_queue + 1
-        else begin
-          Queue.add data dir.queue;
-          if not dir.busy then pump_direction t dir
-        end
-      end
+  t.stats.sent <- t.stats.sent + 1;
+  let dir = t.dirs.(ep.index) in
+  if Queue.length dir.queue >= t.config.max_queue then
+    t.stats.dropped_queue <- t.stats.dropped_queue + 1
+  else begin
+    Queue.add data dir.queue;
+    if not dir.busy then pump_direction t dir
+  end
 
-let set_receive ep fn =
-  let t = ep.link in
-  match t.impl with
-  | Half_duplex bus -> Bus.set_receive (Bus.endpoint bus ep.index) fn
-  | Full_duplex dirs ->
-      (* Frames sent by the peer arrive here: install on the peer's
-         sending direction. *)
-      dirs.(1 - ep.index).rx <- fn
-
-let queue_length ep =
-  let t = ep.link in
-  match t.impl with
-  | Half_duplex bus -> Bus.queue_length (Bus.endpoint bus ep.index)
-  | Full_duplex dirs -> Queue.length dirs.(ep.index).queue
+(* Frames sent by the peer arrive here: install on the peer's sending
+   direction. *)
+let set_receive ep fn = ep.link.dirs.(1 - ep.index).rx <- fn

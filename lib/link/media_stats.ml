@@ -16,10 +16,3 @@ let create () =
     dropped_collision = 0;
     corrupted = 0;
   }
-
-let total_dropped t = t.dropped_loss + t.dropped_queue + t.dropped_collision
-
-let pp ppf t =
-  Format.fprintf ppf
-    "sent=%d delivered=%d loss=%d queue=%d collision=%d corrupted=%d" t.sent
-    t.delivered t.dropped_loss t.dropped_queue t.dropped_collision t.corrupted

@@ -5,10 +5,10 @@ type t = {
   mutable delivered : int;
   mutable dropped_loss : int;  (** random loss (models MAC bit errors) *)
   mutable dropped_queue : int;  (** transmit-queue overflow (tail drop) *)
-  mutable dropped_collision : int;  (** half-duplex collisions / backoff giveups *)
+  mutable dropped_collision : int;
+      (** bus frames abandoned after 16 collided attempts; a collision the
+          frame survives by backing off is not counted *)
   mutable corrupted : int;  (** delivered but with a flipped byte *)
 }
 
 val create : unit -> t
-val total_dropped : t -> int
-val pp : Format.formatter -> t -> unit

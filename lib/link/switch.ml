@@ -6,25 +6,24 @@ type stats = {
 
 type t = {
   engine : Vw_sim.Engine.t;
-  processing_delay : Vw_sim.Simtime.t;
   mutable ports : Link.endpoint array;
   table : (Vw_net.Mac.t, int) Hashtbl.t;
   stats : stats;
 }
 
-let create ?(processing_delay = Vw_sim.Simtime.us 2) engine () =
+let processing_delay = Vw_sim.Simtime.us 2
+
+let create engine =
   {
     engine;
-    processing_delay;
     ports = [||];
     table = Hashtbl.create 16;
     stats = { forwarded = 0; flooded = 0; filtered = 0 };
   }
 
 let emit t port_idx data =
-  ignore
-    (Vw_sim.Engine.schedule_after t.engine ~delay:t.processing_delay (fun () ->
-         Link.send t.ports.(port_idx) data))
+  Vw_sim.Engine.schedule_after t.engine ~delay:processing_delay (fun () ->
+      Link.send t.ports.(port_idx) data)
 
 let flood t ~ingress data =
   t.stats.flooded <- t.stats.flooded + 1;
@@ -52,5 +51,3 @@ let attach t endpoint =
   port
 
 let stats t = t.stats
-let learned_ports t = Hashtbl.fold (fun mac port acc -> (mac, port) :: acc) t.table []
-let port_count t = Array.length t.ports

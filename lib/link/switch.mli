@@ -4,7 +4,7 @@
     one endpoint of each. It learns source MACs per port, forwards known
     unicast destinations out the learned port, and floods unknown/broadcast
     destinations. Egress serialization and queueing are modeled by the
-    egress link itself; the switch only adds a small processing delay.
+    egress link itself; the switch only adds a 2 µs processing delay.
 
     The paper's testbed is "2 Pentium-4 hosts connected using a 100 Mbps
     switch"; this module plus two links reproduces that topology. *)
@@ -17,14 +17,10 @@ type stats = {
   mutable filtered : int;  (** destination learned on the ingress port *)
 }
 
-val create :
-  ?processing_delay:Vw_sim.Simtime.t -> Vw_sim.Engine.t -> unit -> t
-(** [processing_delay] defaults to 2 µs. *)
+val create : Vw_sim.Engine.t -> t
 
 val attach : t -> Link.endpoint -> int
 (** Hands a link endpoint to the switch; returns the port number. The switch
     installs its own receive callback on the endpoint. *)
 
 val stats : t -> stats
-val learned_ports : t -> (Vw_net.Mac.t * int) list
-val port_count : t -> int

@@ -1,5 +1,3 @@
-type handle = Event_queue.handle
-
 type t = {
   queue : (unit -> unit) Event_queue.t;
   mutable clock : Simtime.t;
@@ -26,8 +24,6 @@ let schedule_after t ~delay fn =
   let delay = max 0 delay in
   schedule_at t ~time:Simtime.(t.clock + delay) fn
 
-let cancel t handle = Event_queue.cancel t.queue handle
-
 let step t =
   match Event_queue.pop t.queue with
   | None -> false
@@ -36,31 +32,19 @@ let step t =
       fn ();
       true
 
-let run ?until ?max_events t =
+let run ?until t =
   t.stop_requested <- false;
-  let executed = ref 0 in
-  let budget_left () =
-    match max_events with None -> true | Some m -> !executed < m
+  let rec loop () =
+    if not t.stop_requested then
+      match (Event_queue.peek_time t.queue, until) with
+      | None, Some u -> t.clock <- max t.clock u
+      | None, None -> ()
+      | Some time, Some u when time > u -> t.clock <- max t.clock u
+      | Some _, _ ->
+          ignore (step t);
+          loop ()
   in
-  let continue = ref true in
-  while !continue do
-    if t.stop_requested || not (budget_left ()) then continue := false
-    else
-      match Event_queue.peek_time t.queue with
-      | None -> continue := false
-      | Some time -> (
-          match until with
-          | Some u when time > u ->
-              t.clock <- max t.clock u;
-              continue := false
-          | _ ->
-              ignore (step t);
-              incr executed)
-  done;
-  match until with
-  | Some u when Event_queue.is_empty t.queue && not t.stop_requested ->
-      t.clock <- max t.clock u
-  | _ -> ()
+  loop ()
 
 let pending t = Event_queue.length t.queue
 let stop t = t.stop_requested <- true

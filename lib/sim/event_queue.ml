@@ -1,25 +1,15 @@
-(* Binary min-heap ordered by (time, sequence number). Cancellation marks the
-   entry dead; dead entries are skipped lazily at pop time. *)
+(* Binary min-heap ordered by (time, sequence number). *)
 
-type 'a entry = {
-  time : Simtime.t;
-  seq : int;
-  payload : 'a;
-  mutable live : bool;
-}
-
-type handle = H : 'a entry -> handle
+type 'a entry = { time : Simtime.t; seq : int; payload : 'a }
 
 type 'a t = {
   mutable heap : 'a entry array;
   mutable size : int;
   mutable next_seq : int;
-  mutable live_count : int;
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0; live_count = 0 }
-let is_empty t = t.live_count = 0
-let length t = t.live_count
+let create () = { heap = [||]; size = 0; next_seq = 0 }
+let length t = t.size
 
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
@@ -56,28 +46,15 @@ let rec sift_down t i =
   end
 
 let push t ~time payload =
-  let entry = { time; seq = t.next_seq; payload; live = true } in
+  let entry = { time; seq = t.next_seq; payload } in
   t.next_seq <- t.next_seq + 1;
   if t.size = Array.length t.heap then
     if t.size = 0 then t.heap <- Array.make 16 entry else grow t;
   t.heap.(t.size) <- entry;
   t.size <- t.size + 1;
-  t.live_count <- t.live_count + 1;
-  sift_up t (t.size - 1);
-  H entry
+  sift_up t (t.size - 1)
 
-let cancel t (H entry) =
-  (* The handle's entry may belong to another queue of the same payload
-     type; [live] is per-entry so this is still safe — cancellation only
-     marks, removal happens where the entry is stored. *)
-  if entry.live then begin
-    entry.live <- false;
-    (* The live count belongs to the queue holding the entry; since handles
-       are only meaningful for the queue that created them, decrement here. *)
-    t.live_count <- t.live_count - 1
-  end
-
-let rec pop t =
+let pop t =
   if t.size = 0 then None
   else begin
     let top = t.heap.(0) in
@@ -86,23 +63,7 @@ let rec pop t =
       t.heap.(0) <- t.heap.(t.size);
       sift_down t 0
     end;
-    if top.live then begin
-      top.live <- false;
-      t.live_count <- t.live_count - 1;
-      Some (top.time, top.payload)
-    end
-    else pop t
+    Some (top.time, top.payload)
   end
 
-let rec peek_time t =
-  if t.size = 0 then None
-  else if t.heap.(0).live then Some t.heap.(0).time
-  else begin
-    (* Drop the dead top and retry. *)
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      sift_down t 0
-    end;
-    peek_time t
-  end
+let peek_time t = if t.size = 0 then None else Some t.heap.(0).time

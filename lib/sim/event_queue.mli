@@ -3,23 +3,16 @@
     Events scheduled for the same instant fire in insertion order, which
     keeps simulations deterministic — the engine's cascade (packet arrival →
     counter update → control message) frequently schedules several events at
-    the same nanosecond. *)
+    the same nanosecond. There is no cancellation: a caller that may need to
+    abandon an event makes its payload check its own state when it runs. *)
 
 type 'a t
 
-type handle
-(** Identifies a scheduled event for cancellation. *)
-
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
 val length : 'a t -> int
-(** Number of live (non-cancelled) events. *)
-
-val push : 'a t -> time:Simtime.t -> 'a -> handle
-val cancel : 'a t -> handle -> unit
-(** Cancelling an already-fired or already-cancelled event is a no-op. *)
+val push : 'a t -> time:Simtime.t -> 'a -> unit
 
 val pop : 'a t -> (Simtime.t * 'a) option
-(** Removes and returns the earliest live event. *)
+(** Removes and returns the earliest event. *)
 
 val peek_time : 'a t -> Simtime.t option

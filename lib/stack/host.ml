@@ -272,9 +272,8 @@ let set_timer t ?(granularity = `Jiffy) ~delay fn =
         let j = Vw_sim.Simtime.jiffy in
         (expiry + j - 1) / j * j
   in
-  ignore
-    (Vw_sim.Engine.schedule_at t.engine ~time:expiry (fun () ->
-         if (not timer.cancelled) && not t.failed then fn ()));
+  Vw_sim.Engine.schedule_at t.engine ~time:expiry (fun () ->
+      if (not timer.cancelled) && not t.failed then fn ());
   timer
 
 let cancel_timer _t timer = timer.cancelled <- true

@@ -281,12 +281,11 @@ let ping_pong_workload ?(count = 10) ?(interval = Simtime.ms 5) () ~pongs ~pings
       Host.udp_send bob ~src_port:5001 ~dst:src ~dst_port:src_port payload);
   Host.udp_bind alice ~port:5000 (fun ~src:_ ~src_port:_ _ -> incr pongs);
   for i = 0 to count - 1 do
-    ignore
-      (Engine.schedule_after engine
-         ~delay:(i * interval)
-         (fun () ->
-           Host.udp_send alice ~src_port:5000 ~dst:bob_ip ~dst_port:5001
-             (Bytes.make 32 'p')))
+    Engine.schedule_after engine
+      ~delay:(i * interval)
+      (fun () ->
+        Host.udp_send alice ~src_port:5000 ~dst:bob_ip ~dst_port:5001
+          (Bytes.make 32 'p'))
   done
 
 let script ~header ~rules =
@@ -448,10 +447,9 @@ PING_CNT: (udp_ping, alice, bob, RECV)
            arrive AFTER the second *)
         Host.udp_send alice ~src_port:5000 ~dst:bob_ip ~dst_port:5001
           (Bytes.make 8 '1');
-        ignore
-          (Engine.schedule_after engine ~delay:(Simtime.ms 1) (fun () ->
-               Host.udp_send alice ~src_port:5000 ~dst:bob_ip ~dst_port:5001
-                 (Bytes.make 8 '2'))))
+        Engine.schedule_after engine ~delay:(Simtime.ms 1) (fun () ->
+            Host.udp_send alice ~src_port:5000 ~dst:bob_ip ~dst_port:5001
+              (Bytes.make 8 '2')))
   in
   (match result with Error e -> Alcotest.fail e | Ok _ -> ());
   match List.rev !arrival_times with
@@ -537,13 +535,12 @@ PING_R: (udp_ping, alice, bob, RECV)
             arrivals := Bytes.to_string payload :: !arrivals);
         List.iteri
           (fun i tag ->
-            ignore
-              (Engine.schedule_after engine
-                 ~delay:(i * Simtime.ms 2)
-                 (fun () ->
-                   Host.udp_send alice ~src_port:5000 ~dst:bob_ip
-                     ~dst_port:5001
-                     (Bytes.of_string tag))))
+            Engine.schedule_after engine
+              ~delay:(i * Simtime.ms 2)
+              (fun () ->
+                Host.udp_send alice ~src_port:5000 ~dst:bob_ip
+                  ~dst_port:5001
+                  (Bytes.of_string tag)))
           [ "one"; "two"; "three" ])
   in
   (match result with Error e -> Alcotest.fail e | Ok _ -> ());
@@ -598,12 +595,11 @@ PING_R: (udp_ping, alice, bob, RECV)
       arrivals := Bytes.to_string payload :: !arrivals);
   List.iteri
     (fun i tag ->
-      ignore
-        (Engine.schedule_after engine
-           ~delay:(i * Simtime.ms 2)
-           (fun () ->
-             Host.udp_send alice ~src_port:5000 ~dst:bob_ip ~dst_port:5001
-               (Bytes.of_string tag))))
+      Engine.schedule_after engine
+        ~delay:(i * Simtime.ms 2)
+        (fun () ->
+          Host.udp_send alice ~src_port:5000 ~dst:bob_ip ~dst_port:5001
+            (Bytes.of_string tag)))
     [ "one"; "two"; "three" ];
   Testbed.run testbed ~until:(Simtime.ms 100) ();
   check (Alcotest.list Alcotest.string)
@@ -993,12 +989,11 @@ let run_capture ?(count = 10) ?(max_duration = Simtime.sec 2.0) src =
         Host.udp_bind bob ~port:5001 (fun ~src:_ ~src_port:_ payload ->
             payloads := Bytes.to_string payload :: !payloads);
         for i = 0 to count - 1 do
-          ignore
-            (Engine.schedule_after engine
-               ~delay:(i * Simtime.ms 5)
-               (fun () ->
-                 Host.udp_send alice ~src_port:5000 ~dst:bob_ip ~dst_port:5001
-                   (Bytes.make 32 'p')))
+          Engine.schedule_after engine
+            ~delay:(i * Simtime.ms 5)
+            (fun () ->
+              Host.udp_send alice ~src_port:5000 ~dst:bob_ip ~dst_port:5001
+                (Bytes.make 32 'p'))
         done)
   in
   match result with
@@ -1052,12 +1047,11 @@ PING_R: (udp_ping, alice, bob, RECV)
       arrivals := Bytes.to_string payload :: !arrivals);
   List.iteri
     (fun i tag ->
-      ignore
-        (Engine.schedule_after engine
-           ~delay:(i * Simtime.ms 2)
-           (fun () ->
-             Host.udp_send alice ~src_port:5000 ~dst:bob_ip ~dst_port:5001
-               (Bytes.of_string tag))))
+      Engine.schedule_after engine
+        ~delay:(i * Simtime.ms 2)
+        (fun () ->
+          Host.udp_send alice ~src_port:5000 ~dst:bob_ip ~dst_port:5001
+            (Bytes.of_string tag)))
     [ "one"; "two"; "three" ];
   Testbed.run testbed ~until:(Simtime.ms 100) ();
   check (Alcotest.list Alcotest.string)
@@ -1217,13 +1211,12 @@ PING_R: (udp_ping, alice, bob, RECV)
             arrivals := Bytes.to_string payload :: !arrivals);
         List.iteri
           (fun i tag ->
-            ignore
-              (Engine.schedule_after engine
-                 ~delay:(i * Simtime.ms 5)
-                 (fun () ->
-                   Host.udp_send alice ~src_port:5000 ~dst:bob_ip
-                     ~dst_port:5001
-                     (Bytes.of_string tag))))
+            Engine.schedule_after engine
+              ~delay:(i * Simtime.ms 5)
+              (fun () ->
+                Host.udp_send alice ~src_port:5000 ~dst:bob_ip
+                  ~dst_port:5001
+                  (Bytes.of_string tag)))
           [ "one"; "two"; "three"; "four"; "five" ])
   in
   let r = match result with Error e -> Alcotest.fail e | Ok r -> r in

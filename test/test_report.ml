@@ -34,12 +34,11 @@ let udp_ping_workload ~pings tb =
       Host.udp_send b ~src_port:0x1389 ~dst:src ~dst_port:src_port payload);
   Host.udp_bind a ~port:0x1388 (fun ~src:_ ~src_port:_ _ -> ());
   for i = 0 to pings - 1 do
-    ignore
-      (Vw_sim.Engine.schedule_after engine
-         ~delay:(i * Simtime.ms 5)
-         (fun () ->
-           Host.udp_send a ~src_port:0x1388 ~dst:(Host.ip b) ~dst_port:0x1389
-             (Bytes.create 64)))
+    Vw_sim.Engine.schedule_after engine
+      ~delay:(i * Simtime.ms 5)
+      (fun () ->
+        Host.udp_send a ~src_port:0x1388 ~dst:(Host.ip b) ~dst_port:0x1389
+          (Bytes.create 64))
   done
 
 let run_observed ?(script = Vw_scripts.udp_drop_dup) ?(pings = 10) () =

@@ -21,7 +21,7 @@ type ring_world = {
 (* N hosts on one switch, Rether on each. *)
 let ring_world ?(n = 4) ?(gate_traffic = false) ?config () =
   let engine = Engine.create () in
-  let switch = Vw_link.Switch.create engine () in
+  let switch = Vw_link.Switch.create engine in
   let hosts =
     Array.init n (fun i ->
         let h =
@@ -97,15 +97,14 @@ let test_single_token_invariant () =
   let violations = ref 0 in
   let rec sample k =
     if k > 0 then
-      ignore
-        (Engine.schedule_after w.engine ~delay:(Simtime.us 500) (fun () ->
-             let holders =
-               Array.fold_left
-                 (fun acc n -> if Rether.holds_token n then acc + 1 else acc)
-                 0 w.nodes
-             in
-             if holders > 1 then incr violations;
-             sample (k - 1)))
+      Engine.schedule_after w.engine ~delay:(Simtime.us 500) (fun () ->
+          let holders =
+            Array.fold_left
+              (fun acc n -> if Rether.holds_token n then acc + 1 else acc)
+              0 w.nodes
+          in
+          if holders > 1 then incr violations;
+          sample (k - 1))
   in
   sample 100;
   Engine.run w.engine ~until:(Simtime.ms 100);
@@ -115,9 +114,8 @@ let test_failure_detection_and_recovery () =
   let w = ring_world () in
   Rether.start w.nodes.(0);
   (* let it circulate, then crash node3 *)
-  ignore
-    (Engine.schedule_at w.engine ~time:(Simtime.ms 50) (fun () ->
-         Host.fail w.hosts.(2)));
+  Engine.schedule_at w.engine ~time:(Simtime.ms 50) (fun () ->
+      Host.fail w.hosts.(2));
   Engine.run w.engine ~until:(Simtime.ms 300);
   (* node2 should have evicted node3 after exactly 3 transmissions *)
   let node2 = w.nodes.(1) in
@@ -143,15 +141,14 @@ let test_watchdog_regenerates_after_holder_crash () =
   let w = ring_world () in
   Rether.start w.nodes.(0);
   (* crash the current holder mid-hold: the token dies with it *)
-  ignore
-    (Engine.schedule_at w.engine ~time:(Simtime.ms 20) (fun () ->
-         let holder = ref None in
-         Array.iteri
-           (fun i n -> if Rether.holds_token n then holder := Some i)
-           w.nodes;
-         match !holder with
-         | Some i -> Host.fail w.hosts.(i)
-         | None -> (* token in flight; crash node1 anyway *) Host.fail w.hosts.(0)));
+  Engine.schedule_at w.engine ~time:(Simtime.ms 20) (fun () ->
+      let holder = ref None in
+      Array.iteri
+        (fun i n -> if Rether.holds_token n then holder := Some i)
+        w.nodes;
+      match !holder with
+      | Some i -> Host.fail w.hosts.(i)
+      | None -> (* token in flight; crash node1 anyway *) Host.fail w.hosts.(0));
   Engine.run w.engine ~until:(Simtime.sec 3.0);
   let regen =
     Array.fold_left
@@ -198,9 +195,8 @@ let test_gated_tcp_works () =
 let test_rejoin_after_eviction () =
   let w = ring_world () in
   Rether.start w.nodes.(0);
-  ignore
-    (Engine.schedule_at w.engine ~time:(Simtime.ms 50) (fun () ->
-         Host.fail w.hosts.(2)));
+  Engine.schedule_at w.engine ~time:(Simtime.ms 50) (fun () ->
+      Host.fail w.hosts.(2));
   Engine.run w.engine ~until:(Simtime.ms 300);
   check Alcotest.int "evicted" 3 (List.length (Rether.ring_view w.nodes.(0)));
   (* revive and rejoin *)
@@ -229,7 +225,7 @@ let is_rt_frame (frame : Vw_net.Eth.t) =
 
 let rt_world ?(reservation = 0) () =
   let engine = Engine.create () in
-  let switch = Vw_link.Switch.create engine () in
+  let switch = Vw_link.Switch.create engine in
   let hosts =
     Array.init 3 (fun i ->
         let h =

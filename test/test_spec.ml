@@ -85,12 +85,11 @@ let run_generated spec ~pings =
         Host.udp_send bob ~src_port:5001 ~dst:src ~dst_port:src_port payload);
     Host.udp_bind alice ~port:5000 (fun ~src:_ ~src_port:_ _ -> incr pong_count);
     for i = 0 to pings - 1 do
-      ignore
-        (Engine.schedule_after engine
-           ~delay:(i * Simtime.ms 5)
-           (fun () ->
-             Host.udp_send alice ~src_port:5000 ~dst:(Host.ip bob)
-               ~dst_port:5001 (Bytes.create 32)))
+      Engine.schedule_after engine
+        ~delay:(i * Simtime.ms 5)
+        (fun () ->
+          Host.udp_send alice ~src_port:5000 ~dst:(Host.ip bob)
+            ~dst_port:5001 (Bytes.create 32))
     done
   in
   match Scenario.run testbed ~script ~max_duration:(Simtime.sec 5.0) ~workload with

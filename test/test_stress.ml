@@ -147,10 +147,8 @@ let prop_bus_never_wedges =
       let bus =
         Vw_link.Bus.create engine
           {
-            Vw_link.Bus.bandwidth_bps = 100e6;
+            Vw_link.Link.default_config with
             propagation = Simtime.ns 500;
-            loss_rate = 0.0;
-            corrupt_rate = 0.0;
             max_queue = 1024;
           }
           ~n:stations
@@ -162,12 +160,11 @@ let prop_bus_never_wedges =
       done;
       for i = 0 to stations - 1 do
         for k = 0 to frames - 1 do
-          ignore
-            (Engine.schedule_at engine
-               ~time:(Simtime.us ((k * gap_us) + (i * 7)))
-               (fun () ->
-                 Vw_link.Bus.send (Vw_link.Bus.endpoint bus i)
-                   (Bytes.create size)))
+          Engine.schedule_at engine
+            ~time:(Simtime.us ((k * gap_us) + (i * 7)))
+            (fun () ->
+              Vw_link.Bus.send (Vw_link.Bus.endpoint bus i)
+                (Bytes.create size))
         done
       done;
       Engine.run engine ~until:(Simtime.sec 30.0);

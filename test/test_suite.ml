@@ -25,12 +25,11 @@ let send_pings n testbed =
   let b = Testbed.host (Testbed.node testbed "node2") in
   Host.udp_bind b ~port:0x1389 (fun ~src:_ ~src_port:_ _ -> ());
   for i = 0 to n - 1 do
-    ignore
-      (Engine.schedule_after engine
-         ~delay:(i * Simtime.ms 2)
-         (fun () ->
-           Host.udp_send a ~src_port:0x1388 ~dst:(Host.ip b) ~dst_port:0x1389
-             (Bytes.create 16)))
+    Engine.schedule_after engine
+      ~delay:(i * Simtime.ms 2)
+      (fun () ->
+        Host.udp_send a ~src_port:0x1388 ~dst:(Host.ip b) ~dst_port:0x1389
+          (Bytes.create 16))
   done
 
 let stop_at_5 =
