@@ -70,7 +70,7 @@ let run ?(count = 5) ?(interval = Vw_sim.Simtime.ms 10) ?(payload_size = 56)
           Hashtbl.replace sent_at seq (Vw_sim.Engine.now engine);
           Host.send_icmp host ~dst
             (Icmp.Echo_request
-               { id; seq; payload = Bytes.create payload_size })
+               { id; seq; payload = Bytes.make payload_size '\000' })
         end)
   done;
   Vw_sim.Engine.schedule_after engine

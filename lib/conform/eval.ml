@@ -21,21 +21,6 @@ let diagnosis = function
   | Pass _ -> ""
   | Tolerance_miss { diagnosis; _ } | Missed { diagnosis } -> diagnosis
 
-let filter_name (tables : T.t) fid =
-  if fid >= 0 && fid < Array.length tables.T.filters then
-    tables.T.filters.(fid).T.fname
-  else Printf.sprintf "filter#%d" fid
-
-let node_name (tables : T.t) nid =
-  if nid >= 0 && nid < Array.length tables.T.nodes then
-    tables.T.nodes.(nid).T.nname
-  else Printf.sprintf "node#%d" nid
-
-let counter_name (tables : T.t) cid =
-  if cid >= 0 && cid < Array.length tables.T.counters then
-    tables.T.counters.(cid).T.cname
-  else Printf.sprintf "counter#%d" cid
-
 let point_name = function Ev.Ingress -> "ingress" | Ev.Egress -> "egress"
 let pp_time = Format.asprintf "%a" St.pp
 
@@ -109,9 +94,9 @@ let eval_packet tables ~anchor ~events ~window ~fid ~from_nid ~to_nid ~dir =
     | Vw_fsl.Ast.Send -> (from_nid, Ev.Egress)
     | Vw_fsl.Ast.Recv -> (to_nid, Ev.Ingress)
   in
-  let fname = filter_name tables fid in
+  let fname = T.filter_name tables fid in
   let obs_name =
-    Printf.sprintf "%s (%s)" (node_name tables obs_nid) (point_name obs_point)
+    Printf.sprintf "%s (%s)" (T.node_name tables obs_nid) (point_name obs_point)
   in
   let all = classifications tables events ~fid in
   let here =
@@ -175,7 +160,7 @@ let eval_packet tables ~anchor ~events ~window ~fid ~from_nid ~to_nid ~dir =
                     match c.cl_ev.Ev.body with
                     | Ev.Packet_classified { point; _ } ->
                         Printf.sprintf "%s (%s)"
-                          (node_name tables c.cl_ev.Ev.nid)
+                          (T.node_name tables c.cl_ev.Ev.nid)
                           (point_name point)
                     | _ -> c.cl_ev.Ev.node
                   in
@@ -212,7 +197,7 @@ let eval_state tables ~anchor ~events ~window ~cid ~op ~value =
       tables.T.counters.(cid).T.owner
     else -1
   in
-  let cname = counter_name tables cid in
+  let cname = T.counter_name tables cid in
   let pred v =
     match op with
     | Vw_fsl.Ast.Lt -> v < value

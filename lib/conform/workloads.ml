@@ -79,7 +79,7 @@ let make kind ~bytes testbed =
           ~delay:(i * Vw_sim.Simtime.ms 5)
           (fun () ->
             Host.udp_send a ~src_port:0x1388 ~dst:(Host.ip b)
-              ~dst_port:0x1389 (Bytes.create 64))
+              ~dst_port:0x1389 (Bytes.make 64 '\000'))
       done
   | Tcp_stream ->
       ignore
@@ -90,7 +90,8 @@ let make kind ~bytes testbed =
           ~dst:(Host.ip (Testbed.host last))
           ~dst_port:0x4000
       in
-      Tcp.on_established conn (fun () -> Tcp.send conn (Bytes.create bytes))
+      Tcp.on_established conn (fun () ->
+          Tcp.send conn (Bytes.make bytes '\000'))
   | Http_failover ->
       (* first node fetches from the second until it stops answering, then
          retries the same page against the next server — the
@@ -145,7 +146,8 @@ let make kind ~bytes testbed =
             ~dst:(Host.ip (Testbed.host last))
             ~dst_port:0x4000
         in
-        Tcp.on_established conn (fun () -> Tcp.send conn (Bytes.create bytes))
+        Tcp.on_established conn (fun () ->
+            Tcp.send conn (Bytes.make bytes '\000'))
       end
 
 (* Per-script run directives, embedded as comments:

@@ -176,28 +176,13 @@ let explain t ~rule =
 
 (* --- rendering --- *)
 
-let counter_name (tables : T.t) cid =
-  if cid >= 0 && cid < Array.length tables.T.counters then
-    tables.T.counters.(cid).T.cname
-  else Printf.sprintf "counter#%d" cid
-
-let filter_name (tables : T.t) fid =
-  if fid >= 0 && fid < Array.length tables.T.filters then
-    tables.T.filters.(fid).T.fname
-  else Printf.sprintf "filter#%d" fid
-
-let node_name (tables : T.t) nid =
-  if nid >= 0 && nid < Array.length tables.T.nodes then
-    tables.T.nodes.(nid).T.nname
-  else Printf.sprintf "node#%d" nid
-
 let pp_body_named tables ppf (b : Ev.body) =
   match b with
   | Ev.Packet_classified { point; fid } ->
       Format.fprintf ppf "packet matched filter %s (%s)"
-        (filter_name tables fid) (Ev.point_name point)
+        (T.filter_name tables fid) (Ev.point_name point)
   | Ev.Counter_changed { cid; value; delta } ->
-      Format.fprintf ppf "counter %s %s to %d" (counter_name tables cid)
+      Format.fprintf ppf "counter %s %s to %d" (T.counter_name tables cid)
         (if delta >= 0 then Printf.sprintf "+%d" delta else string_of_int delta)
         value
   | Ev.Term_flipped { tid; status } ->
@@ -211,14 +196,15 @@ let pp_body_named tables ppf (b : Ev.body) =
         aid
   | Ev.Control_sent { dst_nid; ctl } ->
       Format.fprintf ppf "control %s sent to %s" (Ev.ctl_name ctl)
-        (node_name tables dst_nid)
+        (T.node_name tables dst_nid)
   | Ev.Control_received { ctl } ->
       Format.fprintf ppf "control %s received" (Ev.ctl_name ctl)
   | Ev.Report_raised { nid; rule } -> (
       match rule with
-      | None -> Format.fprintf ppf "STOP reported by %s" (node_name tables nid)
+      | None ->
+          Format.fprintf ppf "STOP reported by %s" (T.node_name tables nid)
       | Some r ->
-          Format.fprintf ppf "rule %d flagged by %s" r (node_name tables nid))
+          Format.fprintf ppf "rule %d flagged by %s" r (T.node_name tables nid))
   | Ev.Expect_checked { xid; ok } ->
       Format.fprintf ppf "expectation %d %s" xid
         (if ok then "passed" else "failed")

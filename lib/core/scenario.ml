@@ -23,11 +23,6 @@ let pp_result ppf r =
     r.scenario_name (outcome_to_string r.outcome) Vw_sim.Simtime.pp r.duration
     (List.length r.errors) r.trace_length
 
-let node_name_of tables nid =
-  let nodes = tables.Vw_fsl.Tables.nodes in
-  if nid >= 0 && nid < Array.length nodes then nodes.(nid).Vw_fsl.Tables.nname
-  else Printf.sprintf "node#%d" nid
-
 let prepare ?controller testbed ~script =
   (* via the compile cache: a campaign deploying the same script per trial
      compiles it once per process, not once per job *)
@@ -110,7 +105,7 @@ let run ?controller ?(max_duration = Vw_sim.Simtime.sec 60.0)
       let errors =
         List.map
           (fun (nid, rule) ->
-            { err_node = node_name_of tables nid; err_rule = rule })
+            { err_node = Vw_fsl.Tables.node_name tables nid; err_rule = rule })
           (Vw_engine.Controller.errors ctl)
       in
       Ok

@@ -5,34 +5,45 @@ type entry = {
   frame : Vw_net.Eth.t;
 }
 
-(* circular buffer: [head] is the next write slot; once full, recording
-   overwrites the oldest entry, so the retained window is always the most
-   recent [capacity] frames *)
+(* A ring that grows toward [capacity] as frames arrive (64 slots,
+   doubling), so a short run never pays for the bound. Until it is full
+   the entries sit in order at [0, count); once full, recording overwrites
+   the oldest entry, at [oldest], so the retained window is always the
+   most recent [capacity] frames. *)
 type t = {
   capacity : int;
-  ring : entry option array;
-  mutable head : int;
+  mutable ring : entry array;
+  mutable oldest : int;
   mutable count : int; (* retained entries, <= capacity *)
   mutable dropped : int; (* overwritten entries *)
 }
 
 let create ?(capacity = 1_000_000) () =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
-  { capacity; ring = Array.make capacity None; head = 0; count = 0; dropped = 0 }
+  { capacity; ring = [||]; oldest = 0; count = 0; dropped = 0 }
+
+let grow t e =
+  let ring = Array.make (min t.capacity (max 64 (2 * t.count))) e in
+  Array.blit t.ring 0 ring 0 t.count;
+  t.ring <- ring
 
 let record t ~time ~node ~dir frame =
-  if t.count = t.capacity then t.dropped <- t.dropped + 1
-  else t.count <- t.count + 1;
-  t.ring.(t.head) <- Some { time; node; dir; frame };
-  t.head <- (t.head + 1) mod t.capacity
+  let e = { time; node; dir; frame } in
+  if t.count < t.capacity then begin
+    if t.count = Array.length t.ring then grow t e;
+    t.ring.(t.count) <- e;
+    t.count <- t.count + 1
+  end
+  else begin
+    t.ring.(t.oldest) <- e;
+    t.oldest <- (if t.oldest + 1 = t.capacity then 0 else t.oldest + 1);
+    t.dropped <- t.dropped + 1
+  end
 
 let iter t f =
-  (* oldest first: when full, the oldest entry sits at [head] *)
-  let start = if t.count = t.capacity then t.head else 0 in
+  let n = Array.length t.ring in
   for i = 0 to t.count - 1 do
-    match t.ring.((start + i) mod t.capacity) with
-    | Some e -> f e
-    | None -> ()
+    f t.ring.((t.oldest + i) mod n)
   done
 
 let entries t =
@@ -45,8 +56,8 @@ let dropped t = t.dropped
 let truncated t = t.dropped > 0
 
 let clear t =
-  Array.fill t.ring 0 t.capacity None;
-  t.head <- 0;
+  t.ring <- [||];
+  t.oldest <- 0;
   t.count <- 0;
   t.dropped <- 0
 

@@ -17,10 +17,12 @@ type entry = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] bounds memory (default 1_000_000 entries). The trace is a
-    ring: beyond capacity the {e oldest} entries are overwritten, so the
-    retained window is always the most recent [capacity] frames and
-    [truncated] turns true.
+(** [capacity] bounds the entries kept (default 1_000_000); it is a bound,
+    not an allocation. The trace starts empty and grows toward the bound
+    as frames arrive (64 slots, then doubling). Beyond capacity it is a
+    ring: the {e oldest} entries are overwritten, so the retained window
+    is always the most recent [capacity] frames and [truncated] turns
+    true.
     @raise Invalid_argument if [capacity < 1]. *)
 
 val record :
@@ -37,7 +39,9 @@ val dropped : t -> int
 (** Entries overwritten after the ring filled. *)
 
 val truncated : t -> bool
+
 val clear : t -> unit
+(** Forget every entry and the drop count, and release the ring. *)
 
 val filter : t -> (entry -> bool) -> entry list
 

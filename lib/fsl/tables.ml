@@ -557,6 +557,14 @@ let node_by_mac t mac = array_find (fun n -> Vw_net.Mac.equal n.nmac mac) t.node
 let counter_by_name t name = array_find (fun c -> c.cname = name) t.counters
 let filter_by_name t name = array_find (fun f -> f.fname = name) t.filters
 
+let name_of arr id name kind =
+  if id >= 0 && id < Array.length arr then name arr.(id)
+  else Printf.sprintf "%s#%d" kind id
+
+let filter_name t fid = name_of t.filters fid (fun f -> f.fname) "filter"
+let node_name t nid = name_of t.nodes nid (fun n -> n.nname) "node"
+let counter_name t cid = name_of t.counters cid (fun c -> c.cname) "counter"
+
 (* --- pretty printing --- *)
 
 let pp_tuple t ppf tuple =

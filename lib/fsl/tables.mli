@@ -236,5 +236,11 @@ val node_by_mac : t -> Vw_net.Mac.t -> node_entry option
 val counter_by_name : t -> string -> counter_entry option
 val filter_by_name : t -> string -> filter_entry option
 
+val filter_name : t -> int -> string
+val node_name : t -> int -> string
+val counter_name : t -> int -> string
+(** The entry's name, or ["filter#<id>"] (["node#<id>"], ["counter#<id>"])
+    when the id is out of range, as ids read from an event log may be. *)
+
 val pp : Format.formatter -> t -> unit
 (** Dump all six tables, the [vwctl parse] output. *)

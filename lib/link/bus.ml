@@ -1,9 +1,9 @@
-type frame = { data : bytes; mutable attempts : int }
+type frame = { eth : Vw_net.Eth.t; mutable attempts : int }
 
 type endpoint = {
   bus : t;
   index : int;
-  mutable rx : bytes -> unit;
+  mutable rx : Vw_net.Eth.t -> unit;
   queue : frame Queue.t;
   mutable engaged : bool;
       (* true while this endpoint is transmitting, deferring, or backing off:
@@ -108,7 +108,7 @@ and back_off ep frame =
 and start_transmission ep frame =
   let t = ep.bus in
   let now = Vw_sim.Engine.now t.engine in
-  let duration = Link.tx_time t.config (Bytes.length frame.data) in
+  let duration = Link.tx_time t.config (Vw_net.Eth.size frame.eth) in
   t.tx_start <- now;
   t.busy_until <- Vw_sim.Simtime.(now + duration);
   t.tx_owner <- ep.index;
@@ -123,7 +123,7 @@ and start_transmission ep frame =
            at the instant this transmission ended *)
         if t.tx_owner = ep.index then t.tx_owner <- -1;
         finish_frame ep;
-        deliver t ep frame.data;
+        deliver t ep frame.eth;
         if not (Queue.is_empty ep.queue) then begin
           ep.engaged <- true;
           Vw_sim.Engine.schedule_after t.engine ~delay:(contention_delay t)
@@ -131,7 +131,7 @@ and start_transmission ep frame =
         end
       end)
 
-and deliver t sender data =
+and deliver t sender eth =
   let arrival =
     Vw_sim.Simtime.(Vw_sim.Engine.now t.engine + t.config.propagation)
   in
@@ -141,19 +141,18 @@ and deliver t sender data =
         dst.index <> sender.index
         && not (Link.lost t.config t.prng t.stats)
       then begin
-        let data = Link.corrupt t.config t.prng t.stats data in
+        let eth = Link.corrupt t.config t.prng t.stats eth in
         t.stats.delivered <- t.stats.delivered + 1;
-        Vw_sim.Engine.schedule_at t.engine ~time:arrival (fun () ->
-            dst.rx data)
+        Vw_sim.Engine.schedule_at t.engine ~time:arrival (fun () -> dst.rx eth)
       end)
     t.endpoints
 
-let send ep data =
+let send ep eth =
   let t = ep.bus in
   t.stats.sent <- t.stats.sent + 1;
   if Queue.length ep.queue >= t.config.max_queue then
     t.stats.dropped_queue <- t.stats.dropped_queue + 1
   else begin
-    Queue.add { data; attempts = 0 } ep.queue;
+    Queue.add { eth; attempts = 0 } ep.queue;
     if not ep.engaged then attempt ep
   end

@@ -8,7 +8,8 @@
     51.2 µs, attempt capped at 16). The collided transmission's completion
     event stays queued but finds its frame's attempt count changed and does
     nothing. Delivered frames reach {e every other} endpoint, as on a real
-    shared segment, each drawing {!Link}'s loss and corruption. *)
+    shared segment, each drawing {!Link}'s loss and corruption. Frames are
+    {!Vw_net.Eth.t} values, shared by every receiver they reach intact. *)
 
 type t
 type endpoint
@@ -16,8 +17,8 @@ type endpoint
 val create : Vw_sim.Engine.t -> Link.config -> n:int -> t
 val endpoint : t -> int -> endpoint
 val stats : t -> Media_stats.t
-val send : endpoint -> bytes -> unit
-val set_receive : endpoint -> (bytes -> unit) -> unit
+val send : endpoint -> Vw_net.Eth.t -> unit
+val set_receive : endpoint -> (Vw_net.Eth.t -> unit) -> unit
 
 val queue_length : endpoint -> int
 (** Frames queued at this endpoint, including one in flight. *)

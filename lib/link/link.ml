@@ -24,23 +24,23 @@ let lost config prng (stats : Media_stats.t) =
   if lost then stats.dropped_loss <- stats.dropped_loss + 1;
   lost
 
-let corrupt config prng (stats : Media_stats.t) data =
-  if Bytes.length data > 0 && Vw_util.Prng.bool prng config.corrupt_rate then begin
+let corrupt config prng (stats : Media_stats.t) frame =
+  if Vw_util.Prng.bool prng config.corrupt_rate then begin
     stats.corrupted <- stats.corrupted + 1;
-    let copy = Bytes.copy data in
-    let pos = Vw_util.Prng.int prng (Bytes.length copy) in
-    Bytes.set copy pos
+    let data = Vw_net.Eth.to_bytes frame in
+    let pos = Vw_util.Prng.int prng (Bytes.length data) in
+    Bytes.set data pos
       (Char.chr
-         (Char.code (Bytes.get copy pos) lxor (1 + Vw_util.Prng.int prng 255)));
-    copy
+         (Char.code (Bytes.get data pos) lxor (1 + Vw_util.Prng.int prng 255)));
+    Vw_net.Eth.of_bytes data
   end
-  else data
+  else frame
 
 (* One direction: a FIFO of frames serialized back to back. *)
 type direction = {
-  queue : bytes Queue.t;
+  queue : Vw_net.Eth.t Queue.t;
   mutable busy : bool;
-  mutable rx : bytes -> unit; (* receiver at the far end *)
+  mutable rx : Vw_net.Eth.t -> unit; (* receiver at the far end *)
 }
 
 type t = {
@@ -71,30 +71,30 @@ let stats t = t.stats
 let rec pump_direction t dir =
   match Queue.peek_opt dir.queue with
   | None -> dir.busy <- false
-  | Some data ->
+  | Some frame ->
       dir.busy <- true;
-      let duration = tx_time t.config (Bytes.length data) in
+      let duration = tx_time t.config (Vw_net.Eth.size frame) in
       Vw_sim.Engine.schedule_after t.engine ~delay:duration (fun () ->
           ignore (Queue.pop dir.queue);
-          transmit_done t dir data;
+          transmit_done t dir frame;
           pump_direction t dir)
 
-and transmit_done t dir data =
+and transmit_done t dir frame =
   if not (lost t.config t.prng t.stats) then begin
-    let data = corrupt t.config t.prng t.stats data in
+    let frame = corrupt t.config t.prng t.stats frame in
     t.stats.delivered <- t.stats.delivered + 1;
     Vw_sim.Engine.schedule_after t.engine ~delay:t.config.propagation
-      (fun () -> dir.rx data)
+      (fun () -> dir.rx frame)
   end
 
-let send ep data =
+let send ep frame =
   let t = ep.link in
   t.stats.sent <- t.stats.sent + 1;
   let dir = t.dirs.(ep.index) in
   if Queue.length dir.queue >= t.config.max_queue then
     t.stats.dropped_queue <- t.stats.dropped_queue + 1
   else begin
-    Queue.add data dir.queue;
+    Queue.add frame dir.queue;
     if not dir.busy then pump_direction t dir
   end
 

@@ -2,9 +2,10 @@
     medium shares.
 
     A link has two endpoints, and each direction is an independent channel.
-    Frames handed to [send] are serialized at the configured bandwidth,
-    experience propagation delay, and may be lost or corrupted. {!Bus}
-    reuses this module's {!config}, {!tx_time} and impairment draw
+    Frames are {!Vw_net.Eth.t} values, serialized at the configured
+    bandwidth over their {!Vw_net.Eth.size}; the receiver gets the sent
+    value after the propagation delay, unless it is lost or corrupted.
+    {!Bus} reuses this module's {!config}, {!tx_time} and impairment draw
     ({!lost}, then {!corrupt}) for its shared CSMA/CD channel. *)
 
 type config = {
@@ -28,11 +29,12 @@ val lost : config -> Vw_util.Prng.t -> Media_stats.t -> bool
 (** Draws whether a frame that finished serializing is lost; counts it in
     [dropped_loss] if so. *)
 
-val corrupt : config -> Vw_util.Prng.t -> Media_stats.t -> bytes -> bytes
-(** [corrupt config prng stats data] draws whether the surviving frame
-    [data] is corrupted. If so it counts it in [corrupted] and returns a
-    copy with one byte flipped (position drawn first, then the flip);
-    otherwise it returns [data] itself. Empty frames draw nothing. *)
+val corrupt :
+  config -> Vw_util.Prng.t -> Media_stats.t -> Vw_net.Eth.t -> Vw_net.Eth.t
+(** [corrupt config prng stats frame] draws whether the surviving [frame]
+    is corrupted. If so it counts it in [corrupted] and returns a copy with
+    one serialized byte flipped, header included (position drawn first,
+    then the flip); otherwise it returns [frame] itself. *)
 
 (** {1 Links} *)
 
@@ -44,9 +46,9 @@ val endpoint_a : t -> endpoint
 val endpoint_b : t -> endpoint
 val stats : t -> Media_stats.t
 
-val send : endpoint -> bytes -> unit
+val send : endpoint -> Vw_net.Eth.t -> unit
 (** Queue a frame for transmission from this endpoint. *)
 
-val set_receive : endpoint -> (bytes -> unit) -> unit
+val set_receive : endpoint -> (Vw_net.Eth.t -> unit) -> unit
 (** Install the frame-arrival callback for this endpoint (frames sent by the
     peer). Replaces any previous callback. *)

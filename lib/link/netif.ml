@@ -1,4 +1,7 @@
-type t = { send : bytes -> unit; set_receive : (bytes -> unit) -> unit }
+type t = {
+  send : Vw_net.Eth.t -> unit;
+  set_receive : (Vw_net.Eth.t -> unit) -> unit;
+}
 
 let of_link_endpoint ep =
   { send = Link.send ep; set_receive = Link.set_receive ep }

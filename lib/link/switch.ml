@@ -21,33 +21,29 @@ let create engine =
     stats = { forwarded = 0; flooded = 0; filtered = 0 };
   }
 
-let emit t port_idx data =
+let emit t port_idx frame =
   Vw_sim.Engine.schedule_after t.engine ~delay:processing_delay (fun () ->
-      Link.send t.ports.(port_idx) data)
+      Link.send t.ports.(port_idx) frame)
 
-let flood t ~ingress data =
+let flood t ~ingress frame =
   t.stats.flooded <- t.stats.flooded + 1;
-  Array.iteri (fun i _ -> if i <> ingress then emit t i data) t.ports
+  Array.iteri (fun i _ -> if i <> ingress then emit t i frame) t.ports
 
-let handle_frame t ~ingress data =
-  if Bytes.length data >= Vw_net.Eth.header_size then begin
-    let dst = Vw_net.Mac.of_bytes data ~pos:0 in
-    let src = Vw_net.Mac.of_bytes data ~pos:6 in
-    Hashtbl.replace t.table src ingress;
-    if Vw_net.Mac.is_broadcast dst then flood t ~ingress data
-    else
-      match Hashtbl.find_opt t.table dst with
-      | Some port when port = ingress -> t.stats.filtered <- t.stats.filtered + 1
-      | Some port ->
-          t.stats.forwarded <- t.stats.forwarded + 1;
-          emit t port data
-      | None -> flood t ~ingress data
-  end
+let handle_frame t ~ingress (frame : Vw_net.Eth.t) =
+  Hashtbl.replace t.table frame.src ingress;
+  if Vw_net.Mac.is_broadcast frame.dst then flood t ~ingress frame
+  else
+    match Hashtbl.find_opt t.table frame.dst with
+    | Some port when port = ingress -> t.stats.filtered <- t.stats.filtered + 1
+    | Some port ->
+        t.stats.forwarded <- t.stats.forwarded + 1;
+        emit t port frame
+    | None -> flood t ~ingress frame
 
 let attach t endpoint =
   let port = Array.length t.ports in
   t.ports <- Array.append t.ports [| endpoint |];
-  Link.set_receive endpoint (fun data -> handle_frame t ~ingress:port data);
+  Link.set_receive endpoint (fun frame -> handle_frame t ~ingress:port frame);
   port
 
 let stats t = t.stats

@@ -3,7 +3,12 @@
     Frames are the unit that travels on links and that the VirtualWire
     FIE/FAE classifies: filter-table offsets in FSL scripts are offsets into
     the serialized frame ([dst]@0, [src]@6, [ethertype]@12, payload from 14 —
-    matching the paper's Figure 2/6 scripts). *)
+    matching the paper's Figure 2/6 scripts).
+
+    A frame crosses the simulated network as this value, so frames in
+    flight are shared: by sender and receivers, every port of a flood and
+    the trace. Never write into a [payload]; copy first ({!to_bytes},
+    change the copy, {!of_bytes}), as MODIFY and link corruption do. *)
 
 type t = {
   dst : Mac.t;

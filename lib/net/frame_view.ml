@@ -38,10 +38,6 @@ let of_frame (eth : Eth.t) =
   in
   { eth; content }
 
-let of_bytes b =
-  if Bytes.length b < Eth.header_size then None
-  else Some (of_frame (Eth.of_bytes b))
-
 let describe t =
   let b = Buffer.create 64 in
   let ppf = Format.formatter_of_buffer b in

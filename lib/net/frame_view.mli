@@ -1,7 +1,7 @@
-(** Decoded, human-oriented view of a raw frame.
+(** Decoded, human-oriented view of a frame.
 
     Trace dumps (the tcpdump replacement VirtualWire's FAE renders) and
-    tests use this to describe what a captured byte string contains. The
+    tests use this to describe what a captured frame contains. The
     view is best-effort: undecodable layers degrade to [Raw]/[Opaque]
     rather than failing, since fault injection intentionally produces
     corrupt packets. *)
@@ -20,8 +20,6 @@ type content =
 type t = { eth : Eth.t; content : content }
 
 val of_frame : Eth.t -> t
-val of_bytes : bytes -> t option
-(** [None] if the buffer is shorter than an Ethernet header. *)
 
 val describe : t -> string
 (** One-line summary, e.g.

@@ -279,11 +279,7 @@ let add_errors b (tables : T.t) events =
       (fun (e : Ev.t) ->
         match e.body with
         | Ev.Report_raised { nid; rule } -> (
-            let node_name =
-              if nid >= 0 && nid < Array.length tables.T.nodes then
-                tables.T.nodes.(nid).T.nname
-              else Printf.sprintf "node#%d" nid
-            in
+            let node_name = T.node_name tables nid in
             match rule with
             | Some r ->
                 add

@@ -63,15 +63,10 @@ let flows events =
 
 (* --- Chrome trace-event JSON --- *)
 
-let filter_name (tables : T.t) fid =
-  if fid >= 0 && fid < Array.length tables.T.filters then
-    tables.T.filters.(fid).T.fname
-  else Printf.sprintf "filter#%d" fid
-
 let span_name tables (root : Ev.t) =
   match root.body with
   | Ev.Packet_classified { point; fid } ->
-      Printf.sprintf "packet %s (%s)" (filter_name tables fid)
+      Printf.sprintf "packet %s (%s)" (T.filter_name tables fid)
         (Ev.point_name point)
   | Ev.Control_received { ctl } -> Printf.sprintf "ctl %s" (Ev.ctl_name ctl)
   | b -> Ev.kind_name b

@@ -4,7 +4,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type hook_entry = {
   id : int;
-  point : Hook.point;
   priority : int;
   hook_name : string;
   handler : Hook.handler;
@@ -19,7 +18,10 @@ type t = {
   mac : Vw_net.Mac.t;
   ip : Vw_net.Ip_addr.t;
   mutable nic : Vw_link.Netif.t option;
-  mutable hooks : hook_entry list; (* kept sorted in egress chain order *)
+  (* each chain in the order a frame walks it: egress ascending by
+     (priority, id), ingress descending *)
+  mutable egress : hook_entry list;
+  mutable ingress : hook_entry list;
   mutable next_hook_id : int;
   ethertype_handlers : (int, Vw_net.Eth.t -> unit) Hashtbl.t;
   ip_handlers : (int, Vw_net.Ipv4.t -> unit) Hashtbl.t;
@@ -42,41 +44,30 @@ let ip t = t.ip
 let frames_sent t = t.frames_sent
 let frames_received t = t.frames_received
 
-(* Chain order: egress runs ascending priority; ingress runs descending.
-   [t.hooks] is kept ascending by (priority, id). *)
-let chain t point =
-  let same = List.filter (fun h -> h.point = point) t.hooks in
-  match point with Hook.Egress -> same | Hook.Ingress -> List.rev same
+let by_chain_order a b = compare (a.priority, a.id) (b.priority, b.id)
 
 let add_hook t point ~priority ~name handler =
   let id = t.next_hook_id in
   t.next_hook_id <- id + 1;
-  let entry = { id; point; priority; hook_name = name; handler } in
-  t.hooks <-
-    List.stable_sort
-      (fun a b -> compare (a.priority, a.id) (b.priority, b.id))
-      (entry :: t.hooks);
+  let entry = { id; priority; hook_name = name; handler } in
+  (match point with
+  | Hook.Egress -> t.egress <- List.sort by_chain_order (entry :: t.egress)
+  | Hook.Ingress ->
+      t.ingress <-
+        List.sort (fun a b -> by_chain_order b a) (entry :: t.ingress));
   id
 
-let remove_hook t id = t.hooks <- List.filter (fun h -> h.id <> id) t.hooks
-
-(* Runs [frame] through the hooks of [hooks] (already in chain order);
-   [sink] receives the frame if it survives. *)
-let rec run_chain hooks sink frame =
-  match hooks with
-  | [] -> sink frame
-  | h :: rest -> (
-      match h.handler frame with
-      | Hook.Accept frame' -> run_chain rest sink frame'
-      | Hook.Drop -> ()
-      | Hook.Stolen -> ())
+let remove_hook t id =
+  let keep h = h.id <> id in
+  t.egress <- List.filter keep t.egress;
+  t.ingress <- List.filter keep t.ingress
 
 let transmit t (frame : Vw_net.Eth.t) =
   if not t.failed then begin
     (match t.tap with Some tap -> tap ~dir:`Out frame | None -> ());
     t.frames_sent <- t.frames_sent + 1;
     match t.nic with
-    | Some nic -> nic.Vw_link.Netif.send (Vw_net.Eth.to_bytes frame)
+    | Some nic -> nic.Vw_link.Netif.send frame
     | None -> Log.warn (fun m -> m "%s: transmit with no NIC attached" t.name)
   end
 
@@ -87,46 +78,54 @@ let demux t (frame : Vw_net.Eth.t) =
       Log.debug (fun m ->
           m "%s: no handler for ethertype 0x%04x" t.name frame.ethertype)
 
-let egress_sink t frame = transmit t frame
-let ingress_sink t frame = demux t frame
+(* Runs [frame] through [hooks], the rest of [point]'s chain in chain
+   order; a surviving frame goes to the NIC (egress) or the demultiplexer
+   (ingress). The list is the chain as it stood when the walk began. *)
+let rec run_chain t point hooks frame =
+  match hooks with
+  | [] -> (
+      match point with
+      | Hook.Egress -> transmit t frame
+      | Hook.Ingress -> demux t frame)
+  | h :: rest -> (
+      match h.handler frame with
+      | Hook.Accept frame' -> run_chain t point rest frame'
+      | Hook.Drop | Hook.Stolen -> ())
 
 let send_frame t frame =
-  if not t.failed then run_chain (chain t Hook.Egress) (egress_sink t) frame
+  if not t.failed then run_chain t Hook.Egress t.egress frame
+
+(* The hooks strictly beyond [p] in chain order: the leading ones at or
+   before it dropped. *)
+let rec beyond point p = function
+  | h :: rest
+    when match point with
+         | Hook.Egress -> h.priority <= p
+         | Hook.Ingress -> h.priority >= p ->
+      beyond point p rest
+  | hooks -> hooks
 
 let reinject t point ~from_priority frame =
   if not t.failed then
-    match point with
-    | Hook.Egress ->
-        let beyond =
-          List.filter (fun h -> h.priority > from_priority) (chain t Hook.Egress)
-        in
-        run_chain beyond (egress_sink t) frame
-    | Hook.Ingress ->
-        let beyond =
-          List.filter (fun h -> h.priority < from_priority) (chain t Hook.Ingress)
-        in
-        run_chain beyond (ingress_sink t) frame
+    let chain =
+      match point with Hook.Egress -> t.egress | Hook.Ingress -> t.ingress
+    in
+    run_chain t point (beyond point from_priority chain) frame
 
-let receive t data =
-  if not t.failed then begin
-    match Vw_net.Frame_view.of_bytes data with
-    | None -> () (* runt frame *)
-    | Some view ->
-        let frame = view.eth in
-        (* NICs filter on destination MAC unless it is ours or broadcast. *)
-        if
-          Vw_net.Mac.equal frame.dst t.mac
-          || Vw_net.Mac.is_broadcast frame.dst
-        then begin
-          (match t.tap with Some tap -> tap ~dir:`In frame | None -> ());
-          t.frames_received <- t.frames_received + 1;
-          run_chain (chain t Hook.Ingress) (ingress_sink t) frame
-        end
+let receive t (frame : Vw_net.Eth.t) =
+  (* NICs filter on destination MAC unless it is ours or broadcast. *)
+  if
+    (not t.failed)
+    && (Vw_net.Mac.equal frame.dst t.mac || Vw_net.Mac.is_broadcast frame.dst)
+  then begin
+    (match t.tap with Some tap -> tap ~dir:`In frame | None -> ());
+    t.frames_received <- t.frames_received + 1;
+    run_chain t Hook.Ingress t.ingress frame
   end
 
 let attach t nic =
   t.nic <- Some nic;
-  nic.Vw_link.Netif.set_receive (fun data -> receive t data)
+  nic.Vw_link.Netif.set_receive (receive t)
 
 let set_ethertype_handler t ethertype handler =
   Hashtbl.replace t.ethertype_handlers ethertype handler
@@ -295,7 +294,8 @@ let create engine ~name ~mac ~ip =
       mac;
       ip;
       nic = None;
-      hooks = [];
+      egress = [];
+      ingress = [];
       next_hook_id = 0;
       ethertype_handlers = Hashtbl.create 8;
       ip_handlers = Hashtbl.create 8;

@@ -30,7 +30,10 @@ val attach : t -> Vw_link.Netif.t -> unit
 val add_hook :
   t -> Hook.point -> priority:int -> name:string -> Hook.handler -> hook_id
 (** Lower priority = closer to the protocol stack; see {!Hook}. Hooks with
-    equal priority run in insertion order on egress. *)
+    equal priority run in insertion order on egress and in reverse
+    insertion order on ingress. A frame already walking a chain finishes
+    with the hooks the chain had when the walk began, whatever is added or
+    removed meanwhile. *)
 
 val remove_hook : t -> hook_id -> unit
 

@@ -1376,7 +1376,7 @@ let batch_testbed src =
           receive := f;
           uplink.Vw_link.Netif.set_receive f);
     };
-  (testbed, arrivals, fun frame -> !receive (Vw_net.Eth.to_bytes frame))
+  (testbed, arrivals, fun frame -> !receive frame)
 
 (* one run: give [n] tagged frames to bob's ingress, drain, and return
    every observable the two paths must share. [`Process_batch cut] makes

@@ -84,6 +84,20 @@ let check_export_parity () =
       if cover j <> cover b then
         Alcotest.fail "cover differs between JSONL and binary event input")
 
+(* Not a snapshot either: the digest of a whole capture pins every byte
+   each node put on or took off the wire. Generated payloads are
+   zero-filled, so the capture is the same on every run. *)
+let check_pcap_digest ~args ~digest () =
+  let pcap = Filename.temp_file "vwctl_capture" ".pcap" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove pcap with Sys_error _ -> ())
+    (fun () ->
+      let args = Printf.sprintf "%s --pcap %s" args (Filename.quote pcap) in
+      let rc, _ = run_cmd args in
+      if rc <> 0 then Alcotest.failf "vwctl %s: exit code %d" args rc;
+      Alcotest.check Alcotest.string "capture digest" digest
+        (Digest.to_hex (Digest.file pcap)))
+
 let suite =
   [
     ( "golden",
@@ -108,5 +122,12 @@ let suite =
              ~args:"conform conformance/failing/never_arrived.fsl --json");
         Alcotest.test_case "binary capture exports identical JSONL" `Quick
           check_export_parity;
+        Alcotest.test_case "vwctl run --pcap wire bytes" `Quick
+          (check_pcap_digest ~args:"run quickstart -w udp-ping -b 640 -d 2"
+             ~digest:"00a50e5b1aac2ed9f262fb249630e2c4");
+        Alcotest.test_case "vwctl run --rll --pcap wire bytes" `Quick
+          (check_pcap_digest
+             ~args:"run quickstart -w udp-ping -b 640 -d 2 --rll"
+             ~digest:"4b1fa3b166e34f54fbb002412b55b25b");
       ] );
   ]

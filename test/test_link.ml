@@ -13,7 +13,12 @@ let full_duplex ?(bandwidth = 100e6) ?(loss = 0.0) ?(prop = Simtime.us 5) () =
     propagation = prop;
   }
 
-let frame_of_size n = Bytes.make n 'x'
+let mac i = Vw_net.Mac.of_int i
+
+(* A frame of [n] bytes on the wire, header included. *)
+let frame_of_size n =
+  Vw_net.Eth.make ~dst:(mac 2) ~src:(mac 1) ~ethertype:0x0800
+    (Bytes.make (n - Vw_net.Eth.header_size) 'x')
 
 let test_delivery_latency () =
   let engine = Engine.create () in
@@ -29,8 +34,8 @@ let test_fifo_and_serialization () =
   let engine = Engine.create () in
   let link = Link.create engine (full_duplex ()) in
   let arrivals = ref [] in
-  Link.set_receive (Link.endpoint_b link) (fun data ->
-      arrivals := (Bytes.length data, Engine.now engine) :: !arrivals);
+  Link.set_receive (Link.endpoint_b link) (fun frame ->
+      arrivals := (Vw_net.Eth.size frame, Engine.now engine) :: !arrivals);
   Link.send (Link.endpoint_a link) (frame_of_size 1000);
   Link.send (Link.endpoint_a link) (frame_of_size 500);
   Engine.run engine;
@@ -73,21 +78,64 @@ let test_loss_rate () =
     ((Link.stats link).Media_stats.delivered
     + (Link.stats link).Media_stats.dropped_loss)
 
-let test_corruption () =
-  let engine = Engine.create ~seed:9 () in
-  let link =
-    Link.create engine { (full_duplex ()) with corrupt_rate = 1.0 }
-  in
-  let intact = ref 0 and corrupted = ref 0 in
+(* The (position, xor) of the one byte [frame] differs in from [original],
+   over the serialized frames. *)
+let flip_of original frame =
+  let a = Vw_net.Eth.to_bytes original and b = Vw_net.Eth.to_bytes frame in
+  let flips = ref [] in
+  Bytes.iteri
+    (fun i c ->
+      let d = Char.code c lxor Char.code (Bytes.get b i) in
+      if d <> 0 then flips := (i, d) :: !flips)
+    a;
+  match !flips with
+  | [ flip ] -> flip
+  | l -> Alcotest.failf "%d bytes differ, expected one" (List.length l)
+
+(* Every delivered frame is corrupted (rate 1.0): the (position, xor) of
+   each flip is pinned, for a link and for a 3-endpoint bus, at seed 9.
+   Positions 7 and 4 land in the MAC header. The sender's frame is shared
+   by every send and must come through unchanged. *)
+let test_corruption_draws () =
+  let config = { (full_duplex ()) with corrupt_rate = 1.0 } in
   let original = frame_of_size 64 in
-  Link.set_receive (Link.endpoint_b link) (fun data ->
-      if Bytes.equal data original then incr intact else incr corrupted);
+  let wire = Vw_net.Eth.to_bytes original in
+  let flips = ref [] in
+  let record rx frame = flips := (rx, flip_of original frame) :: !flips in
+  let flip = Alcotest.(pair string (pair int int)) in
+  let engine = Engine.create ~seed:9 () in
+  let link = Link.create engine config in
+  Link.set_receive (Link.endpoint_b link) (record "b");
   for _ = 1 to 20 do
-    Link.send (Link.endpoint_a link) (Bytes.copy original)
+    Link.send (Link.endpoint_a link) original
   done;
   Engine.run engine;
-  check Alcotest.int "all corrupted" 20 !corrupted;
-  check Alcotest.int "none intact" 0 !intact
+  check (Alcotest.list flip) "link flips"
+    (List.map
+       (fun f -> ("b", f))
+       [ (44, 0x8d); (22, 0xd9); (63, 0x75); (31, 0x07); (31, 0xad);
+         (24, 0x55); (16, 0xf0); (23, 0x5b); (21, 0xd4); (37, 0x06);
+         (26, 0x40); (41, 0xe2); (36, 0xd3); (7, 0xc9); (53, 0x74);
+         (40, 0xbb); (42, 0x1d); (53, 0x34); (31, 0x06); (38, 0xed) ])
+    (List.rev !flips);
+  check Alcotest.int "link corrupted" 20
+    (Link.stats link).Media_stats.corrupted;
+  flips := [];
+  let engine = Engine.create ~seed:9 () in
+  let bus = Bus.create engine config ~n:3 in
+  for i = 0 to 2 do
+    Bus.set_receive (Bus.endpoint bus i) (record (Printf.sprintf "ep%d" i))
+  done;
+  for _ = 1 to 3 do
+    Bus.send (Bus.endpoint bus 0) original
+  done;
+  Engine.run engine;
+  check (Alcotest.list flip) "bus flips"
+    [ ("ep1", (44, 0x8d)); ("ep2", (22, 0xd9)); ("ep1", (59, 0x39));
+      ("ep2", (49, 0x4d)); ("ep1", (4, 0xe4)); ("ep2", (42, 0x0d)) ]
+    (List.rev !flips);
+  check Alcotest.bool "sender's frame unchanged" true
+    (Bytes.equal wire (Vw_net.Eth.to_bytes original))
 
 let test_queue_overflow () =
   let engine = Engine.create () in
@@ -120,10 +168,10 @@ let test_bus_defers_when_carrier_sensed () =
   let engine = Engine.create () in
   let bus = Bus.create engine Link.default_config ~n:2 in
   let arrivals = ref [] in
-  Bus.set_receive (Bus.endpoint bus 1) (fun data ->
-      arrivals := (Bytes.length data, Engine.now engine) :: !arrivals);
-  Bus.set_receive (Bus.endpoint bus 0) (fun data ->
-      arrivals := (Bytes.length data, Engine.now engine) :: !arrivals);
+  Bus.set_receive (Bus.endpoint bus 1) (fun frame ->
+      arrivals := (Vw_net.Eth.size frame, Engine.now engine) :: !arrivals);
+  Bus.set_receive (Bus.endpoint bus 0) (fun frame ->
+      arrivals := (Vw_net.Eth.size frame, Engine.now engine) :: !arrivals);
   (* 0 starts at t=0; 1 wants to start at t=40us: carrier already sensed
      (propagation 5us < 40us), so 1 defers — no collision. *)
   Bus.send (Bus.endpoint bus 0) (frame_of_size 1000);
@@ -207,11 +255,8 @@ let test_testbed_shared_bus () =
 
 (* --- switch --- *)
 
-let mac i = Vw_net.Mac.of_int i
-
 let eth_frame ~src ~dst =
-  Vw_net.Eth.to_bytes
-    (Vw_net.Eth.make ~dst ~src ~ethertype:0x0800 (Bytes.create 10))
+  Vw_net.Eth.make ~dst ~src ~ethertype:0x0800 (Bytes.create 10)
 
 let star engine n =
   let sw = Switch.create engine in
@@ -281,7 +326,7 @@ let suite =
         Alcotest.test_case "fifo serialization" `Quick test_fifo_and_serialization;
         Alcotest.test_case "duplex independence" `Quick test_duplex_directions_independent;
         Alcotest.test_case "loss rate" `Quick test_loss_rate;
-        Alcotest.test_case "corruption" `Quick test_corruption;
+        Alcotest.test_case "corruption" `Quick test_corruption_draws;
         Alcotest.test_case "queue overflow" `Quick test_queue_overflow;
       ] );
     ( "link.bus",

@@ -149,6 +149,47 @@ let test_hook_steal_reinject () =
   Engine.run engine;
   check Alcotest.int "reinjected frame delivered" 1 !got
 
+(* Two hooks tie at priority 100, and reinjection starts from that
+   priority, which has hooks on both sides. Egress walks ascending
+   (priority, insertion order), ingress the reverse, so the tied pair
+   swaps between the two chains; reinjection skips every hook at the
+   priority it starts from. *)
+let test_hook_ties_and_reinject_boundary () =
+  let engine, a, b = pair () in
+  let order = ref [] in
+  let sent = ref None in
+  List.iter
+    (fun (host, point) ->
+      List.iter
+        (fun (name, priority) ->
+          ignore
+            (Host.add_hook host point ~priority ~name (fun frame ->
+                 if Option.is_none !sent then sent := Some frame;
+                 order := (Host.name host ^ "." ^ name) :: !order;
+                 Hook.Accept frame)))
+        [ ("p50", 50); ("x", 100); ("y", 100); ("p200", 200) ])
+    [ (a, Hook.Egress); (b, Hook.Ingress) ];
+  Host.udp_bind b ~port:9 (fun ~src:_ ~src_port:_ _ ->
+      order := "socket" :: !order);
+  let walk f =
+    order := [];
+    f ();
+    Engine.run engine;
+    List.rev !order
+  in
+  let chain = Alcotest.(list string) in
+  check chain "send"
+    [ "a.p50"; "a.x"; "a.y"; "a.p200"; "b.p200"; "b.y"; "b.x"; "b.p50";
+      "socket" ]
+    (walk (fun () ->
+         Host.udp_send a ~src_port:1 ~dst:(ip 2) ~dst_port:9 (Bytes.create 1)));
+  let frame = Option.get !sent in
+  check chain "reinject a's egress from 100"
+    [ "a.p200"; "b.p200"; "b.y"; "b.x"; "b.p50"; "socket" ]
+    (walk (fun () -> Host.reinject a Hook.Egress ~from_priority:100 frame));
+  check chain "reinject b's ingress from 100" [ "b.p50"; "socket" ]
+    (walk (fun () -> Host.reinject b Hook.Ingress ~from_priority:100 frame))
+
 let test_remove_hook () =
   let engine, a, b = pair () in
   let id = Host.add_hook a Hook.Egress ~priority:100 ~name:"drop" (fun _ -> Hook.Drop) in
@@ -249,6 +290,8 @@ let suite =
         Alcotest.test_case "transforming hook" `Quick test_hook_transform;
         Alcotest.test_case "steal and reinject" `Quick test_hook_steal_reinject;
         Alcotest.test_case "remove hook" `Quick test_remove_hook;
+        Alcotest.test_case "priority ties and the reinject boundary" `Quick
+          test_hook_ties_and_reinject_boundary;
       ] );
     ( "stack.timers",
       [

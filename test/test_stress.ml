@@ -164,7 +164,9 @@ let prop_bus_never_wedges =
             ~time:(Simtime.us ((k * gap_us) + (i * 7)))
             (fun () ->
               Vw_link.Bus.send (Vw_link.Bus.endpoint bus i)
-                (Bytes.create size))
+                (Vw_net.Eth.make ~dst:Vw_net.Mac.broadcast
+                   ~src:(Vw_net.Mac.of_int i) ~ethertype:0
+                   (Bytes.create (size - Vw_net.Eth.header_size))))
         done
       done;
       Engine.run engine ~until:(Simtime.sec 30.0);
@@ -213,7 +215,8 @@ let prop_packet_codecs_total =
       (match Vw_net.Ipv4.of_bytes b with Ok _ | Error _ -> ());
       (match Vw_net.Udp.of_bytes ~src ~dst b with Ok _ | Error _ -> ());
       (match Vw_net.Tcp_segment.of_bytes ~src ~dst b with Ok _ | Error _ -> ());
-      (match Vw_net.Frame_view.of_bytes b with Some _ | None -> ());
+      if Bytes.length b >= Vw_net.Eth.header_size then
+        ignore (Vw_net.Frame_view.of_frame (Vw_net.Eth.of_bytes b));
       true)
 
 (* --- cascade divergence is reported, not looped --- *)
