@@ -55,12 +55,12 @@ let write_error e =
   Printf.eprintf "error: %s\n" e;
   1
 
+(* a file's whole contents; an unreadable path (missing, a directory)
+   is an [Error] *)
 let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> Ok s
+  | exception Sys_error e -> Error e
 
 (* a SCRIPT argument: an embedded scenario by name, else a file path *)
 let load_script path =
@@ -68,10 +68,7 @@ let load_script path =
   | "figure5" -> Ok Vw_scripts.tcp_ss_ca
   | "figure6" -> Ok Vw_scripts.rether_failure
   | "quickstart" -> Ok Vw_scripts.udp_drop_dup
-  | path -> (
-      match read_file path with
-      | s -> Ok s
-      | exception Sys_error e -> Error e)
+  | path -> read_file path
 
 let setup_logs verbose =
   Fmt_tty.setup_std_outputs ();
@@ -951,15 +948,7 @@ let report_cmd =
                 1
             | Ok (events, live) -> (
                 let metrics_of_file path =
-                  match
-                    let ic = open_in_bin path in
-                    Fun.protect
-                      ~finally:(fun () -> close_in_noerr ic)
-                      (fun () ->
-                        really_input_string ic (in_channel_length ic))
-                  with
-                  | src -> Vw_report.Metrics_view.of_json src
-                  | exception Sys_error e -> Error e
+                  Result.bind (read_file path) Vw_report.Metrics_view.of_json
                 in
                 let metrics =
                   match (live, metrics_in) with
@@ -1002,8 +991,27 @@ let report_cmd =
 
 (* --- suite --- *)
 
-let parse_directives = Workloads.parse_directives
 let directives_config = Workloads.directives_config
+
+(* Load every case of [suite] or [conform] and parse its `# vwctl:`
+   directives before any case runs: [Some (name, source, directives)] per
+   path, or [None] after printing one "path: error" line per path that
+   failed, so a broken invocation exits 1 without running anything. *)
+let load_cases paths =
+  let load path =
+    match load_script path with
+    | Error e -> Error (path, e)
+    | Ok src -> (
+        match Workloads.parse_directives src with
+        | Ok d -> Ok (Filename.basename path, src, d)
+        | Error e -> Error (path, e))
+  in
+  let loaded = List.map load paths in
+  let errors =
+    List.filter_map (function Error pe -> Some pe | Ok _ -> None) loaded
+  in
+  List.iter (fun (p, e) -> Printf.eprintf "%s: %s\n" p e) errors;
+  if errors = [] then Some (List.filter_map Result.to_option loaded) else None
 
 (* suite outcomes -> Campaign entries (+ per-case coverage when observed) *)
 let suite_campaign ~with_cover (report : Vw_core.Suite.report) =
@@ -1082,97 +1090,91 @@ let suite_cmd =
       Printf.eprintf "no .fsl files in %s\n" dir;
       1
     end
-    else begin
-      let cases =
-        List.filter_map
-          (fun file ->
-            let path = Filename.concat dir file in
-            let src = read_file path in
-            match parse_directives src with
-            | Error e ->
-                Printf.eprintf "%s: %s\n" file e;
-                None
-            | Ok d ->
-                Some
-                  (Vw_core.Suite.case ?config:(directives_config d) ~name:file
-                     ~script:src
-                     ~max_duration:(Vw_sim.Simtime.sec d.d_duration)
-                     ~expect:d.d_expect
-                     ~workload:(make_workload d.d_workload ~bytes:d.d_bytes)
-                     ()))
-          files
-      in
-      let observe = campaign_out <> None in
-      (* journal records are built from the on_outcome hook, which fires in
-         case order after reduction — same records at every --jobs level *)
-      let base_seed =
-        match opts.seed with Some s -> s | None -> Vw_util.Prng.run_seed ()
-      in
-      let idx = ref 0 in
-      let failure_records = ref [] in
-      let on_outcome (o : Vw_core.Suite.outcome) =
-        let i = !idx in
-        incr idx;
-        if not o.Vw_core.Suite.o_ok then begin
-          let oracle =
-            match o.Vw_core.Suite.o_expected with
-            | `Pass -> "expect_pass"
-            | `Fail -> "expect_fail"
+    else
+      match load_cases (List.map (Filename.concat dir) files) with
+      | None -> 1
+      | Some loaded ->
+          let cases =
+            List.map
+              (fun (name, src, (d : Workloads.directives)) ->
+                Vw_core.Suite.case ?config:(directives_config d) ~name
+                  ~script:src
+                  ~max_duration:(Vw_sim.Simtime.sec d.d_duration)
+                  ~expect:d.d_expect
+                  ~workload:(make_workload d.d_workload ~bytes:d.d_bytes)
+                  ())
+              loaded
           in
-          let sim_s =
-            match o.Vw_core.Suite.o_result with
-            | Ok r -> Some (Vw_sim.Simtime.to_sec r.Scenario.duration)
-            | Error _ -> None
+          let observe = campaign_out <> None in
+          (* journal records are built from the on_outcome hook, which fires in
+             case order after reduction — same records at every --jobs level *)
+          let base_seed =
+            match opts.seed with Some s -> s | None -> Vw_util.Prng.run_seed ()
           in
-          let tables_digest =
-            match o.Vw_core.Suite.o_tables with
-            | Some t -> Vw_report.Journal.digest_of_tables t
-            | None -> ""
+          let idx = ref 0 in
+          let failure_records = ref [] in
+          let on_outcome (o : Vw_core.Suite.outcome) =
+            let i = !idx in
+            incr idx;
+            if not o.Vw_core.Suite.o_ok then begin
+              let oracle =
+                match o.Vw_core.Suite.o_expected with
+                | `Pass -> "expect_pass"
+                | `Fail -> "expect_fail"
+              in
+              let sim_s =
+                match o.Vw_core.Suite.o_result with
+                | Ok r -> Some (Vw_sim.Simtime.to_sec r.Scenario.duration)
+                | Error _ -> None
+              in
+              let tables_digest =
+                match o.Vw_core.Suite.o_tables with
+                | Some t -> Vw_report.Journal.digest_of_tables t
+                | None -> ""
+              in
+              failure_records :=
+                Vw_report.Journal.v ?sim_s ~tables_digest ~run_seed:base_seed
+                  ~command:"suite" ~case:o.Vw_core.Suite.o_name ~index:i ~oracle
+                  ~seed:base_seed
+                  ~detail:(Vw_core.Suite.outcome_detail o)
+                  ()
+                :: !failure_records
+            end
           in
-          failure_records :=
-            Vw_report.Journal.v ?sim_s ~tables_digest ~run_seed:base_seed
-              ~command:"suite" ~case:o.Vw_core.Suite.o_name ~index:i ~oracle
-              ~seed:base_seed
-              ~detail:(Vw_core.Suite.outcome_detail o)
-              ()
-            :: !failure_records
-        end
-      in
-      let report =
-        Vw_core.Suite.run ~jobs:opts.jobs ?chunk:opts.chunk ~observe
-          ?seed:opts.seed ~stop_on_failure ~on_outcome cases
-      in
-      let failure_records = List.rev !failure_records in
-      (match opts.journal with
-      | None -> ()
-      | Some path -> (
-          match Vw_report.Journal.append path failure_records with
-          | Ok () -> ()
-          | Error e -> Printf.eprintf "warning: journal %s: %s\n%!" path e));
-      let human =
-        if opts.stats_json then Format.err_formatter else Format.std_formatter
-      in
-      Format.fprintf human "%a@." Vw_core.Suite.pp_report report;
-      Format.pp_print_flush human ();
-      let campaign = suite_campaign ~with_cover:observe report in
-      let extra =
-        ("dir", Printf.sprintf "%S" dir)
-        ::
-        (match opts.seed with
-        | Some s -> [ ("seed", string_of_int s) ]
-        | None -> [])
-      in
-      let summary = Vw_report.Campaign.summary_json ~extra campaign in
-      if opts.stats_json then print_string summary;
-      match campaign_out with
-      | None -> if Vw_core.Suite.ok report then 0 else 2
-      | Some out -> (
-          match
-            write_campaign_dir ~failures:failure_records out campaign ~summary
-          with
-          | Ok () -> if Vw_core.Suite.ok report then 0 else 2
-          | Error e -> write_error e)
-    end
+          let report =
+            Vw_core.Suite.run ~jobs:opts.jobs ?chunk:opts.chunk ~observe
+              ?seed:opts.seed ~stop_on_failure ~on_outcome cases
+          in
+          let failure_records = List.rev !failure_records in
+          (match opts.journal with
+          | None -> ()
+          | Some path -> (
+              match Vw_report.Journal.append path failure_records with
+              | Ok () -> ()
+              | Error e -> Printf.eprintf "warning: journal %s: %s\n%!" path e));
+          let human =
+            if opts.stats_json then Format.err_formatter else Format.std_formatter
+          in
+          Format.fprintf human "%a@." Vw_core.Suite.pp_report report;
+          Format.pp_print_flush human ();
+          let campaign = suite_campaign ~with_cover:observe report in
+          let extra =
+            ("dir", Printf.sprintf "%S" dir)
+            ::
+            (match opts.seed with
+            | Some s -> [ ("seed", string_of_int s) ]
+            | None -> [])
+          in
+          let summary = Vw_report.Campaign.summary_json ~extra campaign in
+          if opts.stats_json then print_string summary;
+          match campaign_out with
+          | None -> if Vw_core.Suite.ok report then 0 else 2
+          | Some out -> (
+              match
+                write_campaign_dir ~failures:failure_records out campaign ~summary
+              with
+              | Ok () -> if Vw_core.Suite.ok report then 0 else 2
+              | Error e -> write_error e)
   in
   Cmd.v
     (Cmd.info "suite"
@@ -1231,192 +1233,163 @@ let conform_cmd =
       Printf.eprintf "no .fsl scripts found\n";
       1
     end
-    else begin
-      (* load + parse directives up front: a broken invocation must exit 1
-         before any case runs *)
-      let loaded =
-        List.map
-          (fun path ->
-            match load_script path with
-            | Error e -> Error (path, e)
-            | Ok src -> (
-                match parse_directives src with
-                | Error e -> Error (path, e)
-                | Ok d -> Ok (Filename.basename path, src, d)))
-          files
-      in
-      let load_errors =
-        List.filter_map
-          (function Error (p, e) -> Some (p, e) | Ok _ -> None)
-          loaded
-      in
-      if load_errors <> [] then begin
-        List.iter
-          (fun (p, e) -> Printf.eprintf "%s: %s\n" p e)
-          load_errors;
-        1
-      end
-      else begin
-        let cases =
-          List.filter_map
-            (function Ok c -> Some c | Error _ -> None)
-            loaded
-        in
-        let base_seed =
-          match opts.seed with Some s -> s | None -> Vw_util.Prng.run_seed ()
-        in
-        let job (name, src, d) =
-          Vw_exec.Job.v ~label:name (fun () ->
-              let config =
-                {
-                  (Option.value (directives_config d)
-                     ~default:Testbed.default_config)
-                  with
-                  seed = base_seed;
-                }
-              in
-              let r =
-                Vw_conform.Driver.run ~config
-                  ~max_duration:(Vw_sim.Simtime.sec d.d_duration)
-                  ~capacity
-                  ~workload:(make_workload d.d_workload ~bytes:d.d_bytes)
-                  ~name ~source:src ()
-              in
-              let verdict =
-                match r with
-                | Ok cr when Vw_conform.Driver.case_ok cr -> `Pass
-                | _ -> `Fail
-              in
-              Vw_exec.Job.result ~verdict r)
-        in
-        let outcomes =
-          Vw_exec.Executor.run ~jobs:opts.jobs ?chunk:opts.chunk
-            (Vw_exec.Plan.of_list (List.map job cases))
-        in
-        (* reduce in plan order: report cases, collect journal records —
-           identical output at every --jobs level *)
-        let results =
-          List.map
-            (fun (o : _ Vw_exec.Outcome.t) ->
-              let name = o.Vw_exec.Outcome.label in
-              match (o.Vw_exec.Outcome.verdict, o.Vw_exec.Outcome.payload) with
-              | Vw_exec.Outcome.Crash msg, _ ->
-                  (name, Error [ "worker crashed: " ^ msg ])
-              | _, Some r -> (name, r)
-              | _, None -> (name, Error [ "missing payload" ]))
-            outcomes
-        in
-        let report_cases =
-          List.map
-            (fun (name, r) ->
-              match r with
-              | Ok cr -> Vw_conform.Report.of_result cr
-              | Error errs ->
+    else
+      match load_cases files with
+      | None -> 1
+      | Some cases ->
+          let base_seed =
+            match opts.seed with Some s -> s | None -> Vw_util.Prng.run_seed ()
+          in
+          let job (name, src, d) =
+            Vw_exec.Job.v ~label:name (fun () ->
+                let config =
                   {
-                    Vw_conform.Report.cs_name = name;
-                    cs_ok = false;
-                    cs_outcome = String.concat "; " errs;
-                    cs_truncated = false;
-                    cs_expects = [];
-                  })
-            results
-        in
-        List.iter
-          (fun c ->
-            if c.Vw_conform.Report.cs_truncated then
-              Printf.eprintf
-                "warning: %s: flight-recorder ring(s) wrapped; verdicts may \
-                 be unsound — raise --events-capacity (currently %d)\n\
-                 %!"
-                c.Vw_conform.Report.cs_name capacity)
-          report_cases;
-        (match opts.journal with
-        | None -> ()
-        | Some path -> (
-            let records =
-              List.concat
-                (List.mapi
-                   (fun i (name, r) ->
-                     match r with
-                     | Error errs ->
-                         [
-                           Vw_report.Journal.v ~run_seed:base_seed
-                             ~command:"conform" ~case:name ~index:i
-                             ~oracle:"conform_error" ~seed:base_seed
-                             ~detail:
-                               (first_line (String.concat "; " errs))
-                             ();
-                         ]
-                     | Ok cr ->
-                         let digest =
-                           Vw_report.Journal.digest_of_tables
-                             cr.Vw_conform.Driver.c_tables
-                         in
-                         List.filter_map
-                           (fun (c : Vw_conform.Eval.checked) ->
-                             if Vw_conform.Eval.ok c.Vw_conform.Eval.verdict
-                             then None
-                             else
-                               (* the oracle carries the expectation id, so
-                                  signatures cluster by which EXPECT failed,
-                                  never by timestamps in the diagnosis *)
-                               Some
-                                 (Vw_report.Journal.v ~run_seed:base_seed
-                                    ~tables_digest:digest ~command:"conform"
-                                    ~case:name ~index:i
-                                    ~oracle:
-                                      (Printf.sprintf "expect_%d"
-                                         c.Vw_conform.Eval.x
-                                           .Vw_fsl.Conform_ir.xid)
-                                    ~seed:base_seed
-                                    ~detail:
-                                      (Vw_conform.Eval.diagnosis
-                                         c.Vw_conform.Eval.verdict)
-                                    ()))
-                           cr.Vw_conform.Driver.c_checked)
-                   results)
-            in
-            match Vw_report.Journal.append path records with
-            | Ok () -> ()
-            | Error e -> Printf.eprintf "warning: journal %s: %s\n%!" path e));
-        let human =
-          if json then Format.err_formatter else Format.std_formatter
-        in
-        Format.fprintf human "%a" Vw_conform.Report.pp report_cases;
-        Format.pp_print_flush human ();
-        if json then print_string (Vw_conform.Report.summary_json report_cases);
-        match
-          write_file html (fun oc ->
-              output_string oc
-                (Vw_report.Html_report.render_conform
-                  (List.map
-                     (fun c ->
-                       {
-                         Vw_report.Html_report.cc_name =
-                           c.Vw_conform.Report.cs_name;
-                         cc_ok = c.Vw_conform.Report.cs_ok;
-                         cc_outcome = c.Vw_conform.Report.cs_outcome;
-                         cc_expects =
-                           List.map
-                             (fun (x : Vw_conform.Report.xres) ->
-                               {
-                                 Vw_report.Html_report.ce_label =
-                                   x.Vw_conform.Report.xr_label;
-                                 ce_status = x.Vw_conform.Report.xr_status;
-                                 ce_at_ms = x.Vw_conform.Report.xr_at_ms;
-                                 ce_diagnosis =
-                                   x.Vw_conform.Report.xr_diagnosis;
-                               })
-                             c.Vw_conform.Report.cs_expects;
-                       })
-                     report_cases)))
-        with
-        | Error e -> write_error e
-        | Ok () ->
-            Option.iter (Printf.eprintf "wrote %s\n%!") html;
-            if Vw_conform.Report.ok report_cases then 0 else 2
-      end
-    end
+                    (Option.value (directives_config d)
+                       ~default:Testbed.default_config)
+                    with
+                    seed = base_seed;
+                  }
+                in
+                let r =
+                  Vw_conform.Driver.run ~config
+                    ~max_duration:(Vw_sim.Simtime.sec d.d_duration)
+                    ~capacity
+                    ~workload:(make_workload d.d_workload ~bytes:d.d_bytes)
+                    ~name ~source:src ()
+                in
+                let verdict =
+                  match r with
+                  | Ok cr when Vw_conform.Driver.case_ok cr -> `Pass
+                  | _ -> `Fail
+                in
+                Vw_exec.Job.result ~verdict r)
+          in
+          let outcomes =
+            Vw_exec.Executor.run ~jobs:opts.jobs ?chunk:opts.chunk
+              (Vw_exec.Plan.of_list (List.map job cases))
+          in
+          (* reduce in plan order: report cases, collect journal records —
+             identical output at every --jobs level *)
+          let results =
+            List.map
+              (fun (o : _ Vw_exec.Outcome.t) ->
+                let name = o.Vw_exec.Outcome.label in
+                match (o.Vw_exec.Outcome.verdict, o.Vw_exec.Outcome.payload) with
+                | Vw_exec.Outcome.Crash msg, _ ->
+                    (name, Error [ "worker crashed: " ^ msg ])
+                | _, Some r -> (name, r)
+                | _, None -> (name, Error [ "missing payload" ]))
+              outcomes
+          in
+          let report_cases =
+            List.map
+              (fun (name, r) ->
+                match r with
+                | Ok cr -> Vw_conform.Report.of_result cr
+                | Error errs ->
+                    {
+                      Vw_conform.Report.cs_name = name;
+                      cs_ok = false;
+                      cs_outcome = String.concat "; " errs;
+                      cs_truncated = false;
+                      cs_expects = [];
+                    })
+              results
+          in
+          List.iter
+            (fun c ->
+              if c.Vw_conform.Report.cs_truncated then
+                Printf.eprintf
+                  "warning: %s: flight-recorder ring(s) wrapped; verdicts may \
+                   be unsound — raise --events-capacity (currently %d)\n\
+                   %!"
+                  c.Vw_conform.Report.cs_name capacity)
+            report_cases;
+          (match opts.journal with
+          | None -> ()
+          | Some path -> (
+              let records =
+                List.concat
+                  (List.mapi
+                     (fun i (name, r) ->
+                       match r with
+                       | Error errs ->
+                           [
+                             Vw_report.Journal.v ~run_seed:base_seed
+                               ~command:"conform" ~case:name ~index:i
+                               ~oracle:"conform_error" ~seed:base_seed
+                               ~detail:
+                                 (first_line (String.concat "; " errs))
+                               ();
+                           ]
+                       | Ok cr ->
+                           let digest =
+                             Vw_report.Journal.digest_of_tables
+                               cr.Vw_conform.Driver.c_tables
+                           in
+                           List.filter_map
+                             (fun (c : Vw_conform.Eval.checked) ->
+                               if Vw_conform.Eval.ok c.Vw_conform.Eval.verdict
+                               then None
+                               else
+                                 (* the oracle carries the expectation id, so
+                                    signatures cluster by which EXPECT failed,
+                                    never by timestamps in the diagnosis *)
+                                 Some
+                                   (Vw_report.Journal.v ~run_seed:base_seed
+                                      ~tables_digest:digest ~command:"conform"
+                                      ~case:name ~index:i
+                                      ~oracle:
+                                        (Printf.sprintf "expect_%d"
+                                           c.Vw_conform.Eval.x
+                                             .Vw_fsl.Conform_ir.xid)
+                                      ~seed:base_seed
+                                      ~detail:
+                                        (Vw_conform.Eval.diagnosis
+                                           c.Vw_conform.Eval.verdict)
+                                      ()))
+                             cr.Vw_conform.Driver.c_checked)
+                     results)
+              in
+              match Vw_report.Journal.append path records with
+              | Ok () -> ()
+              | Error e -> Printf.eprintf "warning: journal %s: %s\n%!" path e));
+          let human =
+            if json then Format.err_formatter else Format.std_formatter
+          in
+          Format.fprintf human "%a" Vw_conform.Report.pp report_cases;
+          Format.pp_print_flush human ();
+          if json then print_string (Vw_conform.Report.summary_json report_cases);
+          match
+            write_file html (fun oc ->
+                output_string oc
+                  (Vw_report.Html_report.render_conform
+                    (List.map
+                       (fun c ->
+                         {
+                           Vw_report.Html_report.cc_name =
+                             c.Vw_conform.Report.cs_name;
+                           cc_ok = c.Vw_conform.Report.cs_ok;
+                           cc_outcome = c.Vw_conform.Report.cs_outcome;
+                           cc_expects =
+                             List.map
+                               (fun (x : Vw_conform.Report.xres) ->
+                                 {
+                                   Vw_report.Html_report.ce_label =
+                                     x.Vw_conform.Report.xr_label;
+                                   ce_status = x.Vw_conform.Report.xr_status;
+                                   ce_at_ms = x.Vw_conform.Report.xr_at_ms;
+                                   ce_diagnosis =
+                                     x.Vw_conform.Report.xr_diagnosis;
+                                 })
+                               c.Vw_conform.Report.cs_expects;
+                         })
+                       report_cases)))
+          with
+          | Error e -> write_error e
+          | Ok () ->
+              Option.iter (Printf.eprintf "wrote %s\n%!") html;
+              if Vw_conform.Report.ok report_cases then 0 else 2
   in
   Cmd.v
     (Cmd.info "conform"

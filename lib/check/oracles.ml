@@ -39,22 +39,6 @@ let defect_of_string = function
 
 type failure = { oracle : string; detail : string }
 
-let pp_failure ppf f = Format.fprintf ppf "[%s] %s" f.oracle f.detail
-
-let oracle_names =
-  [
-    "generates_valid";
-    "print_parse_fixpoint";
-    "classifier_diff";
-    "codec_roundtrip";
-    "events_roundtrip";
-    "coverage_live_offline";
-    "counter_consistency";
-    "reports_recorded";
-    "term_convergence";
-    "conform_coverage";
-  ]
-
 let fail oracle fmt = Printf.ksprintf (fun detail -> Some { oracle; detail }) fmt
 
 (* --- print_parse_fixpoint --- *)

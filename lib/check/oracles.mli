@@ -47,12 +47,8 @@ val defect_names : string list
 
 type failure = { oracle : string; detail : string }
 
-val pp_failure : Format.formatter -> failure -> unit
-
 val check : defect:defect -> Runner.outcome -> failure option
 (** First failing oracle, in the order listed above. Oracles that need a
     complete event log ([counter_consistency], [reports_recorded]) are
     skipped when rings wrapped; [term_convergence] is skipped when the
     post-run drain hit its cap. *)
-
-val oracle_names : string list

@@ -28,5 +28,4 @@ val ok : case list -> bool
 val summary_json : case list -> string
 (** One [vw-conform/1] JSON document (trailing newline included). *)
 
-val pp_case : Format.formatter -> case -> unit
 val pp : Format.formatter -> case list -> unit

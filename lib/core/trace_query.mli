@@ -5,7 +5,9 @@
     inspecting them manually or through some simple test-case specific
     filter programs". Online FSL rules remove most of that need; these
     combinators cover the rest: after a run, assert ordering, causality and
-    timing properties over the capture without writing loops. *)
+    timing properties over the capture without writing loops.
+
+    Only tests call it; it stays as the paper's tcpdump replacement. *)
 
 type pred
 (** A predicate over one trace entry. *)

@@ -4,7 +4,6 @@ type t = {
   mutable stop_received : bool;
   mutable errors : (int * int) list; (* newest first *)
   mutable stop_cb : unit -> unit;
-  mutable error_cb : int -> int -> unit;
 }
 
 let create fie =
@@ -15,7 +14,6 @@ let create fie =
       stop_received = false;
       errors = [];
       stop_cb = (fun () -> ());
-      error_cb = (fun _ _ -> ());
     }
   in
   Fie.set_report_handler fie (function
@@ -24,9 +22,7 @@ let create fie =
           t.stop_received <- true;
           t.stop_cb ()
         end
-    | Fie.Error_report { nid; rule } ->
-        t.errors <- (nid, rule) :: t.errors;
-        t.error_cb nid rule);
+    | Fie.Error_report { nid; rule } -> t.errors <- (nid, rule) :: t.errors);
   t
 
 let deploy t tables =
@@ -59,7 +55,5 @@ let start t =
   | _ -> ()
 
 let nid t = Fie.my_nid t.fie
-let stop_received t = t.stop_received
 let errors t = List.rev t.errors
 let on_stop t cb = t.stop_cb <- cb
-let on_error t cb = t.error_cb <- cb

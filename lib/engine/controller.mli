@@ -19,7 +19,6 @@ val start : t -> unit
 (** Fire START everywhere (locally first). *)
 
 val nid : t -> int option
-val stop_received : t -> bool
 
 val errors : t -> (int * int) list
 (** (node id, rule index) for each FLAG_ERROR received, oldest first.
@@ -27,6 +26,3 @@ val errors : t -> (int * int) list
 
 val on_stop : t -> (unit -> unit) -> unit
 (** Callback when the first STOP report arrives (e.g. halt the simulation). *)
-
-val on_error : t -> (int -> int -> unit) -> unit
-(** Callback on each FLAG_ERROR report: node id, rule index. *)

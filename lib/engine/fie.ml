@@ -161,7 +161,6 @@ let stats_fields (s : stats) =
     ("cascade_overflows", s.cascade_overflows);
   ]
 
-let initialized t = t.rt <> None
 let started t = match t.rt with Some rt -> rt.started | None -> false
 let my_nid t = Option.map (fun rt -> rt.nid) t.rt
 let set_report_handler t fn = t.report_handler <- fn
@@ -205,19 +204,13 @@ let ctl_of_msg = function
 let last_match_time t =
   match t.rt with Some rt -> rt.last_match | None -> None
 
-let counter_lookup t name =
+let counter_value t name =
   match t.rt with
   | None -> None
-  | Some rt -> (
-      match Tables.counter_by_name rt.tables name with
-      | Some c -> Some (rt, c.Tables.cid)
-      | None -> None)
-
-let counter_value t name =
-  Option.map (fun (rt, cid) -> rt.counter_values.(cid)) (counter_lookup t name)
-
-let counter_enabled t name =
-  Option.map (fun (rt, cid) -> rt.counter_enabled.(cid)) (counter_lookup t name)
+  | Some rt ->
+      Option.map
+        (fun (c : Tables.counter_entry) -> rt.counter_values.(c.cid))
+        (Tables.counter_by_name rt.tables name)
 
 let counters t =
   match t.rt with
@@ -228,12 +221,6 @@ let counters t =
              ( c.cname,
                rt.counter_values.(c.cid),
                rt.counter_enabled.(c.cid) ))
-
-let condition_status t did =
-  match t.rt with
-  | Some rt when did >= 0 && did < Array.length rt.cond_status ->
-      Some (rt.cond_status.(did))
-  | _ -> None
 
 let term_status t tid =
   match t.rt with

@@ -85,7 +85,6 @@ val reset : t -> unit
 (** Forget tables and run-time state; the engine goes transparent again.
     Lets one testbed run many scenarios (regression testing). *)
 
-val initialized : t -> bool
 val started : t -> bool
 val my_nid : t -> int option
 val stats : t -> stats
@@ -115,13 +114,9 @@ val counter_value : t -> string -> int option
 (** This node's view of a counter's value (authoritative for owned
     counters, last-received for remote ones). *)
 
-val counter_enabled : t -> string -> bool option
-
 val counters : t -> (string * int * bool) list
 (** Every counter's (name, this node's view of its value, enabled flag) —
     the post-run dump a tester reads first. Empty before INIT. *)
-
-val condition_status : t -> int -> bool option
 
 val term_status : t -> int -> bool option
 (** This node's view of term [tid]'s status (owner-evaluated locally,

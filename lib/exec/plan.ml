@@ -4,4 +4,3 @@ let of_list jobs = Array.of_list jobs
 let init n f = Array.init n f
 let length = Array.length
 let job t i = t.(i)
-let labels t = Array.to_list (Array.map Job.label t)

@@ -12,5 +12,3 @@ val length : _ t -> int
 
 val job : 'a t -> int -> 'a Job.t
 (** @raise Invalid_argument when the index is out of bounds. *)
-
-val labels : _ t -> string list

@@ -149,13 +149,9 @@ type script = {
 
 val direction_to_string : direction -> string
 val relop_to_string : relop -> string
-val pp_cond : Format.formatter -> cond -> unit
-val pp_action : Format.formatter -> action -> unit
 val pp_conform_stmt : Format.formatter -> conform_stmt -> unit
 
-val pp_script : Format.formatter -> script -> unit
+val script_to_string : script -> string
 (** Renders a script back to concrete FSL syntax. Printing then parsing is
     a fixpoint: [parse (print (parse s))] prints identically — the
     round-trip property the test suite checks over every shipped script. *)
-
-val script_to_string : script -> string

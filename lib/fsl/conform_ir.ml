@@ -31,6 +31,10 @@ let empty = { injections = []; expects = [] }
 
 let seconds = Vw_sim.Simtime.sec
 
+(* The frame an INJECT sends: destination and source MACs from the node
+   table, ethertype 0x0800 unless a tuple covers offset 12, then every
+   literal tuple pattern blitted at its offset (a 60-byte floor keeps the
+   frame switchable). Error if any tuple is a variable pattern. *)
 let materialize_frame tables ~fid ~from_nid ~to_nid =
   let filter = tables.Tables.filters.(fid) in
   let nodes = tables.Tables.nodes in

@@ -50,10 +50,3 @@ val compile : Tables.t -> Ast.conform_stmt list -> (t, string list) result
     with positions, mirroring {!Compile}: unknown filter/node/counter
     names, [INJECT] over a filter with variable patterns (no bytes to
     materialize), or a negative window. *)
-
-val materialize_frame :
-  Tables.t -> fid:int -> from_nid:int -> to_nid:int -> (bytes, string) result
-(** The frame an [INJECT] sends: destination and source MACs from the node
-    table, ethertype 0x0800 unless a tuple covers offset 12, then every
-    literal tuple pattern blitted at its offset (a 60-byte floor keeps the
-    frame switchable). [Error] if any tuple is a variable pattern. *)

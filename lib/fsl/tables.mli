@@ -178,7 +178,10 @@ module Compiled : sig
     ca_start : int array;  (** did → cond_actions slice *)
     ca_nid : int array;
     ca_aid : int array;
-    a_kind : int array;  (** see the [k_*] values *)
+    a_kind : int array;
+        (** below [k_drop]: a counter action, one of the [k_*] values
+            below or else ELAPSED_TIME; from [k_drop] on: any other
+            action, which the engine reads from the record *)
     a_arg1 : int array;
     a_arg2 : int array;
   }
@@ -190,16 +193,7 @@ module Compiled : sig
   val k_decr : int
   val k_reset : int
   val k_set_curtime : int
-  val k_elapsed_time : int
   val k_drop : int
-  val k_delay : int
-  val k_reorder : int
-  val k_dup : int
-  val k_modify : int
-  val k_fail : int
-  val k_stop : int
-  val k_flag_error : int
-  val k_bind_var : int
 
   val max_key_len : int
   (** 7: the longest literal that compiles to an int key. *)

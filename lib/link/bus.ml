@@ -141,7 +141,6 @@ and deliver t sender eth =
         dst.index <> sender.index
         && not (Link.lost t.config t.prng t.stats)
       then begin
-        let eth = Link.corrupt t.config t.prng t.stats eth in
         t.stats.delivered <- t.stats.delivered + 1;
         Vw_sim.Engine.schedule_at t.engine ~time:arrival (fun () -> dst.rx eth)
       end)

@@ -8,8 +8,8 @@
     51.2 µs, attempt capped at 16). The collided transmission's completion
     event stays queued but finds its frame's attempt count changed and does
     nothing. Delivered frames reach {e every other} endpoint, as on a real
-    shared segment, each drawing {!Link}'s loss and corruption. Frames are
-    {!Vw_net.Eth.t} values, shared by every receiver they reach intact. *)
+    shared segment, each drawing {!Link}'s loss. Frames are
+    {!Vw_net.Eth.t} values, shared by every receiver they reach. *)
 
 type t
 type endpoint

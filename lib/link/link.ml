@@ -2,7 +2,6 @@ type config = {
   bandwidth_bps : float;
   propagation : Vw_sim.Simtime.t;
   loss_rate : float;
-  corrupt_rate : float;
   max_queue : int;
 }
 
@@ -11,7 +10,6 @@ let default_config =
     bandwidth_bps = 100e6;
     propagation = Vw_sim.Simtime.us 5;
     loss_rate = 0.0;
-    corrupt_rate = 0.0;
     max_queue = 64;
   }
 
@@ -23,18 +21,6 @@ let lost config prng (stats : Media_stats.t) =
   let lost = Vw_util.Prng.bool prng config.loss_rate in
   if lost then stats.dropped_loss <- stats.dropped_loss + 1;
   lost
-
-let corrupt config prng (stats : Media_stats.t) frame =
-  if Vw_util.Prng.bool prng config.corrupt_rate then begin
-    stats.corrupted <- stats.corrupted + 1;
-    let data = Vw_net.Eth.to_bytes frame in
-    let pos = Vw_util.Prng.int prng (Bytes.length data) in
-    Bytes.set data pos
-      (Char.chr
-         (Char.code (Bytes.get data pos) lxor (1 + Vw_util.Prng.int prng 255)));
-    Vw_net.Eth.of_bytes data
-  end
-  else frame
 
 (* One direction: a FIFO of frames serialized back to back. *)
 type direction = {
@@ -81,7 +67,6 @@ let rec pump_direction t dir =
 
 and transmit_done t dir frame =
   if not (lost t.config t.prng t.stats) then begin
-    let frame = corrupt t.config t.prng t.stats frame in
     t.stats.delivered <- t.stats.delivered + 1;
     Vw_sim.Engine.schedule_after t.engine ~delay:t.config.propagation
       (fun () -> dir.rx frame)

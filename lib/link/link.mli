@@ -4,15 +4,16 @@
     A link has two endpoints, and each direction is an independent channel.
     Frames are {!Vw_net.Eth.t} values, serialized at the configured
     bandwidth over their {!Vw_net.Eth.size}; the receiver gets the sent
-    value after the propagation delay, unless it is lost or corrupted.
-    {!Bus} reuses this module's {!config}, {!tx_time} and impairment draw
-    ({!lost}, then {!corrupt}) for its shared CSMA/CD channel. *)
+    value after the propagation delay, unless it is lost. A lost frame
+    models a MAC bit error: the receiving NIC discards a frame whose FCS
+    fails, so a bit error never delivers a damaged frame. {!Bus} reuses
+    this module's {!config}, {!tx_time} and loss draw ({!lost}) for its
+    shared CSMA/CD channel. *)
 
 type config = {
   bandwidth_bps : float;  (** e.g. 100e6 for the paper's 100 Mbps testbed *)
   propagation : Vw_sim.Simtime.t;
   loss_rate : float;  (** probability a frame is silently lost *)
-  corrupt_rate : float;  (** probability one payload byte is flipped *)
   max_queue : int;  (** per-endpoint transmit queue bound (frames) *)
 }
 
@@ -28,13 +29,6 @@ val tx_time : config -> int -> Vw_sim.Simtime.t
 val lost : config -> Vw_util.Prng.t -> Media_stats.t -> bool
 (** Draws whether a frame that finished serializing is lost; counts it in
     [dropped_loss] if so. *)
-
-val corrupt :
-  config -> Vw_util.Prng.t -> Media_stats.t -> Vw_net.Eth.t -> Vw_net.Eth.t
-(** [corrupt config prng stats frame] draws whether the surviving [frame]
-    is corrupted. If so it counts it in [corrupted] and returns a copy with
-    one serialized byte flipped, header included (position drawn first,
-    then the flip); otherwise it returns [frame] itself. *)
 
 (** {1 Links} *)
 

@@ -4,7 +4,6 @@ type t = {
   mutable dropped_loss : int;
   mutable dropped_queue : int;
   mutable dropped_collision : int;
-  mutable corrupted : int;
 }
 
 let create () =
@@ -14,5 +13,4 @@ let create () =
     dropped_loss = 0;
     dropped_queue = 0;
     dropped_collision = 0;
-    corrupted = 0;
   }

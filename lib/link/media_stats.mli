@@ -8,7 +8,6 @@ type t = {
   mutable dropped_collision : int;
       (** bus frames abandoned after 16 collided attempts; a collision the
           frame survives by backing off is not counted *)
-  mutable corrupted : int;  (** delivered but with a flipped byte *)
 }
 
 val create : unit -> t

@@ -26,9 +26,6 @@ let to_string t =
   Printf.sprintf "%d.%d.%d.%d" a ((v lsr 16) land 0xff) ((v lsr 8) land 0xff)
     (v land 0xff)
 
-let of_int32 v = v
-let to_int32 t = t
-
 let of_bytes b ~pos =
   if pos < 0 || pos + 4 > Bytes.length b then invalid_arg "Ip_addr.of_bytes";
   Int32.of_int (Vw_util.Hexutil.to_int_be b ~pos ~len:4)

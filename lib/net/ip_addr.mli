@@ -8,8 +8,6 @@ val of_string : string -> t
     @raise Invalid_argument on malformed input. *)
 
 val to_string : t -> string
-val of_int32 : int32 -> t
-val to_int32 : t -> int32
 val of_bytes : bytes -> pos:int -> t
 val write : t -> bytes -> pos:int -> unit
 

@@ -41,8 +41,4 @@ val to_bytes : src:Ip_addr.t -> dst:Ip_addr.t -> t -> bytes
 val of_bytes : src:Ip_addr.t -> dst:Ip_addr.t -> bytes -> (t, string) result
 (** Parses and verifies the checksum. *)
 
-val flags_byte : flags -> int
-(** The wire encoding of the flags byte (FIN=0x01 … URG=0x20); useful for
-    writing FSL patterns from code. *)
-
 val pp : Format.formatter -> t -> unit

@@ -169,11 +169,14 @@ let of_string s =
       let recorded = get64 buf 12 in
       let dropped = get64 buf 20 in
       let nstrings = get32_signed buf 28 in
-      let records = get64 buf 32 land 0xffffffff in
+      let records = get32_unsigned_lo buf 32 in
       if scen_len < 0 || nstrings < 0 then err "negative header field"
       else
         let pos = ref (header_fixed + scen_len) in
         if !pos > len then err "truncated scenario name"
+          (* each entry takes at least its 2-byte length: refuse a count
+             the bytes cannot hold before allocating the table *)
+        else if nstrings > (len - !pos) / 2 then err "truncated string table"
         else begin
           let scenario = String.sub s header_fixed scen_len in
           let strings = Array.make (max nstrings 1) "" in

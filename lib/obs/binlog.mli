@@ -31,17 +31,13 @@ val slot_bytes : int
 (** Record slot width: 48. *)
 
 val o_seq : int
-val o_sid : int
 val o_time : int
 val o_cause : int
-val o_nid : int
 val o_kind : int
-val o_aux : int
-val o_a : int
 val o_b : int
 val o_c : int
-(** Field byte offsets within a slot, per the table above. Exposed for
-    the recorder's open-coded hot-path encoder and for layout tests. *)
+(** Byte offsets of the slot fields, per the table above, that the
+    recorder's open-coded hot-path encoder and the layout tests use. *)
 
 val is_binary : string -> bool
 (** True when [s] starts with the vw-events/2 magic — how [Events_io]

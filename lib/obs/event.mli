@@ -73,9 +73,6 @@ val ctl_to_fields : ctl -> int * int * int
     3 term_status (tid, 0/1), 4 var_bind (vid), 5 report_stop (nid),
     6 report_error (nid, rule). *)
 
-val ctl_of_fields : tag:int -> b:int -> c:int -> (ctl, string) result
-(** Inverse of {!ctl_to_fields}. *)
-
 val to_fields : body -> int * int * int * int * int
 (** Flatten a body to the [vw-events/2] fixed fields
     [(kind, aux, a, b, c)]: [kind] is {!kind_code}, [aux] a small enum
@@ -90,4 +87,3 @@ val to_json : t -> string
 (** One JSON object, no trailing newline (schema [vw-events/1]). *)
 
 val pp : Format.formatter -> t -> unit
-val pp_body : Format.formatter -> body -> unit

@@ -21,9 +21,6 @@ val null : t
 
 val enabled : t -> bool
 
-val default_buckets : int array
-(** Powers of two, 1 … 256. *)
-
 val counter : t -> string -> counter
 (** Register (or fetch) the counter [name].
     @raise Invalid_argument if [name] is a histogram. *)

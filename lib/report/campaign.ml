@@ -72,13 +72,6 @@ let merge (a : Coverage.t) (b : Coverage.t) =
             a.Coverage.terms b.Coverage.terms;
       }
 
-let merge_all = function
-  | [] -> Error "no coverage to merge"
-  | c :: rest ->
-      List.fold_left
-        (fun acc c -> Result.bind acc (fun a -> merge a c))
-        (Ok c) rest
-
 let concat ?(scenario = "campaign") labeled =
   (* re-index every id into one flat space and prefix names with the case
      label, so a heterogeneous suite still renders as one vw-cover/1 doc *)

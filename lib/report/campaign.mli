@@ -40,9 +40,6 @@ val merge : Coverage.t -> Coverage.t -> (Coverage.t, string) result
     scenario names or structures differ — use {!concat} for heterogeneous
     campaigns. *)
 
-val merge_all : Coverage.t list -> (Coverage.t, string) result
-(** Left fold of {!merge}; [Error] on an empty list. *)
-
 val concat : ?scenario:string -> (string * Coverage.t) list -> Coverage.t
 (** Flatten coverages of {e different} scripts into one document: ids are
     re-indexed into a single flat space and filter/counter names prefixed

@@ -21,9 +21,6 @@ val stage_name : stage -> string
 (** ["fired"], ["term_flip"], ["counter_change"], ["filter_match"],
     ["nothing"] — the identifiers used in the [vw-cover/1] schema. *)
 
-val stage_of_name : string -> stage option
-(** Inverse of {!stage_name}. *)
-
 type rule_cov = { rule : int; rule_fired : int; furthest : stage }
 type filter_cov = { fid : int; fname : string; matched : int }
 type counter_cov = { cid : int; cname : string; changes : int }
@@ -51,7 +48,6 @@ val dead_filters : t -> filter_cov list
 (** Filters no packet ever matched. *)
 
 val dead_counters : t -> counter_cov list
-val dead_terms : t -> term_cov list
 
 val to_json : t -> string
 (** Schema [vw-cover/1] (see docs/OBSERVABILITY.md); ends with a newline. *)

@@ -13,9 +13,6 @@ type header = {
   dropped : int;  (** events overwritten by ring wrap-around *)
 }
 
-val parse_event : Json.t -> (Vw_obs.Event.t, string) result
-(** Decode one event object (any line after the header). *)
-
 val of_string : string -> (header option * Vw_obs.Event.t list, string) result
 (** Parse a whole document in either format. Binary logs (leading [VWEV2]
     magic) always carry a header; for JSONL a leading header object (the
@@ -23,9 +20,6 @@ val of_string : string -> (header option * Vw_obs.Event.t list, string) result
     schema other than [vw-events/1] is an error (binary logs are never
     JSONL), as is any undecodable line or record. Blank lines are skipped.
     Events are returned sorted by [seq]. *)
-
-val of_jsonl : string -> (header option * Vw_obs.Event.t list, string) result
-(** The JSONL-only path, bypassing format sniffing. *)
 
 val load : string -> (header option * Vw_obs.Event.t list, string) result
 (** [of_string] over a file's contents; I/O errors become [Error]. *)

@@ -74,14 +74,12 @@ type t = {
   gate : Vw_net.Eth.t Queue.t; (* best-effort egress, token-gated *)
   rt_gate : Vw_net.Eth.t Queue.t; (* real-time egress, reservation-gated *)
   mutable reservation : int; (* bytes per cycle this node may send as RT *)
-  mutable ring_change_cb : Vw_net.Mac.t list -> unit;
   gate_priority : int;
 }
 
 let holds_token t = t.holding
 let ring_view t = t.view
 let stats t = t.stats
-let on_ring_change t cb = t.ring_change_cb <- cb
 
 let new_stats () =
   {
@@ -136,23 +134,16 @@ let successor_of t mac =
 
 let canonical_insert t mac =
   (* Re-insert [mac] into the view at its position in the configured ring. *)
-  if List.exists (Vw_net.Mac.equal mac) t.view then ()
-  else begin
-    let ordered =
+  if not (List.exists (Vw_net.Mac.equal mac) t.view) then
+    t.view <-
       List.filter
         (fun m ->
           List.exists (Vw_net.Mac.equal m) t.view || Vw_net.Mac.equal m mac)
         t.config.ring
-    in
-    t.view <- ordered;
-    t.ring_change_cb t.view
-  end
 
 let remove_member t mac =
-  if List.exists (Vw_net.Mac.equal mac) t.view then begin
-    t.view <- List.filter (fun m -> not (Vw_net.Mac.equal m mac)) t.view;
-    t.ring_change_cb t.view
-  end
+  if List.exists (Vw_net.Mac.equal mac) t.view then
+    t.view <- List.filter (fun m -> not (Vw_net.Mac.equal m mac)) t.view
 
 let release t frame =
   Vw_stack.Host.reinject t.host Vw_stack.Hook.Egress
@@ -376,7 +367,6 @@ let install ?config host =
       gate = Queue.create ();
       rt_gate = Queue.create ();
       reservation = 0;
-      ring_change_cb = (fun _ -> ());
       gate_priority = 50;
     }
   in

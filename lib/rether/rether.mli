@@ -107,11 +107,6 @@ val ring_view : t -> Vw_net.Mac.t list
 (** This node's current view of live members, in ring order. *)
 
 val stats : t -> stats
-val on_ring_change : t -> (Vw_net.Mac.t list -> unit) -> unit
 
-(** Wire opcodes, exposed for FSL scripts and tests. *)
-
-val opcode_token : int (* 0x0001 *)
-val opcode_token_ack : int (* 0x0010 *)
-val opcode_evict : int (* 0x0002 *)
-val opcode_join : int (* 0x0003 *)
+val opcode_token : int
+(** The token frame's opcode, [0x0001], for trace queries. *)

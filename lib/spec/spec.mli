@@ -11,7 +11,10 @@
     The generator is deliberately conservative: it emits exactly the rule
     shapes the paper's hand-written scripts use (enable-at-start counters,
     re-arming resets, windowed faults, FLAG_ERROR bounds, a STOP
-    conjunction), so generated scripts read like the Figures. *)
+    conjunction), so generated scripts read like the Figures.
+
+    Only tests and an example call it; it stays as the paper's closing
+    goal. *)
 
 type packet = {
   filter : string;  (** a name from [filters] *)

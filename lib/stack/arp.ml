@@ -32,7 +32,6 @@ type t = {
   config : config;
   stats : stats;
   probes : (Vw_net.Ip_addr.t, probe) Hashtbl.t;
-  mutable attached : bool;
 }
 
 let stats t = t.stats
@@ -135,14 +134,8 @@ let attach ?(config = default_config) host =
           expirations = 0;
         };
       probes = Hashtbl.create 8;
-      attached = true;
     }
   in
-  Host.set_ethertype_handler host Arp_packet.ethertype (fun frame ->
-      if t.attached then handle_frame t frame);
-  Host.set_neighbor_miss_handler host (Some (fun ip -> if t.attached then on_miss t ip));
+  Host.set_ethertype_handler host Arp_packet.ethertype (handle_frame t);
+  Host.set_neighbor_miss_handler host (Some (on_miss t));
   t
-
-let detach t =
-  t.attached <- false;
-  Host.set_neighbor_miss_handler t.host None

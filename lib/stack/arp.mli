@@ -35,7 +35,6 @@ val attach : ?config:config -> Host.t -> t
     Static entries added before or after attach still work and are aged
     like learned ones only if learned through ARP. *)
 
-val detach : t -> unit
 val stats : t -> stats
 val resolving : t -> int
 (** Outstanding resolutions. *)

@@ -33,7 +33,6 @@ type t = {
   mutable tap : (dir:[ `In | `Out ] -> Vw_net.Eth.t -> unit) option;
   mutable failed : bool;
   mutable ip_ident : int;
-  mutable frames_sent : int;
   mutable frames_received : int;
 }
 
@@ -41,7 +40,6 @@ let engine t = t.engine
 let name t = t.name
 let mac t = t.mac
 let ip t = t.ip
-let frames_sent t = t.frames_sent
 let frames_received t = t.frames_received
 
 let by_chain_order a b = compare (a.priority, a.id) (b.priority, b.id)
@@ -65,7 +63,6 @@ let remove_hook t id =
 let transmit t (frame : Vw_net.Eth.t) =
   if not t.failed then begin
     (match t.tap with Some tap -> tap ~dir:`Out frame | None -> ());
-    t.frames_sent <- t.frames_sent + 1;
     match t.nic with
     | Some nic -> nic.Vw_link.Netif.send frame
     | None -> Log.warn (fun m -> m "%s: transmit with no NIC attached" t.name)
@@ -307,7 +304,6 @@ let create engine ~name ~mac ~ip =
       tap = None;
       failed = false;
       ip_ident = 0;
-      frames_sent = 0;
       frames_received = 0;
     }
   in

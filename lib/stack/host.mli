@@ -85,8 +85,8 @@ val set_ip_protocol_handler : t -> int -> (Vw_net.Ipv4.t -> unit) -> unit
 (** {1 ICMP}
 
     Hosts answer echo requests automatically (like a kernel) and emit
-    port-unreachable errors for unbound UDP ports. Other inbound ICMP goes
-    to the observer — how {!Vw_apps.Ping} collects replies. *)
+    port-unreachable errors for unbound UDP ports. Other inbound ICMP,
+    echo replies included, goes to the observer. *)
 
 val send_icmp : t -> dst:Vw_net.Ip_addr.t -> Vw_net.Icmp.t -> unit
 val set_icmp_observer :
@@ -127,5 +127,4 @@ val fail : t -> unit
 val revive : t -> unit
 val is_failed : t -> bool
 
-val frames_sent : t -> int
 val frames_received : t -> int

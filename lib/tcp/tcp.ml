@@ -284,7 +284,7 @@ let rec try_send t =
         if avail > 0 && room > 0 then begin
           let len = min t.conn_config.mss (min avail room) in
           let payload = Bytes.create len in
-          Bytes.blit_string (Buffer.contents t.out_buf) t.out_off payload 0 len;
+          Buffer.blit t.out_buf t.out_off payload 0 len;
           t.out_off <- t.out_off + len;
           let seq = t.snd_nxt in
           t.snd_nxt <- t.snd_nxt + len;

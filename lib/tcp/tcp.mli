@@ -113,9 +113,6 @@ val cwnd : t -> int
 val ssthresh : t -> int
 (** Slow-start threshold, in segments. *)
 
-val flight_size : t -> int
-(** Unacknowledged bytes in flight. *)
-
 val stats : t -> stats
 val config : t -> config
 val cwnd_history : t -> (Vw_sim.Simtime.t * int) list

@@ -183,7 +183,6 @@ let suite =
 
 (* --- ICMP / ping --- *)
 
-module Ping = Vw_apps.Ping
 module Icmp = Vw_net.Icmp
 
 let test_icmp_codec () =
@@ -199,36 +198,38 @@ let test_icmp_codec () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt icmp accepted"
 
-let test_ping_round_trip () =
-  let engine, client_stack, _server = world () in
-  let client = Tcp.host client_stack in
-  let result = ref None in
-  Ping.run client ~dst:(ip 2) ~count:4 (fun s -> result := Some s);
-  Engine.run engine ~until:(Simtime.sec 5.0);
-  match !result with
-  | Some s ->
-      check Alcotest.int "all transmitted" 4 s.Ping.transmitted;
-      check Alcotest.int "all answered" 4 s.Ping.received;
-      check (Alcotest.float 0.01) "no loss" 0.0 (Ping.loss_pct s);
-      check Alcotest.bool "rtt plausible" true
-        (Vw_util.Stats.mean s.Ping.rtts > 0.0
-        && Vw_util.Stats.mean s.Ping.rtts < 0.01)
-  | None -> Alcotest.fail "ping never finished"
-
-let test_ping_dead_host_times_out () =
+(* the client sends four echo requests (id 7, seq 1..4) to the server;
+   the (id, seq) of every echo reply it receives, in arrival order *)
+let echo_replies ~server_failed =
   let engine, client_stack, server_stack = world () in
   let client = Tcp.host client_stack in
-  Host.fail (Tcp.host server_stack);
-  let result = ref None in
-  Ping.run client ~dst:(ip 2) ~count:3 ~timeout:(Simtime.ms 200) (fun s ->
-      result := Some s);
-  Engine.run engine ~until:(Simtime.sec 5.0);
-  match !result with
-  | Some s ->
-      check Alcotest.int "transmitted" 3 s.Ping.transmitted;
-      check Alcotest.int "nothing back" 0 s.Ping.received;
-      check (Alcotest.float 0.01) "100% loss" 100.0 (Ping.loss_pct s)
-  | None -> Alcotest.fail "ping never finished"
+  if server_failed then Host.fail (Tcp.host server_stack);
+  let replies = ref [] in
+  Host.set_icmp_observer client
+    (Some
+       (fun _ message ->
+         match message with
+         | Icmp.Echo_reply { id; seq; _ } -> replies := (id, seq) :: !replies
+         | _ -> ()));
+  for seq = 1 to 4 do
+    Host.send_icmp client ~dst:(ip 2)
+      (Icmp.Echo_request { id = 7; seq; payload = Bytes.make 56 '\000' })
+  done;
+  Engine.run engine ~until:(Simtime.sec 1.0);
+  List.rev !replies
+
+let test_ping_round_trip () =
+  check
+    Alcotest.(list (pair int int))
+    "one reply per request"
+    [ (7, 1); (7, 2); (7, 3); (7, 4) ]
+    (echo_replies ~server_failed:false)
+
+let test_ping_dead_host_times_out () =
+  check
+    Alcotest.(list (pair int int))
+    "a failed host answers none" []
+    (echo_replies ~server_failed:true)
 
 let test_udp_port_unreachable () =
   let engine, client_stack, _server = world () in

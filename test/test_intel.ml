@@ -514,6 +514,29 @@ let test_cli_error_exit_codes () =
           ( "triage --html",
             Printf.sprintf "triage %s --html %s" (Filename.quote journal) bad
           );
+        ]);
+  (* suite and conform load every case before running any: a malformed
+     directive or an unreadable .fsl entry exits 1 *)
+  with_tmp_dir (fun dir ->
+      let src = read_file (Filename.concat suite_dir "02_udp_loss_window.fsl") in
+      let bad_directive = Filename.concat dir "bad_directive"
+      and unreadable = Filename.concat dir "unreadable" in
+      Sys.mkdir bad_directive 0o755;
+      Sys.mkdir unreadable 0o755;
+      write_file
+        (Filename.concat bad_directive "00_case.fsl")
+        (replace ~sub:"bytes=640" ~by:"bytes=abc" src);
+      Sys.mkdir (Filename.concat unreadable "00_case.fsl") 0o755;
+      List.iter
+        (fun (what, cases) ->
+          List.iter
+            (fun cmd ->
+              let rc, _ = run_capture (Printf.sprintf "%s %s" cmd cases) in
+              Alcotest.(check int) (cmd ^ " on " ^ what ^ " exits 1") 1 rc)
+            [ "suite"; "conform" ])
+        [
+          ("a malformed directive", bad_directive);
+          ("a directory named .fsl", unreadable);
         ])
 
 (* campaign artifacts and journals must be byte-identical at every --jobs

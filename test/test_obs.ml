@@ -252,6 +252,19 @@ let test_binlog_bad_input () =
   (match Binlog.of_string "VWEV9\x00rest" with
   | Ok _ -> Alcotest.fail "accepted bad magic"
   | Error _ -> ());
+  (* a bare 36-byte header claiming 10M strings is refused before the
+     string table is allocated *)
+  let huge = Bytes.make 36 '\000' in
+  Bytes.blit_string Binlog.magic 0 huge 0 6;
+  Bytes.set huge 6 (Char.chr Binlog.slot_bytes);
+  Bytes.set_int32_le huge 28 10_000_000l;
+  let allocated_before = Gc.allocated_bytes () in
+  (match Binlog.of_string (Bytes.to_string huge) with
+  | Ok _ -> Alcotest.fail "accepted 10M strings in no bytes"
+  | Error _ -> ());
+  let allocated = Gc.allocated_bytes () -. allocated_before in
+  check Alcotest.bool "refused before allocating (< 1 MB)" true
+    (allocated < 1e6);
   (* a kind byte outside 0..8 names the record *)
   let b = Bytes.of_string good in
   let slot_off = String.length good - Binlog.slot_bytes in

@@ -83,12 +83,16 @@ let test_large_transfer_under_loss () =
   let conn = Tcp.connect w.stack_a ~src_port:5000 ~dst:(ip 2) ~dst_port:80 in
   let message = String.init 200_000 (fun i -> Char.chr ((i * 7) mod 256)) in
   Tcp.on_established conn (fun () -> Tcp.send conn (Bytes.of_string message));
+  let allocated_before = Gc.allocated_bytes () in
   Engine.run w.engine ~until:(Simtime.sec 120.0);
+  let allocated = Gc.allocated_bytes () -. allocated_before in
   check Alcotest.int "all bytes delivered" (String.length message)
     (Buffer.length data);
   check Alcotest.string "content intact" message (Buffer.contents data);
   check Alcotest.bool "loss exercised retransmission" true
-    ((Tcp.stats conn).Tcp.retransmits > 0)
+    ((Tcp.stats conn).Tcp.retransmits > 0);
+  (* each segment copies its own bytes, not the whole send buffer *)
+  check Alcotest.bool "transfer allocates under 10 MB" true (allocated < 10e6)
 
 let test_slow_start_growth () =
   let w = world () in
