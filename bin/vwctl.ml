@@ -1510,36 +1510,38 @@ let fuzz_cmd =
           if opts.stats_json then Format.err_formatter
           else Format.std_formatter
         in
-        let summary = Vw_check.Fuzz.execute ~ppf cfg in
-        if opts.stats_json then begin
-          let found = summary.Vw_check.Fuzz.found in
-          let entries =
-            List.init summary.Vw_check.Fuzz.runs_done (fun i ->
-                let name = Printf.sprintf "case-%d" i in
-                match found with
-                | Some f when f.Vw_check.Fuzz.run_index = i ->
-                    Vw_report.Campaign.entry ~name ~ok:false
-                      ~detail:
-                        (Printf.sprintf "%s: %s"
-                           f.Vw_check.Fuzz.failure.Vw_check.Oracles.oracle
-                           f.Vw_check.Fuzz.failure.Vw_check.Oracles.detail)
-                      ()
-                | _ -> Vw_report.Campaign.entry ~name ~ok:true ~detail:"" ())
-          in
-          let campaign = Vw_report.Campaign.v ~command:"fuzz" entries in
-          print_string
-            (Vw_report.Campaign.summary_json
-               ~extra:
-                 [
-                   ("seed", string_of_int seed);
-                   ("runs", string_of_int runs);
-                   ( "defect",
-                     Printf.sprintf "%S"
-                       (Vw_check.Oracles.defect_to_string defect) );
-                 ]
-               campaign)
-        end;
-        Vw_check.Fuzz.exit_code summary
+        match Vw_check.Fuzz.execute ~ppf cfg with
+        | Error e -> write_error e
+        | Ok summary ->
+            if opts.stats_json then begin
+              let found = summary.Vw_check.Fuzz.found in
+              let entries =
+                List.init summary.Vw_check.Fuzz.runs_done (fun i ->
+                    let name = Printf.sprintf "case-%d" i in
+                    match found with
+                    | Some f when f.Vw_check.Fuzz.run_index = i ->
+                        Vw_report.Campaign.entry ~name ~ok:false
+                          ~detail:
+                            (Printf.sprintf "%s: %s"
+                               f.Vw_check.Fuzz.failure.Vw_check.Oracles.oracle
+                               f.Vw_check.Fuzz.failure.Vw_check.Oracles.detail)
+                          ()
+                    | _ -> Vw_report.Campaign.entry ~name ~ok:true ~detail:"" ())
+              in
+              let campaign = Vw_report.Campaign.v ~command:"fuzz" entries in
+              print_string
+                (Vw_report.Campaign.summary_json
+                   ~extra:
+                     [
+                       ("seed", string_of_int seed);
+                       ("runs", string_of_int runs);
+                       ( "defect",
+                         Printf.sprintf "%S"
+                           (Vw_check.Oracles.defect_to_string defect) );
+                     ]
+                   campaign)
+            end;
+            Vw_check.Fuzz.exit_code summary
   in
   Cmd.v
     (Cmd.info "fuzz"

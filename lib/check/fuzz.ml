@@ -57,26 +57,31 @@ let record_outcome tally (o : Runner.outcome) =
   | Error _ -> ());
   if o.Runner.o_truncated then tally.truncated <- tally.truncated + 1
 
+(* the (original, minimized) reproducer paths, or [Error] when [dir] or a
+   file in it cannot be written *)
 let save_reproducer ?origin dir ~case ~minimized =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let write name contents =
-    let oc = open_out (Filename.concat dir name) in
-    output_string oc contents;
-    close_out oc;
-    Filename.concat dir name
+    let path = Filename.concat dir name in
+    Out_channel.with_open_text path (fun oc -> output_string oc contents);
+    path
   in
-  let orig =
-    write (Printf.sprintf "case-%d.fsl" case.Gen.seed) (Gen.to_fsl ?origin case)
-  in
-  let min_file =
-    Option.map
-      (fun m ->
-        write
-          (Printf.sprintf "case-%d-min.fsl" case.Gen.seed)
-          (Gen.to_fsl ?origin m))
-      minimized
-  in
-  (orig, min_file)
+  match
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    let orig =
+      write
+        (Printf.sprintf "case-%d.fsl" case.Gen.seed)
+        (Gen.to_fsl ?origin case)
+    in
+    ( orig,
+      Option.map
+        (fun m ->
+          write
+            (Printf.sprintf "case-%d-min.fsl" case.Gen.seed)
+            (Gen.to_fsl ?origin m))
+        minimized )
+  with
+  | saved -> Ok saved
+  | exception Sys_error e -> Error e
 
 let run_one ~defect case =
   match Runner.run case with
@@ -104,7 +109,6 @@ let journal_detail (failure : Oracles.failure) =
     Vw_report.Journal.exn_constructor msg
   else failure.Oracles.detail
 
-(* returns the saved (original, minimized) reproducer paths, when saving *)
 let report_failure ppf cfg f =
   Format.fprintf ppf "@.FAILURE at run %d (case seed %d)@." f.run_index
     f.case_seed;
@@ -124,26 +128,26 @@ let report_failure ppf cfg f =
       Format.fprintf ppf "--- minimized (size %d, %d shrink runs) ---@.%s"
         (Gen.size m) f.shrink_runs (Gen.to_fsl m)
   | None -> ());
-  let saved =
-    match cfg.save_failing with
-    | Some dir ->
-        let origin =
-          {
-            Gen.og_oracle = f.failure.Oracles.oracle;
-            og_run_seed = cfg.seed;
-            og_case_index = f.run_index;
-          }
-        in
-        let orig, min_file =
-          save_reproducer ~origin dir ~case:f.case ~minimized:f.minimized
-        in
-        Format.fprintf ppf "saved: %s%s@." orig
-          (match min_file with Some p -> " and " ^ p | None -> "");
-        Some (orig, min_file)
-    | None -> None
-  in
-  Format.pp_print_flush ppf ();
-  saved
+  Format.pp_print_flush ppf ()
+
+(* the saved (original, minimized) reproducer paths, when saving *)
+let save_found ppf cfg f =
+  match cfg.save_failing with
+  | None -> Ok None
+  | Some dir -> (
+      let origin =
+        {
+          Gen.og_oracle = f.failure.Oracles.oracle;
+          og_run_seed = cfg.seed;
+          og_case_index = f.run_index;
+        }
+      in
+      match save_reproducer ~origin dir ~case:f.case ~minimized:f.minimized with
+      | Error _ as e -> e
+      | Ok (orig, min_file) ->
+          Format.fprintf ppf "saved: %s%s@." orig
+            (match min_file with Some p -> " and " ^ p | None -> "");
+          Ok (Some (orig, min_file)))
 
 let journal_record cfg ~command ~saved f =
   let repro =
@@ -304,18 +308,25 @@ let execute ?(ppf = Format.std_formatter) cfg =
       | _, None -> assert false)
     outcomes;
   let runs_done = List.length outcomes in
-  (match !found with
-  | Some f ->
-      let saved = report_failure ppf cfg f in
-      journal_append ppf cfg ~command:"fuzz" ~saved f
-  | None ->
-      Format.fprintf ppf
-        "no failures in %d runs (stopped %d, timed_out %d, ran_to_limit %d, \
-         with_errors %d, truncated %d)@."
-        runs_done tally.stopped tally.timed_out tally.ran_to_limit
-        tally.with_errors tally.truncated);
+  let saved =
+    match !found with
+    | Some f -> (
+        report_failure ppf cfg f;
+        match save_found ppf cfg f with
+        | Error _ as e -> e
+        | Ok saved ->
+            journal_append ppf cfg ~command:"fuzz" ~saved f;
+            Ok ())
+    | None ->
+        Format.fprintf ppf
+          "no failures in %d runs (stopped %d, timed_out %d, ran_to_limit \
+           %d, with_errors %d, truncated %d)@."
+          runs_done tally.stopped tally.timed_out tally.ran_to_limit
+          tally.with_errors tally.truncated;
+        Ok ()
+  in
   Format.pp_print_flush ppf ();
-  { runs_done; found = !found }
+  Result.map (fun () -> { runs_done; found = !found }) saved
 
 let replay ?(ppf = Format.std_formatter) ?journal ~defect ~shrink path =
   match
@@ -383,8 +394,8 @@ let replay ?(ppf = Format.std_formatter) ?journal ~defect ~shrink path =
                       | None -> "");
                   }
                 in
-                let saved = report_failure ppf cfg f in
-                journal_append ppf cfg ~command:"replay" ~saved f;
+                report_failure ppf cfg f;
+                journal_append ppf cfg ~command:"replay" ~saved:None f;
                 { runs_done = 1; found = Some f }
           in
           Format.pp_print_flush ppf ();

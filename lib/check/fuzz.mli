@@ -48,10 +48,12 @@ type found = {
 
 type summary = { runs_done : int; found : found option }
 
-val execute : ?ppf:Format.formatter -> config -> summary
+val execute : ?ppf:Format.formatter -> config -> (summary, string) result
 (** Runs the campaign, printing progress, the final tally and (on failure)
     the replayable original and minimized scripts to [ppf] (default
-    [Format.std_formatter]). *)
+    [Format.std_formatter]). [Error] when [save_failing] is set and the
+    reproducer directory or a file in it cannot be written; the failure
+    has been printed by then, but not journaled. *)
 
 val replay :
   ?ppf:Format.formatter ->

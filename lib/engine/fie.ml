@@ -75,7 +75,7 @@ type observer = { ob_cid : int; ob_src : Vw_net.Mac.t; ob_dst : Vw_net.Mac.t }
 
 type runtime = {
   tables : Tables.t;
-  compiled : Tables.Compiled.t; (* the SoA form the hot path walks *)
+  compiled : Tables.Compiled.t; (* the classifier's filter table and index *)
   controller_nid : int;
   nid : int;
   term_local : bool array; (* tid -> this node evaluates the term *)
@@ -230,16 +230,51 @@ let term_status t tid =
 
 let now t = Vw_sim.Engine.now (Vw_stack.Host.engine t.hst)
 
-(* --- term & condition evaluation ---
-
-   Both dispatch over the compiled SoA tables; Tables.Compiled property
-   tests pin them to the record-form reference evaluation. *)
+(* --- term & condition evaluation, over the record tables --- *)
 
 let eval_term rt tid =
-  Tables.Compiled.eval_term rt.compiled ~counter_values:rt.counter_values tid
+  Tables.eval_term rt.tables ~counter_values:rt.counter_values tid
 
 let eval_cond rt did =
-  Tables.Compiled.eval_cond rt.compiled ~term_status:rt.term_status did
+  Tables.eval_cond rt.tables ~term_status:rt.term_status did
+
+(* An action's write to a counter: a change is recorded and seeds the next
+   cascade round through [changed]. *)
+let set_value t rt ~changed cid v =
+  if rt.counter_values.(cid) <> v then begin
+    let delta = v - rt.counter_values.(cid) in
+    rt.counter_values.(cid) <- v;
+    t.stats.counter_updates <- t.stats.counter_updates + 1;
+    if Rec.enabled t.obs then
+      ignore (Rec.emit_counter_changed t.obs ~cid ~value:v ~delta);
+    ignore (Vw_util.Worklist.add changed cid)
+  end
+
+(* The cascade walks the tables' own dependency lists. The walkers are
+   plain recursive functions, not [List.iter] closures, so a cascade
+   round allocates no closure per list. *)
+
+(* counter → the terms this node evaluates over it *)
+let rec add_local_terms rt = function
+  | [] -> ()
+  | tid :: rest ->
+      if rt.term_local.(tid) then ignore (Vw_util.Worklist.add rt.ws_terms tid);
+      add_local_terms rt rest
+
+(* term → the conditions this node evaluates over it *)
+let rec add_local_conds rt = function
+  | [] -> ()
+  | did :: rest ->
+      if rt.cond_local.(did) then ignore (Vw_util.Worklist.add rt.ws_conds did);
+      add_local_conds rt rest
+
+(* terms a remote evaluator pushed → the conditions this node evaluates
+   over them *)
+let rec add_ext_conds rt = function
+  | [] -> ()
+  | tid :: rest ->
+      add_local_conds rt rt.tables.Tables.terms.(tid).Tables.in_conditions;
+      add_ext_conds rt rest
 
 (* --- control-plane sending --- *)
 
@@ -258,6 +293,21 @@ let rec send_control t ~dst_nid msg =
         in
         Vw_stack.Host.send_frame t.hst frame
       end
+
+(* counter [cid]'s value to each remote term evaluator *)
+and send_counter_updates t rt cid = function
+  | [] -> ()
+  | dst_nid :: rest ->
+      send_control t ~dst_nid
+        (Control.Counter_update { cid; value = rt.counter_values.(cid) });
+      send_counter_updates t rt cid rest
+
+(* term [tid]'s new status to each remote condition evaluator *)
+and send_term_statuses t ~tid ~status = function
+  | [] -> ()
+  | dst_nid :: rest ->
+      send_control t ~dst_nid (Control.Term_status { tid; status });
+      send_term_statuses t ~tid ~status rest
 
 and report t report_value =
   match t.rt with
@@ -283,63 +333,52 @@ and report t report_value =
 and execute_action t rt ~did ~aid ~changed =
   t.stats.actions_executed <- t.stats.actions_executed + 1;
   if Rec.enabled t.obs then ignore (Rec.emit_action_fired t.obs ~did ~aid);
-  let set_value cid v =
-    if rt.counter_values.(cid) <> v then begin
-      let delta = v - rt.counter_values.(cid) in
-      rt.counter_values.(cid) <- v;
-      t.stats.counter_updates <- t.stats.counter_updates + 1;
-      if Rec.enabled t.obs then
-        ignore (Rec.emit_counter_changed t.obs ~cid ~value:v ~delta);
-      ignore (Vw_util.Worklist.add changed cid)
-    end
-  in
-  (* the counter arithmetic that dominates cascades dispatches on the
-     compiled int descriptor; the cold cases fall back on the record *)
-  let cp = rt.compiled in
-  let kind = cp.Tables.Compiled.a_kind.(aid) in
-  if kind < Tables.Compiled.k_drop then begin
-    let cid = cp.Tables.Compiled.a_arg1.(aid) in
-    if kind = Tables.Compiled.k_assign then begin
+  match rt.tables.Tables.actions.(aid).Tables.act with
+  | Tables.A_assign (cid, v) ->
       rt.counter_enabled.(cid) <- true;
-      set_value cid cp.Tables.Compiled.a_arg2.(aid)
-    end
-    else if kind = Tables.Compiled.k_enable then
-      rt.counter_enabled.(cid) <- true
-    else if kind = Tables.Compiled.k_disable then
-      rt.counter_enabled.(cid) <- false
-    else if kind = Tables.Compiled.k_incr then
-      set_value cid (rt.counter_values.(cid) + cp.Tables.Compiled.a_arg2.(aid))
-    else if kind = Tables.Compiled.k_decr then
-      set_value cid (rt.counter_values.(cid) - cp.Tables.Compiled.a_arg2.(aid))
-    else if kind = Tables.Compiled.k_reset then set_value cid 0
-    else if kind = Tables.Compiled.k_set_curtime then
-      set_value cid (int_of_float (Vw_sim.Simtime.to_ms (now t)))
-    else
-      set_value cid
+      set_value t rt ~changed cid v
+  | Tables.A_enable cid -> rt.counter_enabled.(cid) <- true
+  | Tables.A_disable cid -> rt.counter_enabled.(cid) <- false
+  | Tables.A_incr (cid, v) ->
+      set_value t rt ~changed cid (rt.counter_values.(cid) + v)
+  | Tables.A_decr (cid, v) ->
+      set_value t rt ~changed cid (rt.counter_values.(cid) - v)
+  | Tables.A_reset cid -> set_value t rt ~changed cid 0
+  | Tables.A_set_curtime cid ->
+      set_value t rt ~changed cid (int_of_float (Vw_sim.Simtime.to_ms (now t)))
+  | Tables.A_elapsed_time cid ->
+      set_value t rt ~changed cid
         (int_of_float (Vw_sim.Simtime.to_ms (now t)) - rt.counter_values.(cid))
-  end
-  else
-    match rt.tables.Tables.actions.(aid).Tables.act with
-    | Tables.A_bind_var (vid, value) ->
-        rt.bindings.(vid) <- Some value;
-        Array.iter
-          (fun (n : Tables.node_entry) ->
-            if n.nid <> rt.nid then
-              send_control t ~dst_nid:n.nid (Control.Var_bind { vid; value }))
-          rt.tables.Tables.nodes
-    | Tables.A_fail nid -> if nid = rt.nid then Vw_stack.Host.fail t.hst
-    | Tables.A_stop -> report t (Stop_report { nid = rt.nid })
-    | Tables.A_flag_error rule -> report t (Error_report { nid = rt.nid; rule })
-    | Tables.A_drop _ | Tables.A_delay _ | Tables.A_reorder _ | Tables.A_dup _
-    | Tables.A_modify _ ->
-        (* Faults are level-armed through their condition's status; nothing
-           to do at the edge. *)
-        ()
-    | Tables.A_assign _ | Tables.A_enable _ | Tables.A_disable _
-    | Tables.A_incr _ | Tables.A_decr _ | Tables.A_reset _
-    | Tables.A_set_curtime _ | Tables.A_elapsed_time _ ->
-        (* kind < k_drop: handled by the descriptor dispatch above *)
-        assert false
+  | Tables.A_bind_var (vid, value) ->
+      rt.bindings.(vid) <- Some value;
+      Array.iter
+        (fun (n : Tables.node_entry) ->
+          if n.nid <> rt.nid then
+            send_control t ~dst_nid:n.nid (Control.Var_bind { vid; value }))
+        rt.tables.Tables.nodes
+  | Tables.A_fail nid -> if nid = rt.nid then Vw_stack.Host.fail t.hst
+  | Tables.A_stop -> report t (Stop_report { nid = rt.nid })
+  | Tables.A_flag_error rule -> report t (Error_report { nid = rt.nid; rule })
+  | Tables.A_drop _ | Tables.A_delay _ | Tables.A_reorder _ | Tables.A_dup _
+  | Tables.A_modify _ ->
+      (* Faults are level-armed through their condition's status; nothing
+         to do at the edge. *)
+      ()
+
+(* condition [did]'s (node, action) pairs: fire this node's, in order *)
+and fire_actions t rt ~did ~changed = function
+  | [] -> ()
+  | (nid, aid) :: rest ->
+      if nid = rt.nid then execute_action t rt ~did ~aid ~changed;
+      fire_actions t rt ~did ~changed rest
+
+(* the risen conditions, in ascending did order *)
+and fire_risen t rt ~changed = function
+  | [] -> ()
+  | did :: rest ->
+      fire_actions t rt ~did ~changed
+        rt.tables.Tables.conds.(did).Tables.cond_actions;
+      fire_risen t rt ~changed rest
 
 (* --- the cascade (Figure 3 / Figure 4b) ---
 
@@ -373,39 +412,24 @@ and cascade t rt ~changed_counters ~changed_terms =
       continue := false
     end
     else begin
-      let cp = rt.compiled in
       (* 1. ship counter updates to remote term evaluators *)
       W.iter
         (fun cid ->
-          if cp.Tables.Compiled.c_owner.(cid) = rt.nid then
-            for k = cp.Tables.Compiled.cs_start.(cid)
-                to cp.Tables.Compiled.cs_start.(cid + 1) - 1 do
-              send_control t ~dst_nid:cp.Tables.Compiled.cs_subs.(k)
-                (Control.Counter_update
-                   { cid; value = rt.counter_values.(cid) })
-            done)
+          let c = rt.tables.Tables.counters.(cid) in
+          if c.Tables.owner = rt.nid then
+            send_counter_updates t rt cid c.Tables.value_subscribers)
         !cur;
       (* 2. re-evaluate local terms over the changed counters *)
       W.clear rt.ws_terms;
       W.iter
         (fun cid ->
-          for k = cp.Tables.Compiled.ct_start.(cid)
-              to cp.Tables.Compiled.ct_start.(cid + 1) - 1 do
-            let tid = cp.Tables.Compiled.ct_terms.(k) in
-            if rt.term_local.(tid) then ignore (W.add rt.ws_terms tid)
-          done)
+          add_local_terms rt
+            rt.tables.Tables.counters.(cid).Tables.affected_terms)
         !cur;
       W.sort rt.ws_terms;
       (* terms that flipped (locally or pushed from a remote evaluator)
          feed the conditions they participate in *)
       W.clear rt.ws_conds;
-      let add_conditions tid =
-        for k = cp.Tables.Compiled.tc_start.(tid)
-            to cp.Tables.Compiled.tc_start.(tid + 1) - 1 do
-          let did = cp.Tables.Compiled.tc_conds.(k) in
-          if rt.cond_local.(did) then ignore (W.add rt.ws_conds did)
-        done
-      in
       W.iter
         (fun tid ->
           t.stats.terms_evaluated <- t.stats.terms_evaluated + 1;
@@ -414,15 +438,12 @@ and cascade t rt ~changed_counters ~changed_terms =
             rt.term_status.(tid) <- status;
             if Rec.enabled t.obs then
               ignore (Rec.emit_term_flipped t.obs ~tid ~status);
-            for k = cp.Tables.Compiled.ts_start.(tid)
-                to cp.Tables.Compiled.ts_start.(tid + 1) - 1 do
-              send_control t ~dst_nid:cp.Tables.Compiled.ts_subs.(k)
-                (Control.Term_status { tid; status })
-            done;
-            add_conditions tid
+            let term = rt.tables.Tables.terms.(tid) in
+            send_term_statuses t ~tid ~status term.Tables.status_subscribers;
+            add_local_conds rt term.Tables.in_conditions
           end)
         rt.ws_terms;
-      List.iter add_conditions !ext_terms;
+      add_ext_conds rt !ext_terms;
       ext_terms := [];
       W.sort rt.ws_conds;
       (* 3. snapshot-evaluate affected conditions, collect rising edges *)
@@ -441,15 +462,7 @@ and cascade t rt ~changed_counters ~changed_terms =
       (* 4. fire the risen conditions' local actions, in ascending did
          order (the worklist was sorted; [risen] was built by prepending) *)
       W.clear !next;
-      List.iter
-        (fun did ->
-          for k = cp.Tables.Compiled.ca_start.(did)
-              to cp.Tables.Compiled.ca_start.(did + 1) - 1 do
-            if cp.Tables.Compiled.ca_nid.(k) = rt.nid then
-              execute_action t rt ~did ~aid:cp.Tables.Compiled.ca_aid.(k)
-                ~changed:!next
-          done)
-        (List.rev !risen);
+      fire_risen t rt ~changed:!next (List.rev !risen);
       let tmp = !cur in
       cur := !next;
       next := tmp;
@@ -708,10 +721,7 @@ and start_local t =
             rt.cond_status.(cond.Tables.did)
             && List.mem rt.nid cond.Tables.eval_nodes
           then
-            List.iter
-              (fun (nid, aid) ->
-                if nid = rt.nid then
-                  execute_action t rt ~did:cond.Tables.did ~aid ~changed)
+            fire_actions t rt ~did:cond.Tables.did ~changed
               cond.Tables.cond_actions)
         rt.tables.Tables.conds;
       cascade t rt

@@ -11,8 +11,6 @@ let run_job plan i : _ Outcome.t =
         verdict =
           (match r.Job.verdict with `Pass -> Outcome.Pass | `Fail -> Fail);
         payload = Some r.Job.payload;
-        log = r.Job.log;
-        artifacts = r.Job.artifacts;
       }
   | exception e ->
       {
@@ -20,8 +18,6 @@ let run_job plan i : _ Outcome.t =
         label;
         verdict = Crash (Printexc.to_string e);
         payload = None;
-        log = "";
-        artifacts = [];
       }
 
 let reduce ?stop_after ~plan_length outcomes =

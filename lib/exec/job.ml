@@ -1,12 +1,6 @@
-type 'a result = {
-  verdict : [ `Pass | `Fail ];
-  payload : 'a;
-  log : string;
-  artifacts : (string * string) list;
-}
+type 'a result = { verdict : [ `Pass | `Fail ]; payload : 'a }
 
-let result ?(log = "") ?(artifacts = []) ~verdict payload =
-  { verdict; payload; log; artifacts }
+let result ~verdict payload = { verdict; payload }
 
 type 'a t = { label : string; body : unit -> 'a result }
 

@@ -5,23 +5,12 @@
     rings) from plain immutable inputs, runs, and returns a {!result}. The
     state-ownership rule that makes plans parallelizable: a job must not
     read or write any mutable state reachable from another job, and must
-    not print; anything it wants shown goes in the result's [log] and is
+    not print; anything it wants shown goes in the result's payload and is
     emitted by the reducer in plan order. *)
 
-type 'a result = {
-  verdict : [ `Pass | `Fail ];
-  payload : 'a;
-  log : string;
-  artifacts : (string * string) list;
-}
+type 'a result = { verdict : [ `Pass | `Fail ]; payload : 'a }
 
-val result :
-  ?log:string ->
-  ?artifacts:(string * string) list ->
-  verdict:[ `Pass | `Fail ] ->
-  'a ->
-  'a result
-(** Defaults: empty log, no artifacts. *)
+val result : verdict:[ `Pass | `Fail ] -> 'a -> 'a result
 
 type 'a t
 

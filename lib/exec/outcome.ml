@@ -5,12 +5,9 @@ type 'a t = {
   label : string;
   verdict : verdict;
   payload : 'a option;
-  log : string;
-  artifacts : (string * string) list;
 }
 
 let passed o = match o.verdict with Pass -> true | Fail | Crash _ -> false
-let crashed o = match o.verdict with Crash _ -> true | Pass | Fail -> false
 
 let verdict_name = function
   | Pass -> "pass"

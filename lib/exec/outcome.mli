@@ -1,12 +1,11 @@
 (** What a finished job reports back to the reducer.
 
     An outcome is the only thing that crosses back from a worker domain to
-    the main domain: the job's index in its plan, a verdict, the typed
+    the main domain: the job's index in its plan, a verdict, and the typed
     payload the job computed (scenario result, fuzz-case analysis, bench
-    trial, …), a deterministic log fragment, and named artifacts. Everything
-    a campaign surface prints or writes is derived from outcomes folded in
-    {e plan order} — never completion order — which is what makes
-    [--jobs 1] and [--jobs N] output byte-identical. *)
+    trial, …). Everything a campaign surface prints or writes is derived
+    from outcomes folded in {e plan order} — never completion order — which
+    is what makes [--jobs 1] and [--jobs N] output byte-identical. *)
 
 type verdict =
   | Pass
@@ -20,16 +19,10 @@ type 'a t = {
   label : string;
   verdict : verdict;
   payload : 'a option;  (** [None] only when the job crashed *)
-  log : string;
-      (** deterministic text the reducer may print, in plan order *)
-  artifacts : (string * string) list;
-      (** relative file name [->] contents, for campaign output directories *)
 }
 
 val passed : _ t -> bool
 (** [true] iff the verdict is [Pass]. *)
-
-val crashed : _ t -> bool
 
 val verdict_name : verdict -> string
 (** ["pass"], ["fail"] or ["crash"]. *)

@@ -175,17 +175,44 @@ let build_index (filters : filter_entry array) =
         buckets;
       (ci_offset, ci_len, ci_buckets, Array.of_list (List.rev !fallback))
 
+(* --- term and condition evaluation ---
+
+   The cascade evaluates terms and conditions straight from these record
+   tables; nothing here allocates. *)
+
+let eval_term t ~counter_values tid =
+  let tm = t.terms.(tid) in
+  let left = counter_values.(tm.left) in
+  let right =
+    match tm.right with Cnt cid -> counter_values.(cid) | Num n -> n
+  in
+  match tm.op with
+  | Ast.Lt -> left < right
+  | Ast.Le -> left <= right
+  | Ast.Gt -> left > right
+  | Ast.Ge -> left >= right
+  | Ast.Eq -> left = right
+  | Ast.Ne -> left <> right
+
+let rec eval_expr term_status = function
+  | C_true -> true
+  | C_term tid -> term_status.(tid)
+  | C_and (a, b) -> eval_expr term_status a && eval_expr term_status b
+  | C_or (a, b) -> eval_expr term_status a || eval_expr term_status b
+  | C_not a -> not (eval_expr term_status a)
+
+let eval_cond t ~term_status did = eval_expr term_status t.conds.(did).expr
+
 type t_record = t
 
-(* --- the compiled structure-of-arrays runtime form ---
+(* --- the classifier's compiled structure-of-arrays form ---
 
-   The record-of-lists tables above stay the wire/codec format and the
-   executable reference; [Compiled.of_tables] flattens them once, at INIT,
-   into dense int arrays (CSR layouts for the one-to-many links, a shared
-   byte pool for patterns and masks, prefix-order expression nodes) so the
-   per-packet path walks contiguous ints instead of chasing list cells and
-   variant blocks. Nothing here is shipped: every field is derived, and
-   the equivalence with the record form is property-tested. *)
+   [Compiled.of_tables] flattens the filter table once, at INIT, into dense
+   int arrays (tuples in CSR layout over a shared byte pool) and builds the
+   classification index, so the per-packet classifier reads contiguous ints
+   instead of chasing list cells and variant blocks. Nothing here is
+   shipped: every field is derived, and the equivalence with the linear
+   scan over the record form is property-tested. *)
 
 module Compiled = struct
   type t = {
@@ -207,53 +234,7 @@ module Compiled = struct
     ci_len : int;
     ci_buckets : (int, int array) Hashtbl.t;
     ci_fallback : int array;
-    (* counter table *)
-    c_owner : int array;
-    ct_start : int array;  (* cid -> affected_terms slice *)
-    ct_terms : int array;
-    cs_start : int array;  (* cid -> value_subscribers slice *)
-    cs_subs : int array;
-    (* term table *)
-    t_left : int array;
-    t_op : int array;  (* 0 Lt, 1 Le, 2 Gt, 3 Ge, 4 Eq, 5 Ne *)
-    t_right_cnt : int array;  (* >= 0: counter id; -1: use t_right_num *)
-    t_right_num : int array;
-    t_eval_node : int array;
-    ts_start : int array;  (* tid -> status_subscribers slice *)
-    ts_subs : int array;
-    tc_start : int array;  (* tid -> in_conditions slice *)
-    tc_conds : int array;
-    (* condition table: expressions as prefix-order nodes with explicit
-       short-circuit skip targets *)
-    cx_start : int array;  (* did -> first expression node; n_conds+1 *)
-    cx_op : int array;  (* 0 TRUE, 1 TERM, 2 AND, 3 OR, 4 NOT *)
-    cx_arg : int array;  (* TERM: tid; AND/OR: index past the subtree *)
-    ca_start : int array;  (* did -> cond_actions slice *)
-    ca_nid : int array;
-    ca_aid : int array;
-    (* action table descriptors (kind < 8 is pure counter arithmetic) *)
-    a_kind : int array;
-    a_arg1 : int array;  (* cid / nid / rule / vid, by kind *)
-    a_arg2 : int array;  (* value / delay, by kind *)
   }
-
-  let k_assign = 0
-  let k_enable = 1
-  let k_disable = 2
-  let k_incr = 3
-  let k_decr = 4
-  let k_reset = 5
-  let k_set_curtime = 6
-  let k_elapsed_time = 7
-  let k_drop = 8
-  let k_delay = 9
-  let k_reorder = 10
-  let k_dup = 11
-  let k_modify = 12
-  let k_fail = 13
-  let k_stop = 14
-  let k_flag_error = 15
-  let k_bind_var = 16
 
   (* Literal tuples of at most [max_key_len] bytes compile to one
      big-endian int each: [tu_pat] holds [pattern land mask] and [tu_mask]
@@ -278,59 +259,8 @@ module Compiled = struct
     done;
     !m
 
-  (* CSR over [get i : int list] for i in [0, n) *)
-  let csr n get =
-    let start = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      start.(i + 1) <- start.(i) + List.length (get i)
-    done;
-    let data = Array.make start.(n) 0 in
-    for i = 0 to n - 1 do
-      List.iteri (fun k v -> data.(start.(i) + k) <- v) (get i)
-    done;
-    (start, data)
-
-  let rec expr_size = function
-    | C_true | C_term _ -> 1
-    | C_not a -> 1 + expr_size a
-    | C_and (a, b) | C_or (a, b) -> 1 + expr_size a + expr_size b
-
-  (* fill [op]/[arg] from node [i]; returns the index past the subtree.
-     AND/OR store that index so evaluation can skip the unevaluated side
-     on a short circuit. *)
-  let rec expr_fill op arg i = function
-    | C_true ->
-        op.(i) <- 0;
-        arg.(i) <- 0;
-        i + 1
-    | C_term tid ->
-        op.(i) <- 1;
-        arg.(i) <- tid;
-        i + 1
-    | C_and (a, b) ->
-        let j = expr_fill op arg (i + 1) a in
-        let k = expr_fill op arg j b in
-        op.(i) <- 2;
-        arg.(i) <- k;
-        k
-    | C_or (a, b) ->
-        let j = expr_fill op arg (i + 1) a in
-        let k = expr_fill op arg j b in
-        op.(i) <- 3;
-        arg.(i) <- k;
-        k
-    | C_not a ->
-        let j = expr_fill op arg (i + 1) a in
-        op.(i) <- 4;
-        arg.(i) <- j;
-        j
-
   let of_tables (t : t_record) =
     let n_filters = Array.length t.filters in
-    let n_counters = Array.length t.counters in
-    let n_terms = Array.length t.terms in
-    let n_conds = Array.length t.conds in
-    let n_actions = Array.length t.actions in
     (* filters: count tuples, then fill arrays and the byte pool *)
     let f_start = Array.make (n_filters + 1) 0 in
     for fid = 0 to n_filters - 1 do
@@ -379,96 +309,6 @@ module Compiled = struct
       t.filters;
     let pool = Buffer.to_bytes pool_buf in
     let ci_offset, ci_len, ci_buckets, ci_fallback = build_index t.filters in
-    (* counters *)
-    let c_owner = Array.map (fun c -> c.owner) t.counters in
-    let ct_start, ct_terms =
-      csr n_counters (fun i -> t.counters.(i).affected_terms)
-    in
-    let cs_start, cs_subs =
-      csr n_counters (fun i -> t.counters.(i).value_subscribers)
-    in
-    (* terms *)
-    let t_left = Array.map (fun tm -> tm.left) t.terms in
-    let t_op =
-      Array.map
-        (fun tm ->
-          match tm.op with
-          | Ast.Lt -> 0
-          | Ast.Le -> 1
-          | Ast.Gt -> 2
-          | Ast.Ge -> 3
-          | Ast.Eq -> 4
-          | Ast.Ne -> 5)
-        t.terms
-    in
-    let t_right_cnt =
-      Array.map (fun tm -> match tm.right with Cnt c -> c | Num _ -> -1) t.terms
-    in
-    let t_right_num =
-      Array.map (fun tm -> match tm.right with Num n -> n | Cnt _ -> 0) t.terms
-    in
-    let t_eval_node = Array.map (fun tm -> tm.eval_node) t.terms in
-    let ts_start, ts_subs =
-      csr n_terms (fun i -> t.terms.(i).status_subscribers)
-    in
-    let tc_start, tc_conds = csr n_terms (fun i -> t.terms.(i).in_conditions) in
-    (* conditions: expressions flattened back to back *)
-    let cx_start = Array.make (n_conds + 1) 0 in
-    for did = 0 to n_conds - 1 do
-      cx_start.(did + 1) <- cx_start.(did) + expr_size t.conds.(did).expr
-    done;
-    let n_nodes = cx_start.(n_conds) in
-    let cx_op = Array.make n_nodes 0 in
-    let cx_arg = Array.make n_nodes 0 in
-    Array.iteri
-      (fun did (c : cond_entry) ->
-        ignore (expr_fill cx_op cx_arg cx_start.(did) c.expr))
-      t.conds;
-    let ca_start = Array.make (n_conds + 1) 0 in
-    for did = 0 to n_conds - 1 do
-      ca_start.(did + 1) <-
-        ca_start.(did) + List.length t.conds.(did).cond_actions
-    done;
-    let ca_nid = Array.make ca_start.(n_conds) 0 in
-    let ca_aid = Array.make ca_start.(n_conds) 0 in
-    Array.iteri
-      (fun did (c : cond_entry) ->
-        List.iteri
-          (fun k (nid, aid) ->
-            ca_nid.(ca_start.(did) + k) <- nid;
-            ca_aid.(ca_start.(did) + k) <- aid)
-          c.cond_actions)
-      t.conds;
-    (* actions *)
-    let a_kind = Array.make n_actions 0 in
-    let a_arg1 = Array.make n_actions 0 in
-    let a_arg2 = Array.make n_actions 0 in
-    Array.iteri
-      (fun aid (a : action_entry) ->
-        let kind, arg1, arg2 =
-          match a.act with
-          | A_assign (cid, v) -> (k_assign, cid, v)
-          | A_enable cid -> (k_enable, cid, 0)
-          | A_disable cid -> (k_disable, cid, 0)
-          | A_incr (cid, v) -> (k_incr, cid, v)
-          | A_decr (cid, v) -> (k_decr, cid, v)
-          | A_reset cid -> (k_reset, cid, 0)
-          | A_set_curtime cid -> (k_set_curtime, cid, 0)
-          | A_elapsed_time cid -> (k_elapsed_time, cid, 0)
-          | A_drop s -> (k_drop, s.fs_fid, 0)
-          | A_delay (s, d) -> (k_delay, s.fs_fid, d)
-          | A_reorder (s, n, _) -> (k_reorder, s.fs_fid, n)
-          | A_dup s -> (k_dup, s.fs_fid, 0)
-          | A_modify (s, _) -> (k_modify, s.fs_fid, 0)
-          | A_fail nid -> (k_fail, nid, 0)
-          | A_stop -> (k_stop, 0, 0)
-          | A_flag_error rule -> (k_flag_error, rule, 0)
-          | A_bind_var (vid, _) -> (k_bind_var, vid, 0)
-        in
-        a_kind.(aid) <- kind;
-        a_arg1.(aid) <- arg1;
-        a_arg2.(aid) <- arg2)
-      t.actions;
     {
       f_start;
       tu_offset;
@@ -481,62 +321,7 @@ module Compiled = struct
       ci_len;
       ci_buckets;
       ci_fallback;
-      c_owner;
-      ct_start;
-      ct_terms;
-      cs_start;
-      cs_subs;
-      t_left;
-      t_op;
-      t_right_cnt;
-      t_right_num;
-      t_eval_node;
-      ts_start;
-      ts_subs;
-      tc_start;
-      tc_conds;
-      cx_start;
-      cx_op;
-      cx_arg;
-      ca_start;
-      ca_nid;
-      ca_aid;
-      a_kind;
-      a_arg1;
-      a_arg2;
     }
-
-  let eval_term c ~counter_values tid =
-    let left = counter_values.(c.t_left.(tid)) in
-    let rc = c.t_right_cnt.(tid) in
-    let right = if rc >= 0 then counter_values.(rc) else c.t_right_num.(tid) in
-    match c.t_op.(tid) with
-    | 0 -> left < right
-    | 1 -> left <= right
-    | 2 -> left > right
-    | 3 -> left >= right
-    | 4 -> left = right
-    | _ -> left <> right
-
-  (* evaluate the node at [i]; returns (value, index past the subtree).
-     Reads of [term_status] have no side effects, so the short-circuit
-     skips give exactly [eval_expr]'s left-to-right && / || result. *)
-  let rec eval_node c ts i =
-    match c.cx_op.(i) with
-    | 0 -> (true, i + 1)
-    | 1 -> (Array.unsafe_get ts c.cx_arg.(i), i + 1)
-    | 2 ->
-        let v, j = eval_node c ts (i + 1) in
-        if v then eval_node c ts j else (false, c.cx_arg.(i))
-    | 3 ->
-        let v, j = eval_node c ts (i + 1) in
-        if v then (true, c.cx_arg.(i)) else eval_node c ts j
-    | _ ->
-        let v, j = eval_node c ts (i + 1) in
-        (not v, j)
-
-  let eval_cond c ~term_status did =
-    fst (eval_node c term_status c.cx_start.(did))
 end
 
 let compile = Compiled.of_tables

@@ -118,15 +118,19 @@ type t = {
   rule_of_cond : int array;  (** condition id → source rule index *)
 }
 
-(** The immutable structure-of-arrays runtime form, compiled once from the
-    record-of-lists tables at INIT. The record form stays the wire/codec
-    format and the executable reference; this form is what the per-packet
-    hot path walks: the classification index, CSR (start-offset + flat
-    member) layouts for every one-to-many link, literal patterns and
-    masks concatenated into one byte pool, condition expressions as
-    prefix-order node arrays with explicit short-circuit skip targets,
-    and one int-descriptor per action. See DESIGN.md §5, "Batched SoA hot
-    path". *)
+val eval_term : t -> counter_values:int array -> int -> bool
+(** [eval_term t ~counter_values tid]: term [tid]'s relation over the
+    given counter values. *)
+
+val eval_cond : t -> term_status:bool array -> int -> bool
+(** [eval_cond t ~term_status did]: condition [did]'s expression over the
+    given term statuses, left to right with short-circuit [&&] / [||]. *)
+
+(** The classifier's immutable structure-of-arrays form, compiled once
+    from the filter table at INIT: the tuples in CSR (start-offset + flat
+    member) layout, literal patterns and masks as int keys or in one byte
+    pool, and the classification index. The record form stays the
+    wire/codec format and is what the cascade walks. See DESIGN.md §5e. *)
 module Compiled : sig
   type t = {
     f_start : int array;
@@ -157,43 +161,7 @@ module Compiled : sig
     ci_fallback : int array;
         (** fids that do not constrain the field (Var_pattern, masked, or
             no tuple at the window) — always scanned, ascending *)
-    c_owner : int array;
-    ct_start : int array;  (** cid → affected_terms slice *)
-    ct_terms : int array;
-    cs_start : int array;  (** cid → value_subscribers slice *)
-    cs_subs : int array;
-    t_left : int array;
-    t_op : int array;  (** 0 Lt, 1 Le, 2 Gt, 3 Ge, 4 Eq, 5 Ne *)
-    t_right_cnt : int array;  (** ≥ 0: counter id; −1: use t_right_num *)
-    t_right_num : int array;
-    t_eval_node : int array;
-    ts_start : int array;  (** tid → status_subscribers slice *)
-    ts_subs : int array;
-    tc_start : int array;  (** tid → in_conditions slice *)
-    tc_conds : int array;
-    cx_start : int array;  (** did → first expression node *)
-    cx_op : int array;  (** 0 TRUE, 1 TERM, 2 AND, 3 OR, 4 NOT *)
-    cx_arg : int array;
-        (** TERM: tid; AND/OR: index past the subtree (skip target) *)
-    ca_start : int array;  (** did → cond_actions slice *)
-    ca_nid : int array;
-    ca_aid : int array;
-    a_kind : int array;
-        (** below [k_drop]: a counter action, one of the [k_*] values
-            below or else ELAPSED_TIME; from [k_drop] on: any other
-            action, which the engine reads from the record *)
-    a_arg1 : int array;
-    a_arg2 : int array;
   }
-
-  val k_assign : int
-  val k_enable : int
-  val k_disable : int
-  val k_incr : int
-  val k_decr : int
-  val k_reset : int
-  val k_set_curtime : int
-  val k_drop : int
 
   val max_key_len : int
   (** 7: the longest literal that compiles to an int key. *)
@@ -202,19 +170,10 @@ module Compiled : sig
   (** [keyed c ti]: tuple [ti] is a literal of at most {!max_key_len}
       bytes, stored as an int key and mask rather than in [pool]. The
       classifier tests it as one window read, [land] mask, compare. *)
-
-  val eval_term : t -> counter_values:int array -> int -> bool
-  (** Identical to evaluating the record-form term entry over the same
-      counter values (property-tested). *)
-
-  val eval_cond : t -> term_status:bool array -> int -> bool
-  (** Left-to-right short-circuit evaluation over the flattened nodes —
-      identical to the recursive evaluation of the record-form
-      expression. *)
 end
 
 val compile : t -> Compiled.t
-(** Flatten the tables into their SoA runtime form and build the
+(** Flatten the filter table into its SoA form and build the
     classification index: choose the discriminating (offset, len) window
     — the one a mask-free literal tuple constrains in the most filters,
     ties toward the smallest window — and bucket the filters by its

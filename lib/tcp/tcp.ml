@@ -286,6 +286,15 @@ let rec try_send t =
           let payload = Bytes.create len in
           Buffer.blit t.out_buf t.out_off payload 0 len;
           t.out_off <- t.out_off + len;
+          (* the segment owns a copy of its bytes in [rtx_queue], so the
+             segmentized prefix is dead: drop it once it is half the
+             buffer *)
+          if 2 * t.out_off >= Buffer.length t.out_buf then begin
+            let rest = Buffer.sub t.out_buf t.out_off (available_data t) in
+            Buffer.reset t.out_buf;
+            Buffer.add_string t.out_buf rest;
+            t.out_off <- 0
+          end;
           let seq = t.snd_nxt in
           t.snd_nxt <- t.snd_nxt + len;
           t.rtx_queue <- t.rtx_queue @ [ (seq, payload) ];

@@ -111,9 +111,16 @@ let prop_control_roundtrip =
 
 (* --- campaigns: clean run, self-check, determinism --- *)
 
+(* the failure a campaign found; no config here saves reproducers, so the
+   campaign itself cannot fail *)
+let campaign_found cfg =
+  match Fuzz.execute ~ppf:null_ppf cfg with
+  | Ok summary -> summary.Fuzz.found
+  | Error e -> Alcotest.failf "campaign failed: %s" e
+
 let fuzz_clean () =
   let cfg = { Fuzz.default_config with runs = 8; seed = 42; progress_every = 0 } in
-  match (Fuzz.execute ~ppf:null_ppf cfg).Fuzz.found with
+  match campaign_found cfg with
   | None -> ()
   | Some f ->
       Alcotest.failf "clean campaign failed oracle %s: %s"
@@ -132,7 +139,7 @@ let fuzz_self_check () =
       progress_every = 0;
     }
   in
-  match (Fuzz.execute ~ppf:null_ppf cfg).Fuzz.found with
+  match campaign_found cfg with
   | None -> Alcotest.fail "injected classifier defect not caught in 200 runs"
   | Some f ->
       check Alcotest.string "caught by the classifier oracle" "classifier_diff"
@@ -165,7 +172,7 @@ let fuzz_conform_self_check () =
       progress_every = 0;
     }
   in
-  match (Fuzz.execute ~ppf:null_ppf cfg).Fuzz.found with
+  match campaign_found cfg with
   | None -> Alcotest.fail "injected conform-coverage defect not caught"
   | Some f ->
       check Alcotest.string "caught by the conform oracle" "conform_coverage"
@@ -192,6 +199,38 @@ let defect_names_parse () =
       | Error e -> Alcotest.fail e)
     Oracles.defect_names
 
+(* The cascade's event log, pinned. Generated case 258 runs its rules
+   across nodes: counters ship to remote term evaluators and terms push
+   their statuses to remote conditions before actions fire, so a change
+   to the order in which the cascade sends, evaluates or fires moves the
+   digest of its binary log. *)
+let cascade_log_pinned () =
+  match Vw_check.Runner.run (Fgen.generate ~seed:258) with
+  | Error e -> Alcotest.fail e
+  | Ok o ->
+      let events = o.Vw_check.Runner.o_events in
+      let count pred =
+        List.length
+          (List.filter (fun (e : Vw_obs.Event.t) -> pred e.body) events)
+      in
+      check Alcotest.int "events" 175 (List.length events);
+      check Alcotest.int "Counter_update sends" 11
+        (count (function
+          | Vw_obs.Event.Control_sent { ctl = C_counter_update _; _ } -> true
+          | _ -> false));
+      check Alcotest.int "Term_status sends" 19
+        (count (function
+          | Vw_obs.Event.Control_sent { ctl = C_term_status _; _ } -> true
+          | _ -> false));
+      check Alcotest.int "actions fired" 9
+        (count (function Vw_obs.Event.Action_fired _ -> true | _ -> false));
+      check Alcotest.string "binary log digest"
+        "ebd55c40938b7a49d482c3380e7cfffd"
+        (Digest.to_hex
+           (Digest.string
+              (Vw_obs.Binlog.of_events ~scenario:"x" ~recorded:175 ~dropped:0
+                 events)))
+
 let suite =
   [
     ( "check",
@@ -208,5 +247,7 @@ let suite =
         Alcotest.test_case "campaign output deterministic" `Quick
           fuzz_deterministic;
         Alcotest.test_case "defect names round-trip" `Quick defect_names_parse;
+        Alcotest.test_case "cascade event log pinned (case 258)" `Quick
+          cascade_log_pinned;
       ] );
   ]

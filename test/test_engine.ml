@@ -1232,10 +1232,10 @@ PING_R: (udp_ping, alice, bob, RECV)
     [ "two"; "three"; "four"; "five"; "one" ]
     (List.rev !arrivals)
 
-(* Compiled prefix-order expression nodes vs a direct recursive evaluation
-   of the record-form terms and conditions, over a grid of counter values
-   that flips every term both ways (exercising the AND/OR short-circuit
-   skip targets). *)
+(* The six tables are the script's compiled form: [Tables.eval_cond], fed
+   the term statuses [Tables.eval_term] computes, must give each rule's
+   condition as written, over a grid of counter values that flips every
+   term both ways (and so takes every && and || both ways). *)
 let test_compiled_eval_term_cond () =
   let src =
     script ~header:"eval_forms"
@@ -1251,55 +1251,35 @@ Y: (bob)
 |}
   in
   let tables = compile src in
-  let c = Tables.compile tables in
-  let eval_term_ref cv (te : Tables.term_entry) =
-    let l = cv.(te.Tables.left) in
-    let r =
-      match te.Tables.right with
-      | Tables.Cnt cid -> cv.(cid)
-      | Tables.Num n -> n
-    in
-    match te.Tables.op with
-    | Vw_fsl.Ast.Lt -> l < r
-    | Vw_fsl.Ast.Le -> l <= r
-    | Vw_fsl.Ast.Gt -> l > r
-    | Vw_fsl.Ast.Ge -> l >= r
-    | Vw_fsl.Ast.Eq -> l = r
-    | Vw_fsl.Ast.Ne -> l <> r
+  (* by rule index *)
+  let written x y =
+    [|
+      true;
+      (x >= 3 && x <= 4) || not (y < 6);
+      x = y;
+      (x > 1 || y > 2) && not (x < 5 && y >= 1);
+    |]
   in
-  let rec eval_cond_ref status = function
-    | Tables.C_true -> true
-    | Tables.C_term tid -> status.(tid)
-    | Tables.C_and (a, b) -> eval_cond_ref status a && eval_cond_ref status b
-    | Tables.C_or (a, b) -> eval_cond_ref status a || eval_cond_ref status b
-    | Tables.C_not e -> not (eval_cond_ref status e)
-  in
+  check Alcotest.int "one condition per rule" 4
+    (Array.length tables.Tables.conds);
   let n_terms = Array.length tables.Tables.terms in
   for vx = 0 to 7 do
     for vy = 0 to 7 do
-      let cv =
+      let counter_values =
         Array.map
           (fun (ce : Tables.counter_entry) ->
             match ce.Tables.cname with "X" -> vx | "Y" -> vy | _ -> 0)
           tables.Tables.counters
       in
-      Array.iteri
-        (fun tid te ->
-          check Alcotest.bool
-            (Printf.sprintf "term %d at X=%d Y=%d" tid vx vy)
-            (eval_term_ref cv te)
-            (Tables.Compiled.eval_term c ~counter_values:cv tid))
-        tables.Tables.terms;
-      let status =
-        Array.init n_terms (fun tid ->
-            eval_term_ref cv tables.Tables.terms.(tid))
+      let term_status =
+        Array.init n_terms (Tables.eval_term tables ~counter_values)
       in
       Array.iteri
-        (fun did ce ->
+        (fun did _ ->
           check Alcotest.bool
             (Printf.sprintf "cond %d at X=%d Y=%d" did vx vy)
-            (eval_cond_ref status ce.Tables.expr)
-            (Tables.Compiled.eval_cond c ~term_status:status did))
+            (written vx vy).(tables.Tables.rule_of_cond.(did))
+            (Tables.eval_cond tables ~term_status did))
         tables.Tables.conds
     done
   done

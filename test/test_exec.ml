@@ -208,8 +208,6 @@ let mk_outcome ?(pass = true) i =
     label = Printf.sprintf "j%d" i;
     verdict = (if pass then Outcome.Pass else Outcome.Fail);
     payload = Some i;
-    log = "";
-    artifacts = [];
   }
 
 let test_reduce_rejects_bad_input () =

@@ -84,19 +84,23 @@ let check_export_parity () =
       if cover j <> cover b then
         Alcotest.fail "cover differs between JSONL and binary event input")
 
-(* Not a snapshot either: the digest of a whole capture pins every byte
-   each node put on or took off the wire. Generated payloads are
-   zero-filled, so the capture is the same on every run. *)
-let check_pcap_digest ~args ~digest () =
-  let pcap = Filename.temp_file "vwctl_capture" ".pcap" in
+(* Not a snapshot either: the digest of a whole output file, which the
+   run writes to the path that follows [output] on its command line. A
+   capture pins every byte each node put on or took off the wire (generated
+   payloads are zero-filled, so it is the same on every run); a binary
+   event log pins every step of every cascade, in order. *)
+let check_digest ~args ~output ~digest () =
+  let file = Filename.temp_file "vwctl_output" ".out" in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove pcap with Sys_error _ -> ())
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
     (fun () ->
-      let args = Printf.sprintf "%s --pcap %s" args (Filename.quote pcap) in
+      let args =
+        Printf.sprintf "%s %s %s" args output (Filename.quote file)
+      in
       let rc, _ = run_cmd args in
       if rc <> 0 then Alcotest.failf "vwctl %s: exit code %d" args rc;
-      Alcotest.check Alcotest.string "capture digest" digest
-        (Digest.to_hex (Digest.file pcap)))
+      Alcotest.check Alcotest.string "output digest" digest
+        (Digest.to_hex (Digest.file file)))
 
 let suite =
   [
@@ -123,11 +127,17 @@ let suite =
         Alcotest.test_case "binary capture exports identical JSONL" `Quick
           check_export_parity;
         Alcotest.test_case "vwctl run --pcap wire bytes" `Quick
-          (check_pcap_digest ~args:"run quickstart -w udp-ping -b 640 -d 2"
-             ~digest:"00a50e5b1aac2ed9f262fb249630e2c4");
+          (check_digest ~args:"run quickstart -w udp-ping -b 640 -d 2"
+             ~output:"--pcap" ~digest:"00a50e5b1aac2ed9f262fb249630e2c4");
         Alcotest.test_case "vwctl run --rll --pcap wire bytes" `Quick
-          (check_pcap_digest
+          (check_digest
              ~args:"run quickstart -w udp-ping -b 640 -d 2 --rll"
-             ~digest:"4b1fa3b166e34f54fbb002412b55b25b");
+             ~output:"--pcap" ~digest:"4b1fa3b166e34f54fbb002412b55b25b");
+        Alcotest.test_case "vwctl run figure5 binary event log" `Quick
+          (check_digest
+             ~args:
+               "run figure5 --workload tcp-stream --bytes 200000 \
+                --max-duration 10 --events-format bin"
+             ~output:"--events" ~digest:"48228901993300284e09a2c5870e108e");
       ] );
   ]

@@ -514,6 +514,11 @@ let test_cli_error_exit_codes () =
           ( "triage --html",
             Printf.sprintf "triage %s --html %s" (Filename.quote journal) bad
           );
+          ( "fuzz --save-failing",
+            Printf.sprintf
+              "fuzz --runs 200 --seed 42 --defect skip-index-bucket \
+               --save-failing %s"
+              bad );
         ]);
   (* suite and conform load every case before running any: a malformed
      directive or an unreadable .fsl entry exits 1 *)

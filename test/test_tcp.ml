@@ -94,6 +94,30 @@ let test_large_transfer_under_loss () =
   (* each segment copies its own bytes, not the whole send buffer *)
   check Alcotest.bool "transfer allocates under 10 MB" true (allocated < 10e6)
 
+(* Once a segment is built it owns a copy of its bytes (in the
+   retransmission queue, until acknowledged), so the send buffer drops its
+   segmentized prefix. After a fully acknowledged 1 MB transfer the sender
+   holds a few thousand words, most of them the cwnd history Figure 5
+   reads; the bound is far below the ~140 000 words of a buffer that
+   keeps every byte sent. *)
+let test_sender_releases_sent_bytes () =
+  let w = world () in
+  (* the receiver counts what arrives: the whole world is reachable from
+     the sender, and a sink that kept the data would be counted too *)
+  let received = ref 0 in
+  ignore
+    (Tcp.listen w.stack_b ~port:80 ~on_accept:(fun conn ->
+         Tcp.on_data conn (fun payload ->
+             received := !received + Bytes.length payload)));
+  let conn = Tcp.connect w.stack_a ~src_port:5000 ~dst:(ip 2) ~dst_port:80 in
+  Tcp.on_established conn (fun () -> Tcp.send conn (Bytes.create 1_000_000));
+  Engine.run w.engine;
+  check Alcotest.int "all bytes delivered" 1_000_000 !received;
+  let words = Obj.reachable_words (Obj.repr conn) in
+  if words >= 40_000 then
+    Alcotest.failf "sender holds %d words after the transfer (bound 40000)"
+      words
+
 let test_slow_start_growth () =
   let w = world () in
   let _, _ = sink w ~port:80 in
@@ -257,6 +281,8 @@ let suite =
         Alcotest.test_case "200KB over 5% loss" `Quick test_large_transfer_under_loss;
         Alcotest.test_case "close sequence" `Quick test_close_sequence;
         Alcotest.test_case "RST on unknown port" `Quick test_rst_on_unknown_port;
+        Alcotest.test_case "sender releases sent bytes" `Quick
+          test_sender_releases_sent_bytes;
       ] );
     ( "tcp.congestion",
       [
