@@ -637,14 +637,12 @@ let campaign_trials =
   | _ -> 256
 
 let campaign_trial _i =
-  Vw_exec.Job.v (fun () ->
-      let testbed =
-        Workload.prepare ~script_of:Workload.udp_overhead_script
-          (Workload.Vw { n_filters = 25; actions = true })
-      in
-      let rtts = Workload.udp_rtt_run testbed ~samples:500 ~payload_size:256 in
-      ignore (Stats.mean rtts);
-      Vw_exec.Job.result ~verdict:`Pass ())
+  let testbed =
+    Workload.prepare ~script_of:Workload.udp_overhead_script
+      (Workload.Vw { n_filters = 25; actions = true })
+  in
+  let rtts = Workload.udp_rtt_run testbed ~samples:500 ~payload_size:256 in
+  ignore (Stats.mean rtts)
 
 (* Each level runs the DEFAULT executor path — the one `vwctl --jobs N`
    takes — so what is charted is what a user's campaign gets. That path
@@ -655,9 +653,8 @@ let campaign_trial _i =
 let campaign_run ~jobs =
   let workers = Vw_exec.Executor.effective_jobs ~jobs in
   let chunk = Vw_exec.Executor.auto_chunk ~jobs:workers campaign_trials in
-  let plan = Vw_exec.Plan.init campaign_trials campaign_trial in
   let t0 = now_ns () in
-  let outs = Vw_exec.Executor.run ~jobs plan in
+  let outs = Vw_exec.Executor.map ~jobs campaign_trials campaign_trial in
   let wall = elapsed_s t0 in
   assert (List.length outs = campaign_trials);
   (wall, float_of_int campaign_trials /. wall, chunk, workers)
@@ -721,7 +718,7 @@ let campaign () =
           workers wall sps (speedup wall) (efficiency j wall) chunk)
       results;
     Printf.printf
-      "pool: %d worker domain(s) spawned across %d parallel plan(s)\n"
+      "pool: %d worker domain(s) spawned across %d parallel campaign(s)\n"
       pool_stats.Vw_exec.Pool.spawned pool_stats.Vw_exec.Pool.runs;
     Printf.printf "compile cache: %d hits / %d misses (hit rate %.1f%%)\n"
       cache.Vw_fsl.Compile_cache.hits cache.Vw_fsl.Compile_cache.misses

@@ -181,8 +181,8 @@ let duration_arg =
     & info [ "d"; "max-duration" ] ~docv:"SECONDS"
         ~doc:"Simulated-time budget for the scenario.")
 
-(* counts that size something (--events-capacity): 0 or a negative value
-   is a usage error, exit 124 like any malformed flag *)
+(* counts that size something (--events-capacity, --runs, --repeat): 0 or
+   a negative value is a usage error, exit 124 like any malformed flag *)
 let positive_int =
   let parse s =
     match Arg.conv_parser Arg.int s with
@@ -317,7 +317,7 @@ let campaign_opts_term =
             "Append a structured record of every failure to $(docv) \
              (vw-failures/1 JSON Lines — the failure journal that $(b,vwctl \
              triage) clusters). Records carry no wall-clock fields and are \
-             appended after plan-order reduction, so the journal is \
+             appended after index-order reduction, so the journal is \
              byte-identical at every $(b,--jobs) level.")
   in
   let v jobs chunk seed stats_json journal =
@@ -387,74 +387,56 @@ let warn_truncation testbed ~capacity =
       capacity
 
 (* vwctl run --repeat N: the same scenario as a campaign of N trials, trial
-   i on a testbed seeded S+i. One Vw_exec job per trial; the reducer prints
-   trials in plan order, so --jobs does not change the output. *)
+   i on a testbed seeded S+i. Trials come back from the executor in index
+   order, so --jobs does not change the output. *)
 let run_repeat_campaign ~tables ~src ~script_path ~workload ~bytes ~duration
     ~rll ~opts ~repeat =
   let base_seed =
     match opts.seed with Some s -> s | None -> Vw_util.Prng.run_seed ()
   in
+  (* the trial's seed, its report text and whether it passed *)
   let trial i =
-    Vw_exec.Job.v
-      ~label:(Printf.sprintf "trial-%d" i)
-      (fun () ->
-        let seed = (base_seed + i) land max_int in
-        let config =
-          {
-            Testbed.default_config with
-            seed;
-            rll = (if rll then Some Vw_rll.Rll.default_config else None);
-          }
-        in
-        let testbed = Testbed.of_node_table ~config tables in
-        match
-          Scenario.run testbed ~script:src
-            ~max_duration:(Vw_sim.Simtime.sec duration)
-            ~workload:(make_workload workload ~bytes)
-        with
-        | Error e ->
-            Vw_exec.Job.result ~verdict:`Fail (seed, "error: " ^ e ^ "\n")
-        | Ok result ->
-            let b = Buffer.create 128 in
-            let ppf = Format.formatter_of_buffer b in
-            Format.fprintf ppf "%a@." Scenario.pp_result result;
-            List.iter
-              (fun { Scenario.err_node; err_rule } ->
-                Format.fprintf ppf "  FLAG_ERROR from %s (rule %d)@." err_node
-                  err_rule)
-              result.Scenario.errors;
-            Format.pp_print_flush ppf ();
-            Vw_exec.Job.result
-              ~verdict:(if Scenario.passed result then `Pass else `Fail)
-              (seed, Buffer.contents b))
-  in
-  let outcomes =
-    Vw_exec.Executor.run ~jobs:opts.jobs ?chunk:opts.chunk
-      (Vw_exec.Plan.init repeat trial)
+    let seed = (base_seed + i) land max_int in
+    let config =
+      {
+        Testbed.default_config with
+        seed;
+        rll = (if rll then Some Vw_rll.Rll.default_config else None);
+      }
+    in
+    let testbed = Testbed.of_node_table ~config tables in
+    match
+      Scenario.run testbed ~script:src
+        ~max_duration:(Vw_sim.Simtime.sec duration)
+        ~workload:(make_workload workload ~bytes)
+    with
+    | Error e -> (seed, "error: " ^ e ^ "\n", false)
+    | Ok result ->
+        let b = Buffer.create 128 in
+        let ppf = Format.formatter_of_buffer b in
+        Format.fprintf ppf "%a@." Scenario.pp_result result;
+        List.iter
+          (fun { Scenario.err_node; err_rule } ->
+            Format.fprintf ppf "  FLAG_ERROR from %s (rule %d)@." err_node
+              err_rule)
+          result.Scenario.errors;
+        Format.pp_print_flush ppf ();
+        (seed, Buffer.contents b, Scenario.passed result)
   in
   let human =
     if opts.stats_json then Format.err_formatter else Format.std_formatter
   in
   let rows =
-    List.map
-      (fun (o : _ Vw_exec.Outcome.t) ->
-        let i = o.Vw_exec.Outcome.index in
-        let crash =
-          match o.Vw_exec.Outcome.verdict with
-          | Vw_exec.Outcome.Crash msg -> Some msg
-          | _ -> None
-        in
-        let seed, detail =
-          match o.Vw_exec.Outcome.payload with
-          | Some p -> p
-          | None ->
-              ( (base_seed + i) land max_int,
-                match crash with
-                | Some msg -> "worker crashed: " ^ msg ^ "\n"
-                | None -> "\n" )
-        in
-        (i, seed, detail, Vw_exec.Outcome.passed o, crash))
-      outcomes
+    Vw_exec.Executor.map ~jobs:opts.jobs ?chunk:opts.chunk repeat trial
+    |> List.mapi (fun i r ->
+           match r with
+           | Ok (seed, detail, ok) -> (i, seed, detail, ok, None)
+           | Error msg ->
+               ( i,
+                 (base_seed + i) land max_int,
+                 "worker crashed: " ^ msg ^ "\n",
+                 false,
+                 Some msg ))
   in
   let entries =
     List.map
@@ -531,7 +513,7 @@ let run_cmd =
   in
   let repeat_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "repeat" ] ~docv:"N"
           ~doc:
             "Run the scenario $(docv) times as a campaign, trial $(i,i) \
@@ -1106,46 +1088,46 @@ let suite_cmd =
               loaded
           in
           let observe = campaign_out <> None in
-          (* journal records are built from the on_outcome hook, which fires in
-             case order after reduction — same records at every --jobs level *)
+          let report =
+            Vw_core.Suite.run ~jobs:opts.jobs ?chunk:opts.chunk ~observe
+              ?seed:opts.seed ~stop_on_failure cases
+          in
+          (* journal records walk the report in case order — the same
+             records at every --jobs level *)
           let base_seed =
             match opts.seed with Some s -> s | None -> Vw_util.Prng.run_seed ()
           in
-          let idx = ref 0 in
-          let failure_records = ref [] in
-          let on_outcome (o : Vw_core.Suite.outcome) =
-            let i = !idx in
-            incr idx;
-            if not o.Vw_core.Suite.o_ok then begin
-              let oracle =
-                match o.Vw_core.Suite.o_expected with
-                | `Pass -> "expect_pass"
-                | `Fail -> "expect_fail"
-              in
-              let sim_s =
-                match o.Vw_core.Suite.o_result with
-                | Ok r -> Some (Vw_sim.Simtime.to_sec r.Scenario.duration)
-                | Error _ -> None
-              in
-              let tables_digest =
-                match o.Vw_core.Suite.o_tables with
-                | Some t -> Vw_report.Journal.digest_of_tables t
-                | None -> ""
-              in
-              failure_records :=
-                Vw_report.Journal.v ?sim_s ~tables_digest ~run_seed:base_seed
-                  ~command:"suite" ~case:o.Vw_core.Suite.o_name ~index:i ~oracle
-                  ~seed:base_seed
-                  ~detail:(Vw_core.Suite.outcome_detail o)
-                  ()
-                :: !failure_records
-            end
+          let failure_records =
+            List.concat
+              (List.mapi
+                 (fun i (o : Vw_core.Suite.outcome) ->
+                   if o.Vw_core.Suite.o_ok then []
+                   else
+                     let oracle =
+                       match o.Vw_core.Suite.o_expected with
+                       | `Pass -> "expect_pass"
+                       | `Fail -> "expect_fail"
+                     in
+                     let sim_s =
+                       match o.Vw_core.Suite.o_result with
+                       | Ok r -> Some (Vw_sim.Simtime.to_sec r.Scenario.duration)
+                       | Error _ -> None
+                     in
+                     let tables_digest =
+                       match o.Vw_core.Suite.o_tables with
+                       | Some t -> Vw_report.Journal.digest_of_tables t
+                       | None -> ""
+                     in
+                     [
+                       Vw_report.Journal.v ?sim_s ~tables_digest
+                         ~run_seed:base_seed ~command:"suite"
+                         ~case:o.Vw_core.Suite.o_name ~index:i ~oracle
+                         ~seed:base_seed
+                         ~detail:(Vw_core.Suite.outcome_detail o)
+                         ();
+                     ])
+                 report.Vw_core.Suite.outcomes)
           in
-          let report =
-            Vw_core.Suite.run ~jobs:opts.jobs ?chunk:opts.chunk ~observe
-              ?seed:opts.seed ~stop_on_failure ~on_outcome cases
-          in
-          let failure_records = List.rev !failure_records in
           (match opts.journal with
           | None -> ()
           | Some path -> (
@@ -1240,46 +1222,32 @@ let conform_cmd =
           let base_seed =
             match opts.seed with Some s -> s | None -> Vw_util.Prng.run_seed ()
           in
-          let job (name, src, d) =
-            Vw_exec.Job.v ~label:name (fun () ->
-                let config =
-                  {
-                    (Option.value (directives_config d)
-                       ~default:Testbed.default_config)
-                    with
-                    seed = base_seed;
-                  }
-                in
-                let r =
-                  Vw_conform.Driver.run ~config
-                    ~max_duration:(Vw_sim.Simtime.sec d.d_duration)
-                    ~capacity
-                    ~workload:(make_workload d.d_workload ~bytes:d.d_bytes)
-                    ~name ~source:src ()
-                in
-                let verdict =
-                  match r with
-                  | Ok cr when Vw_conform.Driver.case_ok cr -> `Pass
-                  | _ -> `Fail
-                in
-                Vw_exec.Job.result ~verdict r)
+          let run_case (name, src, d) =
+            let config =
+              {
+                (Option.value (directives_config d)
+                   ~default:Testbed.default_config)
+                with
+                seed = base_seed;
+              }
+            in
+            Vw_conform.Driver.run ~config
+              ~max_duration:(Vw_sim.Simtime.sec d.d_duration)
+              ~capacity
+              ~workload:(make_workload d.d_workload ~bytes:d.d_bytes)
+              ~name ~source:src ()
           in
-          let outcomes =
-            Vw_exec.Executor.run ~jobs:opts.jobs ?chunk:opts.chunk
-              (Vw_exec.Plan.of_list (List.map job cases))
-          in
-          (* reduce in plan order: report cases, collect journal records —
-             identical output at every --jobs level *)
+          (* results come back in case order: report cases, collect journal
+             records — identical output at every --jobs level *)
           let results =
-            List.map
-              (fun (o : _ Vw_exec.Outcome.t) ->
-                let name = o.Vw_exec.Outcome.label in
-                match (o.Vw_exec.Outcome.verdict, o.Vw_exec.Outcome.payload) with
-                | Vw_exec.Outcome.Crash msg, _ ->
-                    (name, Error [ "worker crashed: " ^ msg ])
-                | _, Some r -> (name, r)
-                | _, None -> (name, Error [ "missing payload" ]))
-              outcomes
+            let cases = Array.of_list cases in
+            Vw_exec.Executor.map ~jobs:opts.jobs ?chunk:opts.chunk
+              (Array.length cases) (fun i -> run_case cases.(i))
+            |> List.mapi (fun i r ->
+                   let name, _, _ = cases.(i) in
+                   match r with
+                   | Ok r -> (name, r)
+                   | Error msg -> (name, Error [ "worker crashed: " ^ msg ]))
           in
           let report_cases =
             List.map
@@ -1411,7 +1379,7 @@ let conform_cmd =
 let fuzz_cmd =
   let runs_arg =
     Arg.(
-      value & opt int 200
+      value & opt positive_int 200
       & info [ "runs" ] ~docv:"N" ~doc:"Number of generated cases to run.")
   in
   let shrink_arg =

@@ -174,7 +174,6 @@ module Server = struct
 
   let requests_served t = t.served
   let bad_requests t = t.bad
-  let stop t = Tcp.close_listener t.listener
 end
 
 (* --- client --- *)

@@ -46,7 +46,6 @@ module Server : sig
 
   val requests_served : t -> int
   val bad_requests : t -> int
-  val stop : t -> unit
 end
 
 (** {1 Client} *)

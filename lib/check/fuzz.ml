@@ -94,6 +94,18 @@ let run_one ~defect case =
           } )
   | Ok o -> (Some o, Oracles.check ~defect o)
 
+(* simulated seconds the case ran, and the digest of its tables ("" when
+   the script did not compile) *)
+let sim_s_of outcome =
+  Option.bind outcome (fun (o : Runner.outcome) ->
+      match o.Runner.o_result with
+      | Ok r -> Some (Vw_sim.Simtime.to_sec r.Scenario.duration)
+      | Error _ -> None)
+
+let tables_digest_of = function
+  | Some o -> Vw_report.Journal.digest_of_tables o.Runner.o_tables
+  | None -> ""
+
 (* the journal clusters crashes by exception constructor, not by the full
    (address-bearing) message *)
 let journal_detail (failure : Oracles.failure) =
@@ -172,10 +184,10 @@ let journal_append ppf cfg ~command ~saved f =
             r.Vw_report.Journal.r_signature path
       | Error e -> Format.fprintf ppf "journal: %s@." e)
 
-(* What one campaign job ships back to the reducer: the generated case, the
-   first failing oracle (if any) and this run's tally contribution. The job
-   owns everything else it built (testbed, engine, recorders) — nothing
-   mutable crosses the domain boundary. *)
+(* What one campaign job ships back: the generated case, the first failing
+   oracle (if any) and this run's tally contribution. The job owns
+   everything else it built (testbed, engine, recorders) — nothing mutable
+   crosses the domain boundary. *)
 type case_run = {
   cr_case : Gen.case;
   cr_failure : Oracles.failure option;
@@ -196,46 +208,18 @@ let add_tally into from =
 let fresh_tally () =
   { stopped = 0; timed_out = 0; ran_to_limit = 0; with_errors = 0; truncated = 0 }
 
-let case_job cfg i =
-  Vw_exec.Job.v
-    ~label:(Printf.sprintf "case-%d" i)
-    (fun () ->
-      let case_seed = (cfg.seed + i) land max_int in
-      let case = Gen.generate ~seed:case_seed in
-      let tally = fresh_tally () in
-      let sim_s = ref None in
-      let digest = ref "" in
-      let failure =
-        match run_one ~defect:cfg.defect case with
-        | outcome, failure ->
-            Option.iter
-              (fun (o : Runner.outcome) ->
-                record_outcome tally o;
-                digest := Vw_report.Journal.digest_of_tables o.Runner.o_tables;
-                match o.Runner.o_result with
-                | Ok r ->
-                    sim_s := Some (Vw_sim.Simtime.to_sec r.Scenario.duration)
-                | Error _ -> ())
-              outcome;
-            failure
-        | exception e ->
-            (* a raising job is this case's failure, with its seed for
-               replay — never the campaign's *)
-            Some
-              {
-                Oracles.oracle = worker_crash_oracle;
-                detail = Printf.sprintf "job raised: %s" (Printexc.to_string e);
-              }
-      in
-      Vw_exec.Job.result
-        ~verdict:(if failure = None then `Pass else `Fail)
-        {
-          cr_case = case;
-          cr_failure = failure;
-          cr_tally = tally;
-          cr_sim_s = !sim_s;
-          cr_tables_digest = !digest;
-        })
+let case_run cfg i =
+  let case = Gen.generate ~seed:((cfg.seed + i) land max_int) in
+  let tally = fresh_tally () in
+  let outcome, failure = run_one ~defect:cfg.defect case in
+  Option.iter (record_outcome tally) outcome;
+  {
+    cr_case = case;
+    cr_failure = failure;
+    cr_tally = tally;
+    cr_sim_s = sim_s_of outcome;
+    cr_tables_digest = tables_digest_of outcome;
+  }
 
 let shrink_found cfg ~case ~failure =
   if cfg.shrink && failure.Oracles.oracle <> worker_crash_oracle then begin
@@ -252,38 +236,41 @@ let execute ?(ppf = Format.std_formatter) cfg =
     cfg.runs cfg.seed
     (Oracles.defect_to_string cfg.defect)
     (if cfg.shrink then "on" else "off");
-  (* seed space sharded across workers; the reducer folds outcomes in plan
-     order and cuts at the earliest failing case, so jobs=1 and jobs=N
-     print byte-identical campaigns. Shrinking stays a single job on the
-     main domain. *)
-  let plan = Vw_exec.Plan.init cfg.runs (case_job cfg) in
-  let outcomes =
-    Vw_exec.Executor.run ~jobs:cfg.jobs ?chunk:cfg.chunk
-      ~stop_after:(fun o -> not (Vw_exec.Outcome.passed o))
-      plan
+  (* seed space sharded across workers; results come back in index order,
+     cut at the earliest failing case, so jobs=1 and jobs=N print
+     byte-identical campaigns. Shrinking stays a single job on the main
+     domain. *)
+  let results =
+    Vw_exec.Executor.map ~jobs:cfg.jobs ?chunk:cfg.chunk
+      ~stop:(function Ok cr -> cr.cr_failure <> None | Error _ -> true)
+      cfg.runs (case_run cfg)
   in
   let found = ref None in
-  List.iter
-    (fun (o : case_run Vw_exec.Outcome.t) ->
-      let i = o.Vw_exec.Outcome.index in
+  List.iteri
+    (fun i r ->
       let case_seed = (cfg.seed + i) land max_int in
-      match (o.Vw_exec.Outcome.verdict, o.Vw_exec.Outcome.payload) with
-      | Vw_exec.Outcome.Crash msg, _ ->
-          (* crashed before packaging its case (e.g. in generation):
-             regenerate deterministically for the report *)
+      match r with
+      | Error msg ->
+          (* a raising job is this case's failure, with its seed for
+             replay — never the campaign's; generation is deterministic,
+             so the case is rebuilt for the report *)
           found :=
             Some
               {
                 run_index = i;
                 case_seed;
                 case = Gen.generate ~seed:case_seed;
-                failure = { Oracles.oracle = worker_crash_oracle; detail = msg };
+                failure =
+                  {
+                    Oracles.oracle = worker_crash_oracle;
+                    detail = "job raised: " ^ msg;
+                  };
                 minimized = None;
                 shrink_runs = 0;
                 sim_s = None;
                 tables_digest = "";
               }
-      | _, Some cr -> (
+      | Ok cr -> (
           add_tally tally cr.cr_tally;
           match cr.cr_failure with
           | Some failure ->
@@ -304,10 +291,9 @@ let execute ?(ppf = Format.std_formatter) cfg =
                   }
           | None ->
               if cfg.progress_every > 0 && (i + 1) mod cfg.progress_every = 0
-              then Format.fprintf ppf "  %d/%d ok@." (i + 1) cfg.runs)
-      | _, None -> assert false)
-    outcomes;
-  let runs_done = List.length outcomes in
+              then Format.fprintf ppf "  %d/%d ok@." (i + 1) cfg.runs))
+    results;
+  let runs_done = List.length results in
   let saved =
     match !found with
     | Some f -> (
@@ -380,18 +366,8 @@ let replay ?(ppf = Format.std_formatter) ?journal ~defect ~shrink path =
                     failure;
                     minimized;
                     shrink_runs;
-                    sim_s =
-                      Option.bind outcome (fun (o : Runner.outcome) ->
-                          match o.Runner.o_result with
-                          | Ok r ->
-                              Some
-                                (Vw_sim.Simtime.to_sec r.Scenario.duration)
-                          | Error _ -> None);
-                    tables_digest =
-                      (match outcome with
-                      | Some o ->
-                          Vw_report.Journal.digest_of_tables o.Runner.o_tables
-                      | None -> "");
+                    sim_s = sim_s_of outcome;
+                    tables_digest = tables_digest_of outcome;
                   }
                 in
                 report_failure ppf cfg f;

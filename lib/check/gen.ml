@@ -500,5 +500,3 @@ let of_fsl text =
                 sends = List.rev !sends;
                 max_ms = !max_ms;
               })
-
-let pp ppf c = Format.pp_print_string ppf (to_fsl c)

@@ -55,5 +55,3 @@ val origin_of_fsl : string -> origin option
 val size : case -> int
 (** Shrinking metric: rules + actions + filters + counters + nodes +
     sends. *)
-
-val pp : Format.formatter -> case -> unit

@@ -5,14 +5,45 @@ type t = {
   tables : T.t;
   events : Ev.t array; (* ascending seq *)
   by_seq : (int, Ev.t) Hashtbl.t;
+  sender : (int, Ev.t) Hashtbl.t; (* receive seq -> its Control_sent *)
 }
 
-let analyze tables events =
+let sorted events =
   let arr = Array.of_list events in
   Array.sort (fun (a : Ev.t) b -> compare a.seq b.seq) arr;
+  arr
+
+(* Pair each Control_received with the latest earlier Control_sent
+   addressed to its node with an equal payload — the only pairing the wire
+   format allows us to recover — in one sweep over [arr] in seq order,
+   keeping the latest send per (destination, payload). *)
+let pairs arr =
+  let latest = Hashtbl.create 64 in
+  let out = ref [] in
+  Array.iter
+    (fun (e : Ev.t) ->
+      match e.body with
+      | Ev.Control_sent { dst_nid; ctl } ->
+          Hashtbl.replace latest (dst_nid, ctl) e
+      | Ev.Control_received { ctl } -> (
+          match Hashtbl.find_opt latest (e.nid, ctl) with
+          | Some sent -> out := (sent, e) :: !out
+          | None -> ())
+      | _ -> ())
+    arr;
+  List.rev !out
+
+let control_pairs events = pairs (sorted events)
+
+let analyze tables events =
+  let arr = sorted events in
   let by_seq = Hashtbl.create (Array.length arr) in
   Array.iter (fun (e : Ev.t) -> Hashtbl.replace by_seq e.seq e) arr;
-  { tables; events = arr; by_seq }
+  let sender = Hashtbl.create 64 in
+  List.iter
+    (fun ((sent : Ev.t), (recv : Ev.t)) -> Hashtbl.replace sender recv.seq sent)
+    (pairs arr);
+  { tables; events = arr; by_seq; sender }
 
 let num_rules (tables : T.t) =
   Array.fold_left (fun acc r -> max acc (r + 1)) 0 tables.T.rule_of_cond
@@ -105,21 +136,6 @@ let segment t deps ~(root : Ev.t) ~(target : Ev.t) =
     t.events;
   root :: List.rev !rel
 
-(* the latest Control_sent before [recv] addressed to its node with an
-   equal payload — the only pairing the wire format allows us to recover *)
-let find_sender t (recv : Ev.t) ctl =
-  let best = ref None in
-  Array.iter
-    (fun (e : Ev.t) ->
-      if e.seq < recv.seq then
-        match e.body with
-        | Ev.Control_sent { dst_nid; ctl = c }
-          when dst_nid = recv.nid && Ev.ctl_equal c ctl ->
-            best := Some e
-        | _ -> ())
-    t.events;
-  !best
-
 let max_hops = 16
 
 let build_chain t deps (target : Ev.t) =
@@ -128,11 +144,8 @@ let build_chain t deps (target : Ev.t) =
     | None -> [ target ] :: acc (* root overwritten in the ring *)
     | Some root -> (
         let seg = segment t deps ~root ~target in
-        match root.body with
-        | Ev.Control_received { ctl } when hops > 0 -> (
-            match find_sender t root ctl with
-            | Some sent -> go sent (hops - 1) (seg :: acc)
-            | None -> seg :: acc)
+        match Hashtbl.find_opt t.sender root.seq with
+        | Some sent when hops > 0 -> go sent (hops - 1) (seg :: acc)
         | _ -> seg :: acc)
   in
   go target max_hops []

@@ -16,7 +16,16 @@
 type t
 
 val analyze : Vw_fsl.Tables.t -> Vw_obs.Event.t list -> t
-(** Index the log (any order; sorted internally by [seq]). *)
+(** Index the log (any order; sorted internally by [seq]) and pair its
+    control hops ({!control_pairs}). *)
+
+val control_pairs :
+  Vw_obs.Event.t list -> (Vw_obs.Event.t * Vw_obs.Event.t) list
+(** Cross-node control edges [(sent, received)]: each [Control_received]
+    paired with the latest earlier [Control_sent] addressed to its node
+    carrying an equal payload, in ascending receive [seq]; receives with
+    no matching send are omitted. The one pairing rule, shared by causal
+    chains here and the flow arrows of [Vw_report.Spans]. *)
 
 val num_rules : Vw_fsl.Tables.t -> int
 

@@ -77,25 +77,12 @@ let outcome_of_case ?observe c =
     o_events;
   }
 
-let job ?observe c =
-  Vw_exec.Job.v ~label:c.c_name (fun () ->
-      let o = outcome_of_case ?observe c in
-      Vw_exec.Job.result ~verdict:(if o.o_ok then `Pass else `Fail) o)
-
-let plan ?observe ?seed cases =
-  Vw_exec.Plan.of_list (List.map (fun c -> job ?observe (with_seed seed c)) cases)
-
 (* a worker crash is this case's failure, not the campaign's *)
-let crash_outcome cases (o : _ Vw_exec.Outcome.t) msg =
-  let expected =
-    match List.nth_opt cases o.Vw_exec.Outcome.index with
-    | Some c -> c.c_expect
-    | None -> `Pass
-  in
+let crash_outcome c msg =
   {
-    o_name = o.Vw_exec.Outcome.label;
+    o_name = c.c_name;
     o_result = Error (Printf.sprintf "worker crashed: %s" msg);
-    o_expected = expected;
+    o_expected = c.c_expect;
     o_ok = false;
     o_tables = None;
     o_events = [];
@@ -108,27 +95,18 @@ let report_of_outcomes outcomes =
     failed = List.length (List.filter (fun o -> not o.o_ok) outcomes);
   }
 
-let run ?(jobs = 1) ?chunk ?observe ?seed ?(stop_on_failure = false)
-    ?on_outcome cases =
-  let plan = plan ?observe ?seed cases in
-  let stop_after =
+let run ?(jobs = 1) ?chunk ?observe ?seed ?(stop_on_failure = false) cases =
+  let cases = Array.of_list (List.map (with_seed seed) cases) in
+  let stop =
     if stop_on_failure then
-      Some (fun (o : _ Vw_exec.Outcome.t) -> not (Vw_exec.Outcome.passed o))
+      Some (function Ok o -> not o.o_ok | Error _ -> true)
     else None
   in
-  let to_outcome (o : _ Vw_exec.Outcome.t) =
-    match (o.Vw_exec.Outcome.verdict, o.Vw_exec.Outcome.payload) with
-    | Vw_exec.Outcome.Crash msg, _ -> crash_outcome cases o msg
-    | _, Some oc -> oc
-    | _, None -> crash_outcome cases o "missing payload"
-  in
-  let on_outcome =
-    Option.map (fun f (o : _ Vw_exec.Outcome.t) -> f (to_outcome o)) on_outcome
-  in
-  let outcomes =
-    Vw_exec.Executor.run ~jobs ?chunk ?stop_after ?on_outcome plan
-  in
-  report_of_outcomes (List.map to_outcome outcomes)
+  Vw_exec.Executor.map ~jobs ?chunk ?stop (Array.length cases) (fun i ->
+      outcome_of_case ?observe cases.(i))
+  |> List.mapi (fun i r ->
+         match r with Ok o -> o | Error msg -> crash_outcome cases.(i) msg)
+  |> report_of_outcomes
 
 let ok report = report.failed = 0
 

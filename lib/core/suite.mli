@@ -1,4 +1,4 @@
-(** Batch scenario execution — a plan builder over {!Vw_exec}.
+(** Batch scenario execution — one {!Vw_exec.Executor.map} over the cases.
 
     "This trace filtering capability makes it possible to run through a
     large number of test cases without human intervention, a particularly
@@ -8,10 +8,10 @@
     first-class: a test that must flag an error counts as OK only when it
     does.
 
-    State ownership: every case job compiles its own tables and builds its
-    own testbed (engine, PRNGs, recorders, metrics), so a suite plan can
-    run on any number of domains; the report is reduced in case order and
-    is byte-identical at every [jobs] level. *)
+    State ownership: every case compiles its own tables and builds its
+    own testbed (engine, PRNGs, recorders, metrics), so a suite can run on
+    any number of domains; the report is reduced in case order and is
+    byte-identical at every [jobs] level. *)
 
 type case
 
@@ -42,32 +42,25 @@ type outcome = {
 
 type report = { outcomes : outcome list; passed : int; failed : int }
 
-val plan : ?observe:bool -> ?seed:int -> case list -> outcome Vw_exec.Plan.t
-(** The suite as an executable plan: one job per case, in list order.
-    [observe] enables the flight recorder on each case's testbed (events
-    land in [o_events]); [seed] overrides the testbed seed of every case
-    that does not carry an explicit config. *)
-
 val run :
   ?jobs:int ->
   ?chunk:int ->
   ?observe:bool ->
   ?seed:int ->
   ?stop_on_failure:bool ->
-  ?on_outcome:(outcome -> unit) ->
   case list ->
   report
 (** Runs the cases in order ([jobs = 1], the default) or across [jobs]
     persistent pool domains, each claiming [chunk] cases at a time (see
-    {!Vw_exec.Executor.run}) — same report at every [jobs] and [chunk]
-    combination. With [stop_on_failure] (default
-    false) the report is cut at the first mismatch in case order; cases
-    beyond it are skipped (sequentially) or discarded (in parallel). A
-    case whose worker raises is reported as that case failing with
-    [Error "worker crashed: …"]; the rest of the suite still runs.
-    [on_outcome] fires on the calling domain for each outcome of the
-    returned report, in case order, after reduction (see
-    {!Vw_exec.Executor.run}) — the hook the failure journal hangs off. *)
+    {!Vw_exec.Executor.map}) — same report at every [jobs] and [chunk]
+    combination. [observe] enables the flight recorder on each case's
+    testbed (events land in [o_events]); [seed] overrides the testbed seed
+    of every case that does not carry an explicit config. With
+    [stop_on_failure] (default false) the report is cut at the first
+    mismatch in case order; cases beyond it are skipped (sequentially) or
+    discarded (in parallel). A case whose worker raises is reported as
+    that case failing with [Error "worker crashed: …"]; the rest of the
+    suite still runs. *)
 
 val ok : report -> bool
 

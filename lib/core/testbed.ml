@@ -50,14 +50,10 @@ let engine t = t.engine
 let trace t = t.trace
 let nodes t = t.all
 let node t name = Hashtbl.find t.by_name name
-let node_names t = List.map (fun n -> n.node_name) t.all
 let name n = n.node_name
 let host n = n.node_host
 let fie n = n.node_fie
-let rll n = n.node_rll
 let link n = n.node_link
-let arp n = n.node_arp
-let switch t = t.switch
 let bus t = t.bus
 
 let tcp n =

@@ -42,16 +42,11 @@ val nodes : t -> node list
 val node : t -> string -> node
 (** @raise Not_found *)
 
-val node_names : t -> string list
 val name : node -> string
 val host : node -> Vw_stack.Host.t
 val fie : node -> Vw_engine.Fie.t
-val rll : node -> Vw_rll.Rll.t option
-val arp : node -> Vw_stack.Arp.t option
 val link : node -> Vw_link.Link.t option
 (** The host's uplink ([None] on a shared bus). *)
-
-val switch : t -> Vw_link.Switch.t option
 
 val bus : t -> Vw_link.Bus.t option
 (** The shared segment, for [Shared_bus] topologies. *)

@@ -8,9 +8,6 @@ let where ?node ?dir ?after ?before f : pred =
   && (match before with Some hi -> e.time <= hi | None -> true)
   && f (Vw_net.Frame_view.of_frame e.frame)
 
-let any : pred = fun _ -> true
-let matches p e = p e
-
 let tcp_where f (view : Vw_net.Frame_view.t) =
   match view.content with
   | Vw_net.Frame_view.Ip (_, Vw_net.Frame_view.Tcp_view seg) -> f seg
@@ -25,8 +22,6 @@ let rether_opcode opcode (view : Vw_net.Frame_view.t) =
   match view.content with
   | Vw_net.Frame_view.Rether (op, _) -> op = opcode
   | _ -> false
-
-let ethertype ty (view : Vw_net.Frame_view.t) = view.eth.ethertype = ty
 
 let count trace p = List.length (Trace.filter trace p)
 let exists trace p = List.exists p (Trace.entries trace)

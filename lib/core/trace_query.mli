@@ -23,15 +23,11 @@ val where :
     [after] and at-or-before [before], whose decoded frame satisfies the
     function. Omitted filters match anything. *)
 
-val any : pred
-val matches : pred -> Trace.entry -> bool
-
 (** {1 Frame-content helpers} (compose with {!where}) *)
 
 val tcp_where : (Vw_net.Tcp_segment.t -> bool) -> Vw_net.Frame_view.t -> bool
 val udp_where : (Vw_net.Udp.t -> bool) -> Vw_net.Frame_view.t -> bool
 val rether_opcode : int -> Vw_net.Frame_view.t -> bool
-val ethertype : int -> Vw_net.Frame_view.t -> bool
 
 (** {1 Queries} *)
 

@@ -54,6 +54,5 @@ let start t =
       Fie.start_local t.fie
   | _ -> ()
 
-let nid t = Fie.my_nid t.fie
 let errors t = List.rev t.errors
 let on_stop t cb = t.stop_cb <- cb

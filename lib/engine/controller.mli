@@ -18,8 +18,6 @@ val deploy : t -> Vw_fsl.Tables.t -> (unit, string) result
 val start : t -> unit
 (** Fire START everywhere (locally first). *)
 
-val nid : t -> int option
-
 val errors : t -> (int * int) list
 (** (node id, rule index) for each FLAG_ERROR received, oldest first.
     Rule index -1 denotes an engine-internal error (cascade overflow). *)

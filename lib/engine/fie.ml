@@ -161,10 +161,8 @@ let stats_fields (s : stats) =
     ("cascade_overflows", s.cascade_overflows);
   ]
 
-let started t = match t.rt with Some rt -> rt.started | None -> false
 let my_nid t = Option.map (fun rt -> rt.nid) t.rt
 let set_report_handler t fn = t.report_handler <- fn
-let recorder t = t.obs
 
 let set_observability t ~recorder ~metrics =
   t.obs <- recorder;
@@ -1008,4 +1006,3 @@ let uninstall t =
 
 let reset t = t.rt <- None
 let set_cost_model t cm = t.cost <- cm
-let cost_model t = t.cost

@@ -85,7 +85,6 @@ val reset : t -> unit
 (** Forget tables and run-time state; the engine goes transparent again.
     Lets one testbed run many scenarios (regression testing). *)
 
-val started : t -> bool
 val my_nid : t -> int option
 val stats : t -> stats
 
@@ -100,8 +99,6 @@ val stats_fields : stats -> (string * int) list
     {!Vw_obs.Recorder.null} and {!Vw_obs.Metrics.null}-equivalent handles,
     so an uninstrumented run pays one boolean test per would-be event.
     [Vw_core.Testbed.enable_observability] wires real sinks in. *)
-
-val recorder : t -> Vw_obs.Recorder.t
 
 val set_observability :
   t -> recorder:Vw_obs.Recorder.t -> metrics:Vw_obs.Metrics.t -> unit
@@ -163,4 +160,3 @@ type cost_model = {
 }
 
 val set_cost_model : t -> cost_model option -> unit
-val cost_model : t -> cost_model option

@@ -1,13 +1,14 @@
 (** A persistent pool of worker domains, created once and reused across
-    plans.
+    campaigns.
 
     [Domain.spawn]/[Domain.join] are expensive relative to a campaign
     trial: each spawn is a stop-the-world synchronization of every running
-    domain, and a campaign that spawns a fresh crew per plan pays it over
+    domain, and a campaign that spawns a fresh crew each time pays it over
     and over (BENCH_PR5 measured parallel campaigns {e losing} to
     sequential for exactly this reason). A pool spawns each worker at most
-    once per process and parks it on a condition variable between plans, so
-    [Executor.run]'s per-plan cost drops to one lock/broadcast.
+    once per process and parks it on a condition variable between
+    campaigns, so {!Executor.map}'s per-campaign cost drops to one
+    lock/broadcast.
 
     Concurrency contract: a pool executes one {!run} at a time per pool —
     [run] is itself serialized with a dedicated mutex, so concurrent
@@ -23,7 +24,7 @@ val create : unit -> t
     [workers] ever requested, and stay alive until {!shutdown}. *)
 
 val global : unit -> t
-(** The process-wide pool shared by every {!Executor.run} call that is not
+(** The process-wide pool shared by every {!Executor.map} call that is not
     given an explicit pool. Created on first use; its workers are joined by
     an [at_exit] hook so process shutdown stays clean. *)
 
@@ -35,9 +36,10 @@ val run : t -> workers:int -> (unit -> unit) -> unit
     [workers <= 0] degenerates to [f ()] on the calling domain alone.
 
     [f] runs more than once and concurrently with itself; it must
-    self-schedule its work (the executor's {!Work_queue}). An exception
-    from any invocation is caught, the remaining invocations still finish,
-    and the first exception observed is re-raised in the caller. *)
+    self-schedule its work (the executor claims spans off an atomic
+    counter). An exception from any invocation is caught, the remaining
+    invocations still finish, and the first exception observed is
+    re-raised in the caller. *)
 
 type stats = {
   size : int;  (** live worker domains *)
@@ -46,8 +48,8 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Spawn accounting, used by tests to prove plans reuse workers instead of
-    leaking domains. *)
+(** Spawn accounting, used by tests to prove campaigns reuse workers
+    instead of leaking domains. *)
 
 val shutdown : t -> unit
 (** Stop and join every worker. Idempotent; the pool can be used again

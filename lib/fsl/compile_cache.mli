@@ -31,9 +31,6 @@ val parse_and_compile : string -> (Tables.t, string) result
     wins the table slot, and the loser's result (structurally equal —
     compilation is deterministic) is returned to its caller. *)
 
-val capacity : int
-(** Maximum cached scripts before a wholesale clear (256). *)
-
 type stats = { hits : int; misses : int }
 
 val stats : unit -> stats

@@ -27,8 +27,6 @@ type injection = {
 
 type t = { injections : injection list; expects : expectation list }
 
-let empty = { injections = []; expects = [] }
-
 let seconds = Vw_sim.Simtime.sec
 
 (* The frame an INJECT sends: destination and source MACs from the node

@@ -43,8 +43,6 @@ type injection = {
 
 type t = { injections : injection list; expects : expectation list }
 
-val empty : t
-
 val compile : Tables.t -> Ast.conform_stmt list -> (t, string list) result
 (** Resolve names and materialize injection frames. Errors are collected
     with positions, mirroring {!Compile}: unknown filter/node/counter

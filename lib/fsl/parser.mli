@@ -11,6 +11,3 @@ exception Parse_error of string * Ast.position
 
 val parse : string -> (Ast.script, string) result
 (** Lex + parse. The error string includes line/column. *)
-
-val parse_exn : string -> Ast.script
-(** @raise Parse_error *)

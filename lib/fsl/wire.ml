@@ -86,6 +86,4 @@ module R = struct
   let list r f =
     let n = u32 r in
     List.init n (fun _ -> f r)
-
-  let at_end r = r.pos = Bytes.length r.data
 end

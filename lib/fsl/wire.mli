@@ -38,5 +38,4 @@ module R : sig
   val bool : t -> bool
   val option : t -> (t -> 'a) -> 'a option
   val list : t -> (t -> 'a) -> 'a list
-  val at_end : t -> bool
 end

@@ -43,9 +43,3 @@ let of_bytes b =
             target_ip = Ip_addr.of_bytes b ~pos:24;
           }
     | op -> Error (Printf.sprintf "arp: bad operation %d" op)
-
-let pp ppf t =
-  Format.fprintf ppf "[arp %s %a(%a) -> %a(%a)]"
-    (match t.op with Request -> "who-has" | Reply -> "is-at")
-    Ip_addr.pp t.sender_ip Mac.pp t.sender_mac Ip_addr.pp t.target_ip Mac.pp
-    t.target_mac

@@ -17,9 +17,5 @@ type t = {
 val ethertype : int
 (** 0x0806 *)
 
-val size : int
-(** 28 bytes. *)
-
 val to_bytes : t -> bytes
 val of_bytes : bytes -> (t, string) result
-val pp : Format.formatter -> t -> unit

@@ -40,10 +40,6 @@ val of_bytes : bytes -> t
     read that layout directly from the record, without the per-packet
     [to_bytes] allocation. *)
 
-val get_byte : t -> int -> int
-(** Byte [i] of the serialized frame. @raise Invalid_argument outside
-    [0, size t). *)
-
 val read_window : t -> pos:int -> len:int -> int
 (** Big-endian unsigned read of [len] bytes at [pos], unchecked, for a
     caller that has already bounded the window: [0 <= pos],

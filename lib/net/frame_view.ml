@@ -56,5 +56,3 @@ let describe t =
   | Bad_ip e -> Format.fprintf ppf "[bad-ip: %s]" e);
   Format.pp_print_flush ppf ();
   Buffer.contents b
-
-let pp ppf t = Format.pp_print_string ppf (describe t)

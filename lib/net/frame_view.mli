@@ -24,5 +24,3 @@ val of_frame : Eth.t -> t
 val describe : t -> string
 (** One-line summary, e.g.
     ["eth 02:..:01 > 02:..:02 ipv4 tcp 24576 > 16384 seq=1 ack=0 S len=0"]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -53,13 +53,3 @@ let of_bytes b =
     else if ty = type_dest_unreachable then
       Ok (Dest_unreachable { code; original = rest })
     else Error (Printf.sprintf "icmp: unsupported type %d" ty)
-
-let pp ppf = function
-  | Echo_request { id; seq; payload } ->
-      Format.fprintf ppf "[icmp echo-request id=%d seq=%d len=%d]" id seq
-        (Bytes.length payload)
-  | Echo_reply { id; seq; payload } ->
-      Format.fprintf ppf "[icmp echo-reply id=%d seq=%d len=%d]" id seq
-        (Bytes.length payload)
-  | Dest_unreachable { code; _ } ->
-      Format.fprintf ppf "[icmp dest-unreachable code=%d]" code

@@ -20,5 +20,3 @@ val to_bytes : t -> bytes
 
 val of_bytes : bytes -> (t, string) result
 (** Parses and verifies the checksum. *)
-
-val pp : Format.formatter -> t -> unit

@@ -38,5 +38,4 @@ let of_host_index n =
   of_string (Printf.sprintf "10.0.%d.%d" ((n lsr 8) land 0xff) (n land 0xff))
 
 let equal = Int32.equal
-let compare = Int32.compare
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -16,5 +16,4 @@ val of_host_index : int -> t
     testbed addresses. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -43,5 +43,4 @@ let of_int n =
 
 let equal = String.equal
 let compare = String.compare
-let hash = Hashtbl.hash
 let pp ppf t = Format.pp_print_string ppf (to_string t)

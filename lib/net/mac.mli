@@ -27,5 +27,4 @@ val of_int : int -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit

@@ -28,9 +28,6 @@ type t = {
   payload : bytes;
 }
 
-val header_size : int
-(** 20 bytes. *)
-
 val make :
   ?seq:int -> ?ack_seq:int -> ?flags:flags -> ?window:int ->
   src_port:int -> dst_port:int -> bytes -> t

@@ -5,9 +5,6 @@
 
 type t = { src_port : int; dst_port : int; payload : bytes }
 
-val header_size : int
-(** 8 bytes. *)
-
 val make : src_port:int -> dst_port:int -> bytes -> t
 
 val pseudo_header_sum :

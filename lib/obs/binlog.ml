@@ -15,7 +15,7 @@ let o_sid = 6 (* u16  node-name sid in the string table *)
 let o_time = 8 (* i64  simulation time, ns *)
 let o_cause = 16 (* u48  seq of the causal root *)
 let o_nid = 22 (* i16  node-table id; -1 before INIT *)
-let o_kind = 24 (* u8   Event.kind_code *)
+let o_kind = 24 (* u8   event kind, Event.to_fields *)
 let o_aux = 25 (* u8   enum byte, meaning depends on kind *)
 let o_a = 26 (* i32  primary id (fid/cid/tid/did/nid) *)
 let o_b = 30 (* i64  payload (delta/aid/ctl arg 1/rule) *)

@@ -12,7 +12,7 @@
       8   i64  time   simulation time, ns
      16   u48  cause  seq of the causal root
      22   i16  nid    node-table id (-1 before INIT)
-     24    u8  kind   Event.kind_code (0..9)
+     24    u8  kind   event kind (0..9, Event.to_fields)
      25    u8  aux    enum byte (point/status/fault/ctl tag/rule flag)
      26   i32  a      primary id
      30   i64  b      payload
@@ -22,7 +22,7 @@
 
     Signed fields hold any OCaml int (63-bit two's complement) exactly;
     [seq]/[cause] are unsigned 48-bit. Encoding never allocates — the
-    recorder calls {!encode_slot} straight into its preallocated ring. *)
+    recorder writes each slot straight into its preallocated ring. *)
 
 val magic : string
 (** The 6-byte file magic, ["VWEV2\x00"]. *)
@@ -42,24 +42,6 @@ val o_c : int
 val is_binary : string -> bool
 (** True when [s] starts with the vw-events/2 magic — how [Events_io]
     sniffs binary logs apart from JSONL. *)
-
-val encode_slot :
-  Bytes.t ->
-  off:int ->
-  seq:int ->
-  sid:int ->
-  time:int ->
-  cause:int ->
-  nid:int ->
-  kind:int ->
-  aux:int ->
-  a:int ->
-  b:int ->
-  c:int ->
-  unit
-(** Write one record slot at [off]. No bounds or range checks: callers
-    guarantee [off + slot_bytes <= Bytes.length buf] and field ranges
-    (ids fit i32, seq/cause fit u48, nid fits i16). *)
 
 val decode_slot : Bytes.t -> off:int -> node:string -> (Event.t, string) result
 (** Read one record slot back into a typed event, with the node name

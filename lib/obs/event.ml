@@ -75,11 +75,6 @@ let ctl_name = function
   | C_report_stop _ -> "report_stop"
   | C_report_error _ -> "report_error"
 
-(* Two control events carry "the same message" when their decoded payloads
-   agree — how the offline causal stitcher pairs a Control_received with the
-   Control_sent that produced it. *)
-let ctl_equal (a : ctl) (b : ctl) = a = b
-
 (* --- Fixed-layout field codec (schema "vw-events/2") ---
 
    Every body flattens to five integers: a kind code, a small enum byte
@@ -88,18 +83,6 @@ let ctl_equal (a : ctl) (b : ctl) = a = b
    deltas are arbitrary ints). The mapping is total and injective so that
    decode (of_fields) after encode (to_fields) is the identity — the
    qcheck property in test_report keeps that honest. *)
-
-let kind_code = function
-  | Packet_classified _ -> 0
-  | Counter_changed _ -> 1
-  | Term_flipped _ -> 2
-  | Condition_rose _ -> 3
-  | Action_fired _ -> 4
-  | Fault_applied _ -> 5
-  | Control_sent _ -> 6
-  | Control_received _ -> 7
-  | Report_raised _ -> 8
-  | Expect_checked _ -> 9
 
 let fault_code = function
   | Drop -> 0
@@ -263,35 +246,3 @@ let to_json e =
       Buffer.add_string b (Printf.sprintf ",\"xid\":%d,\"ok\":%b" xid ok));
   Buffer.add_char b '}';
   Buffer.contents b
-
-let pp_body ppf = function
-  | Packet_classified { point; fid } ->
-      Format.fprintf ppf "packet classified (%s, filter %d)" (point_name point)
-        fid
-  | Counter_changed { cid; value; delta } ->
-      Format.fprintf ppf "counter c%d %s%d -> %d" cid
-        (if delta >= 0 then "+" else "")
-        delta value
-  | Term_flipped { tid; status } ->
-      Format.fprintf ppf "term t%d flipped to %b" tid status
-  | Condition_rose { did } -> Format.fprintf ppf "condition d%d rose" did
-  | Action_fired { did; aid } ->
-      Format.fprintf ppf "action a%d fired (condition d%d)" aid did
-  | Fault_applied { did; aid; fault } ->
-      Format.fprintf ppf "fault %s applied (action a%d, condition d%d)"
-        (fault_name fault) aid did
-  | Control_sent { dst_nid; ctl } ->
-      Format.fprintf ppf "control %s sent to n%d" (ctl_name ctl) dst_nid
-  | Control_received { ctl } ->
-      Format.fprintf ppf "control %s received" (ctl_name ctl)
-  | Report_raised { nid; rule } -> (
-      match rule with
-      | Some r -> Format.fprintf ppf "FLAG_ERROR report (n%d, rule %d)" nid r
-      | None -> Format.fprintf ppf "STOP report (n%d)" nid)
-  | Expect_checked { xid; ok } ->
-      Format.fprintf ppf "expectation %d %s" xid
-        (if ok then "passed" else "failed")
-
-let pp ppf e =
-  Format.fprintf ppf "#%-5d %a %-8s %a" e.seq Vw_sim.Simtime.pp e.time e.node
-    pp_body e.body

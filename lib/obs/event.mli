@@ -60,13 +60,6 @@ val point_name : point -> string
 val fault_name : fault_kind -> string
 val ctl_name : ctl -> string
 
-val ctl_equal : ctl -> ctl -> bool
-(** Payload equality — pairs a [Control_received] with the [Control_sent]
-    that produced it. *)
-
-val kind_code : body -> int
-(** The [vw-events/2] kind byte, 0..9 in [all_kind_names] order. *)
-
 val ctl_to_fields : ctl -> int * int * int
 (** Flatten a control payload to [(tag, b, c)] for the binary slot
     fields: tag 0 init, 1 start, 2 counter_update (cid, value),
@@ -75,9 +68,10 @@ val ctl_to_fields : ctl -> int * int * int
 
 val to_fields : body -> int * int * int * int * int
 (** Flatten a body to the [vw-events/2] fixed fields
-    [(kind, aux, a, b, c)]: [kind] is {!kind_code}, [aux] a small enum
-    byte (hook point, term status, fault kind, ctl tag, or rule-present
-    flag), [a] a 32-bit id, [b]/[c] full-width payload ints. *)
+    [(kind, aux, a, b, c)]: [kind] is 0..9 in {!all_kind_names} order,
+    [aux] a small enum byte (hook point, term status, fault kind, ctl
+    tag, or rule-present flag), [a] a 32-bit id, [b]/[c] full-width
+    payload ints. *)
 
 val of_fields :
   kind:int -> aux:int -> a:int -> b:int -> c:int -> (body, string) result
@@ -85,5 +79,3 @@ val of_fields :
 
 val to_json : t -> string
 (** One JSON object, no trailing newline (schema [vw-events/1]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -151,22 +151,3 @@ let to_json t =
     hs;
   Buffer.add_string b (if hs = [] then "}\n}\n" else "\n  }\n}\n");
   Buffer.contents b
-
-let pp ppf t =
-  Format.pp_open_vbox ppf 0;
-  List.iter
-    (fun (name, v) -> Format.fprintf ppf "%-40s %10d@," name v)
-    (counters t);
-  List.iter
-    (fun (name, h) ->
-      Format.fprintf ppf "%-40s total %d, sum %d, max %d@," name h.h_total
-        h.h_sum h.h_max;
-      Array.iteri
-        (fun i c ->
-          if c > 0 then
-            if i < Array.length h.bounds then
-              Format.fprintf ppf "  <= %-6d %10d@," h.bounds.(i) c
-            else Format.fprintf ppf "  >  %-6d %10d@," h.bounds.(i - 1) c)
-        h.counts)
-    (histograms t);
-  Format.pp_close_box ppf ()

@@ -49,5 +49,3 @@ val histograms : t -> (string * histogram) list
 
 val to_json : t -> string
 (** Schema [vw-metrics/1]; ends with a newline. *)
-
-val pp : Format.formatter -> t -> unit

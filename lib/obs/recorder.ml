@@ -55,7 +55,6 @@ let create ?(capacity = 16384) ?strings ~node ~clock ~seq () =
   }
 
 let enabled t = t.enabled
-let node t = t.node
 let sid t = t.sid
 let set_nid t nid = t.nid <- nid
 let cause t = t.cause

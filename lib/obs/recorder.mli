@@ -49,7 +49,6 @@ val create :
     — fine for single-recorder use). *)
 
 val enabled : t -> bool
-val node : t -> string
 
 val sid : t -> int
 (** This node's name id in the shared string table. *)

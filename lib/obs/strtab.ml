@@ -27,9 +27,4 @@ let intern t s =
       Hashtbl.add t.ids s id;
       id
 
-let get t id =
-  if id < 0 || id >= t.count then invalid_arg "Strtab.get: id out of range";
-  t.by_id.(id)
-
-let length t = t.count
 let to_list t = List.init t.count (fun i -> t.by_id.(i))

@@ -22,9 +22,5 @@ val intern : t -> string -> int
     Raises [Invalid_argument] past 65536 entries or for strings longer
     than 65535 bytes. *)
 
-val get : t -> int -> string
-(** The string behind a sid. Raises [Invalid_argument] when out of range. *)
-
-val length : t -> int
 val to_list : t -> string list
 (** All entries in sid order — what the log header serializes. *)

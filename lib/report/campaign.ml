@@ -19,59 +19,6 @@ let ok t = failed t = 0
 
 (* --- coverage aggregation --- *)
 
-let stage_rank = function
-  | Coverage.Nothing -> 0
-  | Coverage.Filter_match -> 1
-  | Coverage.Counter_change -> 2
-  | Coverage.Term_flip -> 3
-  | Coverage.Fired -> 4
-
-let stage_max a b = if stage_rank a >= stage_rank b then a else b
-
-let merge (a : Coverage.t) (b : Coverage.t) =
-  if a.Coverage.scenario <> b.Coverage.scenario then
-    Error
-      (Printf.sprintf "cannot merge coverage of %S with %S" a.Coverage.scenario
-         b.Coverage.scenario)
-  else if
-    List.length a.Coverage.rules <> List.length b.Coverage.rules
-    || List.length a.Coverage.filters <> List.length b.Coverage.filters
-    || List.length a.Coverage.counters <> List.length b.Coverage.counters
-    || List.length a.Coverage.terms <> List.length b.Coverage.terms
-  then
-    Error
-      (Printf.sprintf "coverage structure of %S differs between runs"
-         a.Coverage.scenario)
-  else
-    Ok
-      {
-        a with
-        Coverage.rules =
-          List.map2
-            (fun (x : Coverage.rule_cov) (y : Coverage.rule_cov) ->
-              {
-                x with
-                Coverage.rule_fired = x.Coverage.rule_fired + y.Coverage.rule_fired;
-                furthest = stage_max x.Coverage.furthest y.Coverage.furthest;
-              })
-            a.Coverage.rules b.Coverage.rules;
-        filters =
-          List.map2
-            (fun (x : Coverage.filter_cov) (y : Coverage.filter_cov) ->
-              { x with Coverage.matched = x.Coverage.matched + y.Coverage.matched })
-            a.Coverage.filters b.Coverage.filters;
-        counters =
-          List.map2
-            (fun (x : Coverage.counter_cov) (y : Coverage.counter_cov) ->
-              { x with Coverage.changes = x.Coverage.changes + y.Coverage.changes })
-            a.Coverage.counters b.Coverage.counters;
-        terms =
-          List.map2
-            (fun (x : Coverage.term_cov) (y : Coverage.term_cov) ->
-              { x with Coverage.flips = x.Coverage.flips + y.Coverage.flips })
-            a.Coverage.terms b.Coverage.terms;
-      }
-
 let concat ?(scenario = "campaign") labeled =
   (* re-index every id into one flat space and prefix names with the case
      label, so a heterogeneous suite still renders as one vw-cover/1 doc *)

@@ -26,32 +26,20 @@ type t
 val v : command:string -> entry list -> t
 (** [command] names the producing campaign ("suite", "fuzz", "run"). *)
 
-val total : t -> int
 val passed : t -> int
-val failed : t -> int
 val ok : t -> bool
 
 (** {1 Coverage roll-up} *)
-
-val merge : Coverage.t -> Coverage.t -> (Coverage.t, string) result
-(** Sum two coverages of the {e same} script (same scenario name and
-    structure): per-rule fire counts, filter/counter/term hits add up, a
-    rule's furthest stage is the furthest of the two. [Error] when the
-    scenario names or structures differ — use {!concat} for heterogeneous
-    campaigns. *)
-
-val concat : ?scenario:string -> (string * Coverage.t) list -> Coverage.t
-(** Flatten coverages of {e different} scripts into one document: ids are
-    re-indexed into a single flat space and filter/counter names prefixed
-    with the case label ("case/name"), so the result renders with the
-    stock [vw-cover/1] writer. [scenario] defaults to ["campaign"]. *)
 
 val iter_covers : t -> (name:string -> Coverage.t -> unit) -> unit
 (** Visit every entry that carries coverage, in campaign order. *)
 
 val coverage : ?scenario:string -> t -> Coverage.t option
-(** {!concat} of every entry that carries coverage, labeled by entry name;
-    [None] when no entry does. *)
+(** Every entry that carries coverage, flattened into one document: ids
+    are re-indexed into a single flat space and filter/counter names
+    prefixed with the entry name ("case/name"), so the result renders
+    with the stock [vw-cover/1] writer. [scenario] defaults to
+    ["campaign"]; [None] when no entry carries coverage. *)
 
 (** {1 Rendering} *)
 

@@ -41,25 +41,10 @@ let spans events =
 type flow = { sent_seq : int; recv_seq : int }
 
 let flows events =
-  let events =
-    List.sort (fun (a : Ev.t) b -> compare a.seq b.seq) events
-  in
-  (* nearest-preceding-send pairing, as Vw_core.Explain stitches chains:
-     sweep in seq order keeping the latest send per (destination, payload) *)
-  let latest_send : (int * Ev.ctl, int) Hashtbl.t = Hashtbl.create 64 in
-  let out = ref [] in
-  List.iter
-    (fun (e : Ev.t) ->
-      match e.body with
-      | Ev.Control_sent { dst_nid; ctl } ->
-          Hashtbl.replace latest_send (dst_nid, ctl) e.seq
-      | Ev.Control_received { ctl } -> (
-          match Hashtbl.find_opt latest_send (e.nid, ctl) with
-          | Some sent_seq -> out := { sent_seq; recv_seq = e.seq } :: !out
-          | None -> ())
-      | _ -> ())
-    events;
-  List.rev !out
+  List.map
+    (fun ((sent : Ev.t), (recv : Ev.t)) ->
+      { sent_seq = sent.seq; recv_seq = recv.seq })
+    (Vw_core.Explain.control_pairs events)
 
 (* --- Chrome trace-event JSON --- *)
 
@@ -77,7 +62,7 @@ let us_of time = float_of_int time /. 1000.0
 
 let to_chrome_json tables events =
   let all_spans = spans events in
-  let all_flows = flows events in
+  let all_flows = Vw_core.Explain.control_pairs events in
   (* processes: the script's nodes in table order, then any stragglers in
      order of appearance (a log can mention nodes the tables do not) *)
   let pids : (string, int) Hashtbl.t = Hashtbl.create 8 in
@@ -170,34 +155,29 @@ let to_chrome_json tables events =
     all_spans;
   (* flow arrows: out of the sending span at the Control_sent, into the
      receiving span at its root *)
-  let by_seq = Hashtbl.create 256 in
-  List.iter (fun (e : Ev.t) -> Hashtbl.replace by_seq e.seq e) events;
   List.iteri
-    (fun i { sent_seq; recv_seq } ->
-      match (Hashtbl.find_opt by_seq sent_seq, Hashtbl.find_opt by_seq recv_seq) with
-      | Some sent, Some recv ->
-          let name =
-            match sent.Ev.body with
-            | Ev.Control_sent { ctl; _ } -> "ctl " ^ Ev.ctl_name ctl
-            | _ -> "ctl"
-          in
-          let sent_lane =
-            Option.value ~default:0 (Hashtbl.find_opt lane_of sent.Ev.cause)
-          in
-          let recv_lane =
-            Option.value ~default:0 (Hashtbl.find_opt lane_of recv.Ev.cause)
-          in
-          emit
-            "{\"name\": \"%s\", \"cat\": \"control\", \"ph\": \"s\", \"id\": \
-             %d, \"ts\": %.3f, \"pid\": %d, \"tid\": %d}"
-            (Json.escape name) i (us_of sent.Ev.time)
-            (pid_of sent.Ev.node) sent_lane;
-          emit
-            "{\"name\": \"%s\", \"cat\": \"control\", \"ph\": \"f\", \"bp\": \
-             \"e\", \"id\": %d, \"ts\": %.3f, \"pid\": %d, \"tid\": %d}"
-            (Json.escape name) i (us_of recv.Ev.time)
-            (pid_of recv.Ev.node) recv_lane
-      | _ -> ())
+    (fun i ((sent : Ev.t), (recv : Ev.t)) ->
+      let name =
+        match sent.Ev.body with
+        | Ev.Control_sent { ctl; _ } -> "ctl " ^ Ev.ctl_name ctl
+        | _ -> "ctl"
+      in
+      let sent_lane =
+        Option.value ~default:0 (Hashtbl.find_opt lane_of sent.Ev.cause)
+      in
+      let recv_lane =
+        Option.value ~default:0 (Hashtbl.find_opt lane_of recv.Ev.cause)
+      in
+      emit
+        "{\"name\": \"%s\", \"cat\": \"control\", \"ph\": \"s\", \"id\": %d, \
+         \"ts\": %.3f, \"pid\": %d, \"tid\": %d}"
+        (Json.escape name) i (us_of sent.Ev.time) (pid_of sent.Ev.node)
+        sent_lane;
+      emit
+        "{\"name\": \"%s\", \"cat\": \"control\", \"ph\": \"f\", \"bp\": \
+         \"e\", \"id\": %d, \"ts\": %.3f, \"pid\": %d, \"tid\": %d}"
+        (Json.escape name) i (us_of recv.Ev.time) (pid_of recv.Ev.node)
+        recv_lane)
     all_flows;
   Buffer.add_string b "\n  ]\n}\n";
   Buffer.contents b

@@ -12,8 +12,8 @@
       instant events ([ph:"i"]);
     - a control frame crossing the wire is a flow arrow: [ph:"s"] at the
       [Control_sent] inside the sending span, [ph:"f"] at the matching
-      [Control_received] root, paired nearest-preceding-send-first exactly
-      as [Vw_core.Explain] stitches chains. *)
+      [Control_received] root, paired by {!Vw_core.Explain.control_pairs},
+      the rule [vwctl explain] stitches chains with. *)
 
 type span = {
   root : Vw_obs.Event.t;  (** the classification / receipt opening the span *)
@@ -30,9 +30,8 @@ val spans : Vw_obs.Event.t list -> span list
 type flow = { sent_seq : int; recv_seq : int }
 
 val flows : Vw_obs.Event.t list -> flow list
-(** Cross-node control edges: each [Control_received] paired with the
-    nearest preceding [Control_sent] addressed to its node carrying an
-    equal payload; receives with no matching send are omitted. *)
+(** Cross-node control edges, as {!Vw_core.Explain.control_pairs} pairs
+    them, by [seq]. *)
 
 val to_chrome_json : Vw_fsl.Tables.t -> Vw_obs.Event.t list -> string
 (** The full trace-event JSON document ([{"traceEvents": [...]}]); names

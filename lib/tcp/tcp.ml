@@ -131,7 +131,6 @@ let cwnd t = t.cwnd
 let ssthresh t = t.ssthresh
 let flight_size t = t.snd_nxt - t.snd_una
 let stats t = t.stats
-let config t = t.conn_config
 let cwnd_history t = List.rev t.cwnd_history
 let bytes_delivered t = t.delivered
 
@@ -608,9 +607,6 @@ let listen ?(config = default_config) stack ~port ~on_accept =
   in
   Hashtbl.replace stack.listeners port listener;
   listener
-
-let close_listener listener =
-  Hashtbl.remove listener.l_stack.listeners listener.l_port
 
 let connect ?(config = default_config) stack ~src_port ~dst ~dst_port =
   let t =

@@ -79,8 +79,6 @@ val listen :
   ?config:config -> stack -> port:int -> on_accept:(t -> unit) -> listener
 (** @raise Invalid_argument if the port already has a listener. *)
 
-val close_listener : listener -> unit
-
 val connect :
   ?config:config ->
   stack -> src_port:int -> dst:Vw_net.Ip_addr.t -> dst_port:int -> t
@@ -114,7 +112,6 @@ val ssthresh : t -> int
 (** Slow-start threshold, in segments. *)
 
 val stats : t -> stats
-val config : t -> config
 val cwnd_history : t -> (Vw_sim.Simtime.t * int) list
 (** Every (time, cwnd) change, oldest first. *)
 

@@ -56,23 +56,6 @@ let set_int_be b ~pos ~len v =
     Bytes.set b (pos + len - 1 - i) (Char.chr ((v lsr (8 * i)) land 0xff))
   done
 
-let dump ?(per_line = 16) b =
-  let buf = Buffer.create 128 in
-  let n = Bytes.length b in
-  let rec line off =
-    if off < n then begin
-      Buffer.add_string buf (Printf.sprintf "%04x  " off);
-      let stop = min n (off + per_line) in
-      for i = off to stop - 1 do
-        Buffer.add_string buf (Printf.sprintf "%02x " (Char.code (Bytes.get b i)))
-      done;
-      Buffer.add_char buf '\n';
-      line stop
-    end
-  in
-  line 0;
-  Buffer.contents buf
-
 let masked_equal b ~pos ~pattern ~mask =
   let len = Bytes.length pattern in
   if pos < 0 || pos + len > Bytes.length b then false

@@ -28,10 +28,6 @@ val set_int_be : bytes -> pos:int -> len:int -> int -> unit
 (** [set_int_be b ~pos ~len v] writes [v] big-endian into [len] bytes at
     [pos]. @raise Invalid_argument on out-of-range access. *)
 
-val dump : ?per_line:int -> bytes -> string
-(** [dump b] renders [b] as a classic offset-prefixed hex dump, for traces
-    and debugging output. *)
-
 val masked_equal : bytes -> pos:int -> pattern:bytes -> mask:bytes option -> bool
 (** [masked_equal b ~pos ~pattern ~mask] checks whether the bytes of [b]
     starting at [pos] equal [pattern] under the optional byte [mask]

@@ -28,11 +28,6 @@ let bool t p = float t < p
 
 let byte t = int t 256
 
-let exponential t ~mean =
-  let u = float t in
-  let u = if u <= 0.0 then 1e-12 else u in
-  -.mean *. log u
-
 let default_run_seed = 42
 
 (* An Atomic, not a ref: the memo may be read from every worker domain of a

@@ -31,10 +31,6 @@ val bool : t -> float -> bool
 val byte : t -> int
 (** Uniform byte in [\[0, 255\]]. *)
 
-val exponential : t -> mean:float -> float
-(** [exponential t ~mean] draws from an exponential distribution; used for
-    randomized inter-arrival workloads. *)
-
 val run_seed : unit -> int
 (** The run-level seed shared by every randomized test in a process: the
     value of [VW_SEED] if set to an integer, else 42. Memoized on first

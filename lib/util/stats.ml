@@ -40,8 +40,3 @@ let merge a b =
   let t = create () in
   List.iter (add t) (List.rev_append a.samples b.samples);
   t
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p99=%.3f max=%.3f"
-    t.n (mean t) (stddev t) (min_value t) (percentile t 50.) (percentile t 99.)
-    (max_value t)

@@ -24,5 +24,3 @@ val percentile : t -> float -> float
 
 val merge : t -> t -> t
 (** [merge a b] is a fresh accumulator over the union of samples. *)
-
-val pp : Format.formatter -> t -> unit

@@ -199,13 +199,12 @@ let defect_names_parse () =
       | Error e -> Alcotest.fail e)
     Oracles.defect_names
 
-(* The cascade's event log, pinned. Generated case 258 runs its rules
-   across nodes: counters ship to remote term evaluators and terms push
-   their statuses to remote conditions before actions fire, so a change
-   to the order in which the cascade sends, evaluates or fires moves the
-   digest of its binary log. *)
-let cascade_log_pinned () =
-  match Vw_check.Runner.run (Fgen.generate ~seed:258) with
+(* The cascade's event log, pinned: generated case [seed] must record
+   these counts, and its binary log this digest. A change to the order in
+   which the cascade sends, evaluates or fires moves the digest. *)
+let cascade_log_pinned ~seed ~events:n ~counter_updates ~term_statuses
+    ~conditions_rose ~actions ~digest () =
+  match Vw_check.Runner.run (Fgen.generate ~seed) with
   | Error e -> Alcotest.fail e
   | Ok o ->
       let events = o.Vw_check.Runner.o_events in
@@ -213,23 +212,38 @@ let cascade_log_pinned () =
         List.length
           (List.filter (fun (e : Vw_obs.Event.t) -> pred e.body) events)
       in
-      check Alcotest.int "events" 175 (List.length events);
-      check Alcotest.int "Counter_update sends" 11
+      check Alcotest.int "events" n (List.length events);
+      check Alcotest.int "Counter_update sends" counter_updates
         (count (function
           | Vw_obs.Event.Control_sent { ctl = C_counter_update _; _ } -> true
           | _ -> false));
-      check Alcotest.int "Term_status sends" 19
+      check Alcotest.int "Term_status sends" term_statuses
         (count (function
           | Vw_obs.Event.Control_sent { ctl = C_term_status _; _ } -> true
           | _ -> false));
-      check Alcotest.int "actions fired" 9
+      check Alcotest.int "conditions rose" conditions_rose
+        (count (function Vw_obs.Event.Condition_rose _ -> true | _ -> false));
+      check Alcotest.int "actions fired" actions
         (count (function Vw_obs.Event.Action_fired _ -> true | _ -> false));
-      check Alcotest.string "binary log digest"
-        "ebd55c40938b7a49d482c3380e7cfffd"
+      check Alcotest.string "binary log digest" digest
         (Digest.to_hex
            (Digest.string
-              (Vw_obs.Binlog.of_events ~scenario:"x" ~recorded:175 ~dropped:0
+              (Vw_obs.Binlog.of_events ~scenario:"x" ~recorded:n ~dropped:0
                  events)))
+
+(* Case 258 runs its rules across nodes: counters ship to remote term
+   evaluators and terms push their statuses to remote conditions before
+   actions fire. *)
+let cascade_log_pinned_258 =
+  cascade_log_pinned ~seed:258 ~events:175 ~counter_updates:11
+    ~term_statuses:19 ~conditions_rose:2 ~actions:9
+    ~digest:"ebd55c40938b7a49d482c3380e7cfffd"
+
+(* Case 5 raises two conditions in one cascade round; the round fires
+   them in ascending condition id, and the reverse order moves its log. *)
+let cascade_log_pinned_5 =
+  cascade_log_pinned ~seed:5 ~events:66 ~counter_updates:0 ~term_statuses:2
+    ~conditions_rose:2 ~actions:8 ~digest:"457e35d82c3311485b5dd34105545d43"
 
 let suite =
   [
@@ -248,6 +262,8 @@ let suite =
           fuzz_deterministic;
         Alcotest.test_case "defect names round-trip" `Quick defect_names_parse;
         Alcotest.test_case "cascade event log pinned (case 258)" `Quick
-          cascade_log_pinned;
+          cascade_log_pinned_258;
+        Alcotest.test_case "cascade firing order pinned (case 5)" `Quick
+          cascade_log_pinned_5;
       ] );
   ]

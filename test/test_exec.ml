@@ -1,11 +1,8 @@
 (* The vw_exec execution layer: the executor's jobs=1 / jobs=N
-   byte-determinism contract, crash containment, the plan-order reducer
+   byte-determinism contract, crash containment, the index-order reducer
    under adversarial completion orders (qcheck), and end-to-end CLI
    byte-identity of suite and fuzz campaigns at --jobs 1 vs --jobs 4. *)
 
-module Outcome = Vw_exec.Outcome
-module Job = Vw_exec.Job
-module Plan = Vw_exec.Plan
 module Executor = Vw_exec.Executor
 module Suite = Vw_core.Suite
 
@@ -22,10 +19,12 @@ let replace ~sub ~by s =
   | None -> s
   | Some i -> String.sub s 0 i ^ by ^ String.sub s (i + n) (m - i - n)
 
-let shape (o : _ Outcome.t) =
-  (o.Outcome.index, o.Outcome.label, Outcome.verdict_name o.Outcome.verdict)
+let ints_t = Alcotest.(list (result int string))
 
-let shape_t = Alcotest.(list (triple int string string))
+(* jobs report whether they passed; a campaign stops at the first that did
+   not, or at the first crash *)
+let verdicts_t = Alcotest.(list (result bool string))
+let failed = function Ok pass -> not pass | Error _ -> true
 
 (* --- executor basics --- *)
 
@@ -34,78 +33,57 @@ let shape_t = Alcotest.(list (triple int string string))
    they pass the global pool explicitly (joined by its at_exit hook). *)
 let pool = Vw_exec.Pool.global ()
 
-let square_plan n =
-  Plan.init n (fun i ->
-      Job.v ~label:(Printf.sprintf "sq-%d" i) (fun () ->
-          Job.result ~verdict:`Pass (i * i)))
+let square i = i * i
 
 let test_jobs_levels_agree () =
-  let seq = Executor.run ~jobs:1 (square_plan 9) in
-  let par = Executor.run ~pool ~jobs:4 (square_plan 9) in
-  Alcotest.check shape_t "same outcomes" (List.map shape seq)
-    (List.map shape par);
-  List.iter2
-    (fun (a : _ Outcome.t) (b : _ Outcome.t) ->
-      Alcotest.(check (option int)) "same payload" a.Outcome.payload
-        b.Outcome.payload)
-    seq par;
-  Alcotest.(check (list int))
-    "plan order"
-    (List.init 9 (fun i -> i))
-    (List.map (fun (o : _ Outcome.t) -> o.Outcome.index) seq)
+  let seq = Executor.map ~jobs:1 9 square in
+  let par = Executor.map ~pool ~jobs:4 9 square in
+  Alcotest.check ints_t "index order" (List.init 9 (fun i -> Ok (i * i))) seq;
+  Alcotest.check ints_t "same results" seq par;
+  Alcotest.check ints_t "an empty campaign" []
+    (Executor.map ~pool ~jobs:4 0 square);
+  match Executor.map (-1) square with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a negative count should raise Invalid_argument"
 
-let crash_plan n =
-  Plan.init n (fun i ->
-      Job.v ~label:(Printf.sprintf "j%d" i) (fun () ->
-          if i = 3 then failwith "boom";
-          Job.result ~verdict:`Pass i))
+let crash_at_3 i = if i = 3 then failwith "boom" else i
+
+(* job 3 is an [Error] carrying the exception; every other job is [Ok i] *)
+let check_crash_only_at_3 n rs =
+  Alcotest.(check int) "campaign not aborted" n (List.length rs);
+  List.iteri
+    (fun i r ->
+      match (i, r) with
+      | 3, Error msg ->
+          if not (contains ~sub:"boom" msg) then
+            Alcotest.failf "crash message %S lost the exception" msg
+      | 3, Ok _ -> Alcotest.fail "job 3 should crash"
+      | i, Ok v when v = i -> ()
+      | i, _ -> Alcotest.failf "job %d should pass" i)
+    rs
 
 let test_crash_is_per_job () =
   List.iter
     (fun jobs ->
-      let outs = Executor.run ~pool ~jobs (crash_plan 6) in
-      Alcotest.(check int) "campaign not aborted" 6 (List.length outs);
-      List.iter
-        (fun (o : _ Outcome.t) ->
-          match (o.Outcome.index, o.Outcome.verdict) with
-          | 3, Outcome.Crash msg ->
-              if not (contains ~sub:"boom" msg) then
-                Alcotest.failf "crash message %S lost the exception" msg
-          | 3, _ -> Alcotest.fail "job 3 should crash"
-          | _, Outcome.Pass -> ()
-          | i, _ -> Alcotest.failf "job %d should pass" i)
-        outs)
+      check_crash_only_at_3 6 (Executor.map ~pool ~jobs 6 crash_at_3))
     [ 1; 4 ]
 
-let test_stop_after_skips_rest () =
+let test_stop_skips_rest () =
   let started = Array.make 8 false in
-  let plan =
-    Plan.init 8 (fun i ->
-        Job.v (fun () ->
-            started.(i) <- true;
-            Job.result ~verdict:(if i = 2 then `Fail else `Pass) i))
+  let rs =
+    Executor.map ~jobs:1 ~stop:failed 8 (fun i ->
+        started.(i) <- true;
+        i <> 2)
   in
-  let outs =
-    Executor.run ~jobs:1
-      ~stop_after:(fun o -> not (Outcome.passed o))
-      plan
-  in
-  Alcotest.(check int) "cut after first failure" 3 (List.length outs);
+  Alcotest.(check int) "cut after first failure" 3 (List.length rs);
   (* sequentially, jobs beyond the cut must never have started *)
   Alcotest.(check bool) "job 7 never ran" false started.(7)
 
-let test_stop_after_parallel_same_prefix () =
-  let plan ()
-      =
-    Plan.init 8 (fun i ->
-        Job.v ~label:(Printf.sprintf "j%d" i) (fun () ->
-            Job.result ~verdict:(if i = 2 then `Fail else `Pass) i))
-  in
-  let stop o = not (Outcome.passed o) in
-  let seq = Executor.run ~jobs:1 ~stop_after:stop (plan ()) in
-  let par = Executor.run ~pool ~jobs:4 ~stop_after:stop (plan ()) in
-  Alcotest.check shape_t "same truncated outcomes" (List.map shape seq)
-    (List.map shape par)
+let test_stop_parallel_same_prefix () =
+  let pass i = i <> 2 in
+  let seq = Executor.map ~jobs:1 ~stop:failed 8 pass in
+  let par = Executor.map ~pool ~jobs:4 ~stop:failed 8 pass in
+  Alcotest.check verdicts_t "same truncated results" seq par
 
 (* --- persistent pool: workers are spawned once and reused --- *)
 
@@ -116,62 +94,51 @@ let test_pool_reuse_across_plans () =
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
-      let baseline = Executor.run ~jobs:1 (square_plan 12) in
+      let baseline = Executor.map ~jobs:1 12 square in
       for _ = 1 to 5 do
-        let par = Executor.run ~pool ~jobs:3 (square_plan 12) in
-        Alcotest.check shape_t "pooled run agrees with sequential"
-          (List.map shape baseline) (List.map shape par)
+        Alcotest.check ints_t "pooled run agrees with sequential" baseline
+          (Executor.map ~pool ~jobs:3 12 square)
       done;
       let s = Pool.stats pool in
       Alcotest.(check int) "jobs=3 spawned exactly 2 workers" 2 s.Pool.spawned;
-      Alcotest.(check int) "no domain leak across plans" 2 s.Pool.size;
-      Alcotest.(check int) "five plans served" 5 s.Pool.runs;
+      Alcotest.(check int) "no domain leak across campaigns" 2 s.Pool.size;
+      Alcotest.(check int) "five campaigns served" 5 s.Pool.runs;
       (* a deeper request grows the pool once; a shallower one reuses it *)
-      ignore (Executor.run ~pool ~jobs:4 (square_plan 12));
-      ignore (Executor.run ~pool ~jobs:2 (square_plan 12));
+      ignore (Executor.map ~pool ~jobs:4 12 square);
+      ignore (Executor.map ~pool ~jobs:2 12 square);
       let s = Pool.stats pool in
       Alcotest.(check int) "grown to 3 workers total" 3 s.Pool.spawned;
       Alcotest.(check int) "still 3 live" 3 s.Pool.size;
-      Alcotest.(check int) "seven plans served" 7 s.Pool.runs);
+      Alcotest.(check int) "seven campaigns served" 7 s.Pool.runs);
   let s = Pool.stats pool in
   Alcotest.(check int) "shutdown joined every domain" 0 s.Pool.size
 
 (* --- chunked scheduling is a pure scheduling knob --- *)
 
 let test_chunk_byte_identity () =
-  let baseline = Executor.run ~jobs:1 (square_plan 23) in
+  let baseline = Executor.map ~jobs:1 23 square in
   List.iter
     (fun jobs ->
       List.iter
         (fun chunk ->
-          let par = Executor.run ~pool ~jobs ~chunk (square_plan 23) in
-          Alcotest.check shape_t
+          Alcotest.check ints_t
             (Printf.sprintf "jobs=%d chunk=%d agrees" jobs chunk)
-            (List.map shape baseline) (List.map shape par);
-          List.iter2
-            (fun (a : _ Outcome.t) (b : _ Outcome.t) ->
-              Alcotest.(check (option int)) "same payload" a.Outcome.payload
-                b.Outcome.payload)
-            baseline par)
+            baseline
+            (Executor.map ~pool ~jobs ~chunk 23 square))
         [ 1; 2; 3; 7; 64 ])
     [ 1; 2; 4 ]
 
-let test_chunk_stop_after_identity () =
-  let plan () =
-    Plan.init 17 (fun i ->
-        Job.v ~label:(Printf.sprintf "j%d" i) (fun () ->
-            Job.result ~verdict:(if i = 5 then `Fail else `Pass) i))
-  in
-  let stop o = not (Outcome.passed o) in
-  let seq = Executor.run ~jobs:1 ~stop_after:stop (plan ()) in
+let test_chunk_stop_identity () =
+  let pass i = i <> 5 in
+  let seq = Executor.map ~jobs:1 ~stop:failed 17 pass in
   List.iter
     (fun jobs ->
       List.iter
         (fun chunk ->
-          let par = Executor.run ~pool ~jobs ~chunk ~stop_after:stop (plan ()) in
-          Alcotest.check shape_t
+          Alcotest.check verdicts_t
             (Printf.sprintf "cut identical at jobs=%d chunk=%d" jobs chunk)
-            (List.map shape seq) (List.map shape par))
+            seq
+            (Executor.map ~pool ~jobs ~chunk ~stop:failed 17 pass))
         [ 1; 3; 8; 32 ])
     [ 2; 4 ]
 
@@ -179,36 +146,19 @@ let test_chunk_stop_after_identity () =
 let test_crash_inside_chunk () =
   List.iter
     (fun chunk ->
-      let outs = Executor.run ~pool ~jobs:2 ~chunk (crash_plan 12) in
-      Alcotest.(check int) "all jobs reported" 12 (List.length outs);
-      List.iter
-        (fun (o : _ Outcome.t) ->
-          match (o.Outcome.index, o.Outcome.verdict) with
-          | 3, Outcome.Crash msg ->
-              if not (contains ~sub:"boom" msg) then
-                Alcotest.failf "crash message %S lost the exception" msg
-          | 3, _ -> Alcotest.fail "job 3 should crash"
-          | _, Outcome.Pass -> ()
-          | i, _ -> Alcotest.failf "job %d should pass" i)
-        outs)
+      check_crash_only_at_3 12
+        (Executor.map ~pool ~jobs:2 ~chunk 12 crash_at_3))
     [ 4; 6; 64 ]
 
 let test_auto_chunk_bounds () =
-  Alcotest.(check int) "mid-size plan" 16 (Executor.auto_chunk ~jobs:4 256);
-  Alcotest.(check int) "tiny plan floors at 1" 1 (Executor.auto_chunk ~jobs:2 8);
-  Alcotest.(check int) "huge plan caps at 32"
+  Alcotest.(check int) "mid-size campaign" 16 (Executor.auto_chunk ~jobs:4 256);
+  Alcotest.(check int) "tiny campaign floors at 1" 1
+    (Executor.auto_chunk ~jobs:2 8);
+  Alcotest.(check int) "huge campaign caps at 32"
     32
     (Executor.auto_chunk ~jobs:1 100_000)
 
 (* --- the reducer alone --- *)
-
-let mk_outcome ?(pass = true) i =
-  {
-    Outcome.index = i;
-    label = Printf.sprintf "j%d" i;
-    verdict = (if pass then Outcome.Pass else Outcome.Fail);
-    payload = Some i;
-  }
 
 let test_reduce_rejects_bad_input () =
   let raises f =
@@ -216,14 +166,12 @@ let test_reduce_rejects_bad_input () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "expected Invalid_argument"
   in
-  raises (fun () ->
-      Executor.reduce ~plan_length:3 [ mk_outcome 0; mk_outcome 2 ]);
-  raises (fun () ->
-      Executor.reduce ~plan_length:2 [ mk_outcome 0; mk_outcome 0 ]);
-  raises (fun () -> Executor.reduce ~plan_length:1 [ mk_outcome 5 ])
+  raises (fun () -> Executor.reduce 3 [ (0, Ok true); (2, Ok true) ]);
+  raises (fun () -> Executor.reduce 2 [ (0, Ok true); (0, Ok true) ]);
+  raises (fun () -> Executor.reduce 1 [ (5, Ok true) ])
 
-(* qcheck: whatever order outcomes complete in, the reducer returns the
-   plan-order prefix cut at the earliest failing index *)
+(* qcheck: whatever order results complete in, the reducer returns the
+   index-order prefix cut at the earliest failing index *)
 let reducer_order_prop =
   QCheck.Test.make ~count:200
     ~name:"reducer is completion-order independent"
@@ -231,25 +179,20 @@ let reducer_order_prop =
     (fun (n, seed) ->
       let st = Random.State.make [| seed |] in
       let pass = Array.init n (fun _ -> Random.State.bool st) in
-      let arr = Array.init n (fun i -> mk_outcome ~pass:pass.(i) i) in
+      let arr = Array.init n (fun i -> (i, Ok pass.(i))) in
       for i = n - 1 downto 1 do
         let j = Random.State.int st (i + 1) in
         let t = arr.(i) in
         arr.(i) <- arr.(j);
         arr.(j) <- t
       done;
-      let reduced =
-        Executor.reduce
-          ~stop_after:(fun o -> not (Outcome.passed o))
-          ~plan_length:n (Array.to_list arr)
-      in
+      let reduced = Executor.reduce ~stop:failed n (Array.to_list arr) in
       let rec expected i =
         if i >= n then []
-        else if pass.(i) then i :: expected (i + 1)
-        else [ i ]
+        else if pass.(i) then Ok true :: expected (i + 1)
+        else [ Ok false ]
       in
-      List.map (fun (o : _ Outcome.t) -> o.Outcome.index) reduced
-      = expected 0)
+      reduced = expected 0)
 
 (* --- Suite on the executor: worker crash is one failing case --- *)
 
@@ -396,15 +339,15 @@ let suite =
         Alcotest.test_case "a raising job crashes alone" `Quick
           test_crash_is_per_job;
         Alcotest.test_case "stop_after skips later jobs sequentially" `Quick
-          test_stop_after_skips_rest;
+          test_stop_skips_rest;
         Alcotest.test_case "stop_after truncates identically in parallel"
-          `Quick test_stop_after_parallel_same_prefix;
+          `Quick test_stop_parallel_same_prefix;
         Alcotest.test_case "pool reuses workers across plans" `Quick
           test_pool_reuse_across_plans;
         Alcotest.test_case "chunk size never changes the outcome list" `Quick
           test_chunk_byte_identity;
         Alcotest.test_case "chunked stop_after cuts identically" `Quick
-          test_chunk_stop_after_identity;
+          test_chunk_stop_identity;
         Alcotest.test_case "a crash mid-chunk spares the rest of the chunk"
           `Quick test_crash_inside_chunk;
         Alcotest.test_case "auto_chunk stays within [1, 32]" `Quick

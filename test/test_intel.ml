@@ -542,11 +542,24 @@ let test_cli_error_exit_codes () =
         [
           ("a malformed directive", bad_directive);
           ("a directory named .fsl", unreadable);
-        ])
+        ]);
+  (* a campaign of no cases checks nothing: --runs and --repeat below 1
+     are usage errors, not an uncaught exception, a silent single run or
+     a vacuous pass *)
+  List.iter
+    (fun args ->
+      let rc, _ = run_capture args in
+      Alcotest.(check int) (args ^ " is a usage error (124)") 124 rc)
+    [
+      "fuzz --runs=-5 --seed 1";
+      "run quickstart -w udp-ping -b 640 -d 2 --repeat 0";
+      "run quickstart -w udp-ping -b 640 -d 2 --repeat=-3";
+      "fuzz --runs 0";
+    ]
 
 (* campaign artifacts and journals must be byte-identical at every --jobs
-   level: the executor reduces outcomes to plan order before the journal
-   hook fires, and records carry no wall-clock fields *)
+   level: the executor returns results in index order before the journal
+   is built, and records carry no wall-clock fields *)
 let test_cli_jobs_parity () =
   with_tmp_dir (fun dir ->
       let src = read_file (Filename.concat suite_dir "02_udp_loss_window.fsl") in
