@@ -1,7 +1,7 @@
 (** Conformance results, rendered: the [vw-conform/1] JSON summary and the
     human console report.
 
-    Everything here is derived from plan-order {!Driver.case_result}s and
+    Everything here is derived from index-order {!Driver.case_result}s and
     simulated time only — no wall-clock, no ordering dependence — so
     [vwctl conform] output is byte-identical at every [--jobs] level. *)
 

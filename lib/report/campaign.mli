@@ -4,7 +4,7 @@
     [vwctl run --repeat]) produces one outcome per job; this module rolls
     them up into a single summary ([vw-campaign/1] JSON), a single
     [vw-cover/1]-compatible coverage document, and a self-contained HTML
-    index. Aggregation is a pure fold over outcomes in plan order, so the
+    index. Aggregation is a pure fold over outcomes in index order, so the
     artifacts are byte-identical at every [--jobs] level. *)
 
 type entry

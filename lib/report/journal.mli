@@ -15,12 +15,12 @@
     no wall-clock time: a campaign re-run with the same configuration
     appends byte-identical lines, which is also why journal writes do not
     break the executor's jobs-independence contract — records are emitted
-    from the reduced outcome list, in plan order. *)
+    from the reduced result list, in index order. *)
 
 type record = {
   r_command : string;  (** producing campaign: "fuzz", "suite", "run" *)
   r_case : string;  (** case/trial label within the campaign *)
-  r_index : int;  (** plan index of the failing job *)
+  r_index : int;  (** index of the failing case *)
   r_oracle : string;
       (** the failing fuzz oracle, or "expect_mismatch" / "worker_crash" /
           "script_error" for suite and repeat campaigns *)

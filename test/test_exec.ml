@@ -21,10 +21,10 @@ let replace ~sub ~by s =
 
 let ints_t = Alcotest.(list (result int string))
 
-(* jobs report whether they passed; a campaign stops at the first that did
-   not, or at the first crash *)
-let verdicts_t = Alcotest.(list (result bool string))
-let failed = function Ok pass -> not pass | Error _ -> true
+(* jobs report their index and whether they passed; a campaign stops at
+   the first that did not, or at the first crash *)
+let verdicts_t = Alcotest.(list (result (pair int bool) string))
+let failed = function Ok (_, pass) -> not pass | Error _ -> true
 
 (* --- executor basics --- *)
 
@@ -73,14 +73,16 @@ let test_stop_skips_rest () =
   let rs =
     Executor.map ~jobs:1 ~stop:failed 8 (fun i ->
         started.(i) <- true;
-        i <> 2)
+        (i, i <> 2))
   in
-  Alcotest.(check int) "cut after first failure" 3 (List.length rs);
+  Alcotest.check verdicts_t "cut after first failure"
+    [ Ok (0, true); Ok (1, true); Ok (2, false) ]
+    rs;
   (* sequentially, jobs beyond the cut must never have started *)
   Alcotest.(check bool) "job 7 never ran" false started.(7)
 
 let test_stop_parallel_same_prefix () =
-  let pass i = i <> 2 in
+  let pass i = (i, i <> 2) in
   let seq = Executor.map ~jobs:1 ~stop:failed 8 pass in
   let par = Executor.map ~pool ~jobs:4 ~stop:failed 8 pass in
   Alcotest.check verdicts_t "same truncated results" seq par
@@ -129,7 +131,7 @@ let test_chunk_byte_identity () =
     [ 1; 2; 4 ]
 
 let test_chunk_stop_identity () =
-  let pass i = i <> 5 in
+  let pass i = (i, i <> 5) in
   let seq = Executor.map ~jobs:1 ~stop:failed 17 pass in
   List.iter
     (fun jobs ->
@@ -179,18 +181,23 @@ let reducer_order_prop =
     (fun (n, seed) ->
       let st = Random.State.make [| seed |] in
       let pass = Array.init n (fun _ -> Random.State.bool st) in
-      let arr = Array.init n (fun i -> (i, Ok pass.(i))) in
+      let arr =
+        Array.init n (fun i ->
+            (i, if pass.(i) then Ok i else Error (string_of_int i)))
+      in
       for i = n - 1 downto 1 do
         let j = Random.State.int st (i + 1) in
         let t = arr.(i) in
         arr.(i) <- arr.(j);
         arr.(j) <- t
       done;
-      let reduced = Executor.reduce ~stop:failed n (Array.to_list arr) in
+      let reduced =
+        Executor.reduce ~stop:Result.is_error n (Array.to_list arr)
+      in
       let rec expected i =
         if i >= n then []
-        else if pass.(i) then Ok true :: expected (i + 1)
-        else [ Ok false ]
+        else if pass.(i) then Ok i :: expected (i + 1)
+        else [ Error (string_of_int i) ]
       in
       reduced = expected 0)
 
