@@ -454,19 +454,20 @@ let run_repeat_campaign ~tables ~src ~script_path ~workload ~bytes ~duration
       let records =
         List.filter_map
           (fun (i, seed, detail, ok, crash) ->
+            let case = Printf.sprintf "trial-%d" i in
             if ok then None
             else
-              let oracle, det =
-                match crash with
-                | Some msg ->
-                    ("worker_crash", Vw_report.Journal.exn_constructor msg)
-                | None -> ("scenario", first_line detail)
-              in
-              Some
-                (Vw_report.Journal.v ~run_seed:base_seed ~tables_digest:digest
-                   ~command:"run"
-                   ~case:(Printf.sprintf "trial-%d" i)
-                   ~index:i ~oracle ~seed ~detail:det ()))
+              match crash with
+              | Some msg ->
+                  Some
+                    (Vw_report.Journal.crash ~run_seed:base_seed
+                       ~tables_digest:digest ~command:"run" ~case ~index:i
+                       ~seed msg)
+              | None ->
+                  Some
+                    (Vw_report.Journal.v ~run_seed:base_seed
+                       ~tables_digest:digest ~command:"run" ~case ~index:i
+                       ~oracle:"scenario" ~seed ~detail:(first_line detail) ()))
           rows
       in
       match Vw_report.Journal.append path records with
@@ -1103,29 +1104,38 @@ let suite_cmd =
                  (fun i (o : Vw_core.Suite.outcome) ->
                    if o.Vw_core.Suite.o_ok then []
                    else
-                     let oracle =
-                       match o.Vw_core.Suite.o_expected with
-                       | `Pass -> "expect_pass"
-                       | `Fail -> "expect_fail"
-                     in
-                     let sim_s =
-                       match o.Vw_core.Suite.o_result with
-                       | Ok r -> Some (Vw_sim.Simtime.to_sec r.Scenario.duration)
-                       | Error _ -> None
-                     in
-                     let tables_digest =
-                       match o.Vw_core.Suite.o_tables with
-                       | Some t -> Vw_report.Journal.digest_of_tables t
-                       | None -> ""
-                     in
-                     [
-                       Vw_report.Journal.v ?sim_s ~tables_digest
-                         ~run_seed:base_seed ~command:"suite"
-                         ~case:o.Vw_core.Suite.o_name ~index:i ~oracle
-                         ~seed:base_seed
-                         ~detail:(Vw_core.Suite.outcome_detail o)
-                         ();
-                     ])
+                     match o.Vw_core.Suite.o_crash with
+                     | Some msg ->
+                         [
+                           Vw_report.Journal.crash ~run_seed:base_seed
+                             ~command:"suite" ~case:o.Vw_core.Suite.o_name
+                             ~index:i ~seed:base_seed msg;
+                         ]
+                     | None ->
+                         let oracle =
+                           match o.Vw_core.Suite.o_expected with
+                           | `Pass -> "expect_pass"
+                           | `Fail -> "expect_fail"
+                         in
+                         let sim_s =
+                           match o.Vw_core.Suite.o_result with
+                           | Ok r ->
+                               Some (Vw_sim.Simtime.to_sec r.Scenario.duration)
+                           | Error _ -> None
+                         in
+                         let tables_digest =
+                           match o.Vw_core.Suite.o_tables with
+                           | Some t -> Vw_report.Journal.digest_of_tables t
+                           | None -> ""
+                         in
+                         [
+                           Vw_report.Journal.v ?sim_s ~tables_digest
+                             ~run_seed:base_seed ~command:"suite"
+                             ~case:o.Vw_core.Suite.o_name ~index:i ~oracle
+                             ~seed:base_seed
+                             ~detail:(Vw_core.Suite.outcome_detail o)
+                             ();
+                         ])
                  report.Vw_core.Suite.outcomes)
           in
           (match opts.journal with
@@ -1246,12 +1256,13 @@ let conform_cmd =
             |> List.mapi (fun i r ->
                    let name, _, _ = cases.(i) in
                    match r with
-                   | Ok r -> (name, r)
-                   | Error msg -> (name, Error [ "worker crashed: " ^ msg ]))
+                   | Ok r -> (name, r, None)
+                   | Error msg ->
+                       (name, Error [ "worker crashed: " ^ msg ], Some msg))
           in
           let report_cases =
             List.map
-              (fun (name, r) ->
+              (fun (name, r, _) ->
                 match r with
                 | Ok cr -> Vw_conform.Report.of_result cr
                 | Error errs ->
@@ -1279,9 +1290,15 @@ let conform_cmd =
               let records =
                 List.concat
                   (List.mapi
-                     (fun i (name, r) ->
-                       match r with
-                       | Error errs ->
+                     (fun i (name, r, crash) ->
+                       match (r, crash) with
+                       | _, Some msg ->
+                           [
+                             Vw_report.Journal.crash ~run_seed:base_seed
+                               ~command:"conform" ~case:name ~index:i
+                               ~seed:base_seed msg;
+                           ]
+                       | Error errs, None ->
                            [
                              Vw_report.Journal.v ~run_seed:base_seed
                                ~command:"conform" ~case:name ~index:i
@@ -1290,7 +1307,7 @@ let conform_cmd =
                                  (first_line (String.concat "; " errs))
                                ();
                            ]
-                       | Ok cr ->
+                       | Ok cr, None ->
                            let digest =
                              Vw_report.Journal.digest_of_tables
                                cr.Vw_conform.Driver.c_tables

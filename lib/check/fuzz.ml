@@ -106,20 +106,17 @@ let tables_digest_of = function
   | Some o -> Vw_report.Journal.digest_of_tables o.Runner.o_tables
   | None -> ""
 
-(* the journal clusters crashes by exception constructor, not by the full
-   (address-bearing) message *)
-let journal_detail (failure : Oracles.failure) =
-  if String.equal failure.Oracles.oracle "worker_crash" then
-    let msg = failure.Oracles.detail in
-    let prefix = "job raised: " in
-    let plen = String.length prefix in
-    let msg =
-      if String.length msg >= plen && String.sub msg 0 plen = prefix then
-        String.sub msg plen (String.length msg - plen)
-      else msg
-    in
-    Vw_report.Journal.exn_constructor msg
-  else failure.Oracles.detail
+let worker_crash_oracle = "worker_crash"
+
+(* a crash's detail is "job raised: <exn>"; the journal clusters it by
+   the exception alone *)
+let crash_message (failure : Oracles.failure) =
+  let prefix = "job raised: " in
+  let plen = String.length prefix in
+  let msg = failure.Oracles.detail in
+  if String.length msg >= plen && String.sub msg 0 plen = prefix then
+    String.sub msg plen (String.length msg - plen)
+  else msg
 
 let report_failure ppf cfg f =
   Format.fprintf ppf "@.FAILURE at run %d (case seed %d)@." f.run_index
@@ -167,11 +164,15 @@ let journal_record cfg ~command ~saved f =
     | Some (orig, min_file) -> Some (Option.value min_file ~default:orig)
     | None -> None
   in
-  Vw_report.Journal.v ?repro ?sim_s:f.sim_s ~tables_digest:f.tables_digest
-    ~run_seed:cfg.seed ~command
-    ~case:(Printf.sprintf "case-%d" f.run_index)
-    ~index:f.run_index ~oracle:f.failure.Oracles.oracle ~seed:f.case_seed
-    ~detail:(journal_detail f.failure) ()
+  let case = Printf.sprintf "case-%d" f.run_index in
+  if String.equal f.failure.Oracles.oracle worker_crash_oracle then
+    Vw_report.Journal.crash ?repro ~run_seed:cfg.seed ~command ~case
+      ~index:f.run_index ~seed:f.case_seed (crash_message f.failure)
+  else
+    Vw_report.Journal.v ?repro ?sim_s:f.sim_s ~tables_digest:f.tables_digest
+      ~run_seed:cfg.seed ~command ~case ~index:f.run_index
+      ~oracle:f.failure.Oracles.oracle ~seed:f.case_seed
+      ~detail:f.failure.Oracles.detail ()
 
 let journal_append ppf cfg ~command ~saved f =
   match cfg.journal with
@@ -195,8 +196,6 @@ type case_run = {
   cr_sim_s : float option;
   cr_tables_digest : string;
 }
-
-let worker_crash_oracle = "worker_crash"
 
 let add_tally into from =
   into.stopped <- into.stopped + from.stopped;

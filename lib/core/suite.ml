@@ -31,6 +31,7 @@ type outcome = {
   o_ok : bool;
   o_tables : Vw_fsl.Tables.t option;
   o_events : Vw_obs.Event.t list;
+  o_crash : string option;
 }
 
 type report = { outcomes : outcome list; passed : int; failed : int }
@@ -75,6 +76,7 @@ let outcome_of_case ?observe c =
     o_ok;
     o_tables;
     o_events;
+    o_crash = None;
   }
 
 (* a worker crash is this case's failure, not the campaign's *)
@@ -86,6 +88,7 @@ let crash_outcome c msg =
     o_ok = false;
     o_tables = None;
     o_events = [];
+    o_crash = Some msg;
   }
 
 let report_of_outcomes outcomes =

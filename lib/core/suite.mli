@@ -38,6 +38,8 @@ type outcome = {
   o_events : Vw_obs.Event.t list;
       (** the case's flight-recorder log; [[]] unless run with
           [~observe:true] *)
+  o_crash : string option;
+      (** the executor's message when the case's worker raised *)
 }
 
 type report = { outcomes : outcome list; passed : int; failed : int }

@@ -30,9 +30,8 @@ let of_bytes b ~pos =
   if pos < 0 || pos + 4 > Bytes.length b then invalid_arg "Ip_addr.of_bytes";
   Int32.of_int (Vw_util.Hexutil.to_int_be b ~pos ~len:4)
 
-let write t b ~pos =
-  Vw_util.Hexutil.set_int_be b ~pos ~len:4
-    (Int32.to_int (Int32.logand t 0xFFFFFFFFl) land 0xFFFFFFFF)
+let to_int t = Int32.to_int t land 0xFFFFFFFF
+let write t b ~pos = Vw_util.Hexutil.set_int_be b ~pos ~len:4 (to_int t)
 
 let of_host_index n =
   of_string (Printf.sprintf "10.0.%d.%d" ((n lsr 8) land 0xff) (n land 0xff))

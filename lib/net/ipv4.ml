@@ -15,47 +15,62 @@ let protocol_tcp = 6
 let make ?(tos = 0) ?(ttl = 64) ?(ident = 0) ~protocol ~src ~dst payload =
   { tos; ttl; protocol; ident; src; dst; payload }
 
+let write_header b ~pos ~tos ~ttl ~ident ~protocol ~src ~dst ~len =
+  Bytes.set b pos '\x45' (* version 4, IHL 5 *);
+  Bytes.set b (pos + 1) (Char.chr (tos land 0xff));
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 2) ~len:2 len;
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 4) ~len:2 (ident land 0xffff);
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 6) ~len:2 0 (* flags/fragment *);
+  Bytes.set b (pos + 8) (Char.chr (ttl land 0xff));
+  Bytes.set b (pos + 9) (Char.chr (protocol land 0xff));
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 10) ~len:2 0 (* checksum placeholder *);
+  Ip_addr.write src b ~pos:(pos + 12);
+  Ip_addr.write dst b ~pos:(pos + 16);
+  let csum = Vw_util.Checksum.checksum b ~pos ~len:header_size in
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 10) ~len:2 csum
+
 let to_bytes t =
-  let total = header_size + Bytes.length t.payload in
-  let b = Bytes.create total in
-  Bytes.set b 0 '\x45' (* version 4, IHL 5 *);
-  Bytes.set b 1 (Char.chr (t.tos land 0xff));
-  Vw_util.Hexutil.set_int_be b ~pos:2 ~len:2 total;
-  Vw_util.Hexutil.set_int_be b ~pos:4 ~len:2 (t.ident land 0xffff);
-  Vw_util.Hexutil.set_int_be b ~pos:6 ~len:2 0 (* flags/fragment *);
-  Bytes.set b 8 (Char.chr (t.ttl land 0xff));
-  Bytes.set b 9 (Char.chr (t.protocol land 0xff));
-  Vw_util.Hexutil.set_int_be b ~pos:10 ~len:2 0 (* checksum placeholder *);
-  Ip_addr.write t.src b ~pos:12;
-  Ip_addr.write t.dst b ~pos:16;
-  let csum = Vw_util.Checksum.checksum b ~pos:0 ~len:header_size in
-  Vw_util.Hexutil.set_int_be b ~pos:10 ~len:2 csum;
+  let len = header_size + Bytes.length t.payload in
+  let b = Bytes.create len in
+  write_header b ~pos:0 ~tos:t.tos ~ttl:t.ttl ~ident:t.ident ~protocol:t.protocol
+    ~src:t.src ~dst:t.dst ~len;
   Bytes.blit t.payload 0 b header_size (Bytes.length t.payload);
   b
 
-let of_bytes b =
-  let len = Bytes.length b in
-  if len < header_size then Error "ipv4: truncated header"
+let read b ~pos ~len =
+  if pos < 0 || len < header_size || pos + len > Bytes.length b then
+    Error "ipv4: truncated header"
   else
-    let vihl = Char.code (Bytes.get b 0) in
+    let vihl = Char.code (Bytes.get b pos) in
     if vihl <> 0x45 then
       Error (Printf.sprintf "ipv4: unsupported version/IHL 0x%02x" vihl)
-    else if not (Vw_util.Checksum.is_valid b ~pos:0 ~len:header_size) then
+    else if not (Vw_util.Checksum.is_valid b ~pos ~len:header_size) then
       Error "ipv4: header checksum mismatch"
     else
-      let total = Vw_util.Hexutil.to_int_be b ~pos:2 ~len:2 in
+      let total = Vw_util.Hexutil.to_int_be b ~pos:(pos + 2) ~len:2 in
       if total < header_size || total > len then Error "ipv4: bad total length"
-      else
-        Ok
-          {
-            tos = Char.code (Bytes.get b 1);
-            ttl = Char.code (Bytes.get b 8);
-            protocol = Char.code (Bytes.get b 9);
-            ident = Vw_util.Hexutil.to_int_be b ~pos:4 ~len:2;
-            src = Ip_addr.of_bytes b ~pos:12;
-            dst = Ip_addr.of_bytes b ~pos:16;
-            payload = Bytes.sub b header_size (total - header_size);
-          }
+      else Ok total
+
+let protocol_at b ~pos = Char.code (Bytes.get b (pos + 9))
+let src_at b ~pos = Ip_addr.of_bytes b ~pos:(pos + 12)
+
+let dst_is b ~pos ip =
+  Vw_util.Hexutil.to_int_be b ~pos:(pos + 16) ~len:4 = Ip_addr.to_int ip
+
+let of_bytes b =
+  match read b ~pos:0 ~len:(Bytes.length b) with
+  | Error _ as e -> e
+  | Ok total ->
+      Ok
+        {
+          tos = Char.code (Bytes.get b 1);
+          ttl = Char.code (Bytes.get b 8);
+          protocol = protocol_at b ~pos:0;
+          ident = Vw_util.Hexutil.to_int_be b ~pos:4 ~len:2;
+          src = src_at b ~pos:0;
+          dst = Ip_addr.of_bytes b ~pos:16;
+          payload = Bytes.sub b header_size (total - header_size);
+        }
 
 let pp ppf t =
   Format.fprintf ppf "[ipv4 %a -> %a proto=%d len=%d]" Ip_addr.pp t.src

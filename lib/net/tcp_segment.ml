@@ -46,49 +46,56 @@ let flags_of_byte v =
 
 let mask32 = 0xFFFFFFFF
 
-let to_bytes ~src ~dst t =
-  let len = header_size + Bytes.length t.payload in
-  let b = Bytes.create len in
-  Vw_util.Hexutil.set_int_be b ~pos:0 ~len:2 t.src_port;
-  Vw_util.Hexutil.set_int_be b ~pos:2 ~len:2 t.dst_port;
-  Vw_util.Hexutil.set_int_be b ~pos:4 ~len:4 (t.seq land mask32);
-  Vw_util.Hexutil.set_int_be b ~pos:8 ~len:4 (t.ack_seq land mask32);
-  Bytes.set b 12 '\x50' (* data offset 5 words *);
-  Bytes.set b 13 (Char.chr (flags_byte t.flags));
-  Vw_util.Hexutil.set_int_be b ~pos:14 ~len:2 (t.window land 0xffff);
-  Vw_util.Hexutil.set_int_be b ~pos:16 ~len:2 0 (* checksum placeholder *);
-  Vw_util.Hexutil.set_int_be b ~pos:18 ~len:2 0 (* urgent pointer *);
-  Bytes.blit t.payload 0 b header_size (Bytes.length t.payload);
+let write_header b ~pos ~src ~dst ~src_port ~dst_port ~seq ~ack_seq ~flags
+    ~window ~len =
+  Vw_util.Hexutil.set_int_be b ~pos ~len:2 src_port;
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 2) ~len:2 dst_port;
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 4) ~len:4 (seq land mask32);
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 8) ~len:4 (ack_seq land mask32);
+  Bytes.set b (pos + 12) '\x50' (* data offset 5 words *);
+  Bytes.set b (pos + 13) (Char.chr (flags_byte flags));
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 14) ~len:2 (window land 0xffff);
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 16) ~len:2 0 (* checksum placeholder *);
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 18) ~len:2 0 (* urgent pointer *);
   let init =
     Udp.pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_tcp ~length:len
   in
-  let csum = Vw_util.Checksum.finish (Vw_util.Checksum.ones_sum ~init b ~pos:0 ~len) in
-  Vw_util.Hexutil.set_int_be b ~pos:16 ~len:2 csum;
+  let csum = Vw_util.Checksum.finish (Vw_util.Checksum.ones_sum ~init b ~pos ~len) in
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 16) ~len:2 csum
+
+let to_bytes ~src ~dst t =
+  let len = header_size + Bytes.length t.payload in
+  let b = Bytes.create len in
+  Bytes.blit t.payload 0 b header_size (Bytes.length t.payload);
+  write_header b ~pos:0 ~src ~dst ~src_port:t.src_port ~dst_port:t.dst_port
+    ~seq:t.seq ~ack_seq:t.ack_seq ~flags:t.flags ~window:t.window ~len;
   b
 
-let of_bytes ~src ~dst b =
-  let len = Bytes.length b in
-  if len < header_size then Error "tcp: truncated header"
+let read ~src ~dst b ~pos ~len =
+  if pos < 0 || len < header_size || pos + len > Bytes.length b then
+    Error "tcp: truncated header"
   else
-    let data_offset = (Char.code (Bytes.get b 12) lsr 4) * 4 in
+    let data_offset = (Char.code (Bytes.get b (pos + 12)) lsr 4) * 4 in
     if data_offset <> header_size then Error "tcp: options unsupported"
     else
       let init =
         Udp.pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_tcp ~length:len
       in
-      if Vw_util.Checksum.finish (Vw_util.Checksum.ones_sum ~init b ~pos:0 ~len) <> 0
+      if Vw_util.Checksum.finish (Vw_util.Checksum.ones_sum ~init b ~pos ~len) <> 0
       then Error "tcp: checksum mismatch"
       else
         Ok
           {
-            src_port = Vw_util.Hexutil.to_int_be b ~pos:0 ~len:2;
-            dst_port = Vw_util.Hexutil.to_int_be b ~pos:2 ~len:2;
-            seq = Vw_util.Hexutil.to_int_be b ~pos:4 ~len:4;
-            ack_seq = Vw_util.Hexutil.to_int_be b ~pos:8 ~len:4;
-            flags = flags_of_byte (Char.code (Bytes.get b 13));
-            window = Vw_util.Hexutil.to_int_be b ~pos:14 ~len:2;
-            payload = Bytes.sub b header_size (len - header_size);
+            src_port = Vw_util.Hexutil.to_int_be b ~pos ~len:2;
+            dst_port = Vw_util.Hexutil.to_int_be b ~pos:(pos + 2) ~len:2;
+            seq = Vw_util.Hexutil.to_int_be b ~pos:(pos + 4) ~len:4;
+            ack_seq = Vw_util.Hexutil.to_int_be b ~pos:(pos + 8) ~len:4;
+            flags = flags_of_byte (Char.code (Bytes.get b (pos + 13)));
+            window = Vw_util.Hexutil.to_int_be b ~pos:(pos + 14) ~len:2;
+            payload = Bytes.sub b (pos + header_size) (len - header_size);
           }
+
+let of_bytes ~src ~dst b = read ~src ~dst b ~pos:0 ~len:(Bytes.length b)
 
 let pp ppf t =
   let f = t.flags in

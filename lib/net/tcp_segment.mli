@@ -33,9 +33,18 @@ val make :
   src_port:int -> dst_port:int -> bytes -> t
 
 val to_bytes : src:Ip_addr.t -> dst:Ip_addr.t -> t -> bytes
-(** Serializes with the pseudo-header checksum. *)
+(** Serializes with the pseudo-header checksum: the payload, then the
+    header in front of it, written by the module's one header writer. *)
+
+val read :
+  src:Ip_addr.t -> dst:Ip_addr.t -> bytes -> pos:int -> len:int ->
+  (t, string) result
+(** [read ~src ~dst b ~pos ~len] parses the segment held in the [len] bytes
+    of [b] at [pos] (an IP payload) in place, verifies the checksum and
+    copies only the payload. Bounds-checked: never raises. The one reader
+    of the layout. *)
 
 val of_bytes : src:Ip_addr.t -> dst:Ip_addr.t -> bytes -> (t, string) result
-(** Parses and verifies the checksum. *)
+(** {!read} over the whole buffer. *)
 
 val pp : Format.formatter -> t -> unit

@@ -4,53 +4,57 @@ let header_size = 8
 
 let make ~src_port ~dst_port payload = { src_port; dst_port; payload }
 
+(* the RFC 768/793 pseudo-header as big-endian 16-bit words: source and
+   destination address halves, zero-padded protocol, length *)
 let pseudo_header_sum ~src ~dst ~protocol ~length =
-  let ph = Bytes.create 12 in
-  Ip_addr.write src ph ~pos:0;
-  Ip_addr.write dst ph ~pos:4;
-  Bytes.set ph 8 '\x00';
-  Bytes.set ph 9 (Char.chr protocol);
-  Vw_util.Hexutil.set_int_be ph ~pos:10 ~len:2 length;
-  Vw_util.Checksum.ones_sum ph ~pos:0 ~len:12
+  let s = Ip_addr.to_int src and d = Ip_addr.to_int dst in
+  (s lsr 16) + (s land 0xffff) + (d lsr 16) + (d land 0xffff) + protocol
+  + (length land 0xffff)
+
+let write_header b ~pos ~src ~dst ~src_port ~dst_port ~len =
+  Vw_util.Hexutil.set_int_be b ~pos ~len:2 src_port;
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 2) ~len:2 dst_port;
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 4) ~len:2 len;
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 6) ~len:2 0;
+  let init = pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_udp ~length:len in
+  let csum = Vw_util.Checksum.finish (Vw_util.Checksum.ones_sum ~init b ~pos ~len) in
+  let csum = if csum = 0 then 0xffff else csum in
+  Vw_util.Hexutil.set_int_be b ~pos:(pos + 6) ~len:2 csum
 
 let to_bytes ~src ~dst t =
   let len = header_size + Bytes.length t.payload in
   let b = Bytes.create len in
-  Vw_util.Hexutil.set_int_be b ~pos:0 ~len:2 t.src_port;
-  Vw_util.Hexutil.set_int_be b ~pos:2 ~len:2 t.dst_port;
-  Vw_util.Hexutil.set_int_be b ~pos:4 ~len:2 len;
-  Vw_util.Hexutil.set_int_be b ~pos:6 ~len:2 0;
   Bytes.blit t.payload 0 b header_size (Bytes.length t.payload);
-  let init = pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_udp ~length:len in
-  let csum = Vw_util.Checksum.finish (Vw_util.Checksum.ones_sum ~init b ~pos:0 ~len) in
-  let csum = if csum = 0 then 0xffff else csum in
-  Vw_util.Hexutil.set_int_be b ~pos:6 ~len:2 csum;
+  write_header b ~pos:0 ~src ~dst ~src_port:t.src_port ~dst_port:t.dst_port ~len;
   b
 
-let of_bytes ~src ~dst b =
-  let blen = Bytes.length b in
-  if blen < header_size then Error "udp: truncated header"
+let read ~src ~dst b ~pos ~len =
+  if pos < 0 || len < header_size || pos + len > Bytes.length b then
+    Error "udp: truncated header"
   else
-    let len = Vw_util.Hexutil.to_int_be b ~pos:4 ~len:2 in
-    if len < header_size || len > blen then Error "udp: bad length"
+    let ulen = Vw_util.Hexutil.to_int_be b ~pos:(pos + 4) ~len:2 in
+    if ulen < header_size || ulen > len then Error "udp: bad length"
     else
-      let wire_csum = Vw_util.Hexutil.to_int_be b ~pos:6 ~len:2 in
+      let wire_csum = Vw_util.Hexutil.to_int_be b ~pos:(pos + 6) ~len:2 in
       let csum_ok =
         wire_csum = 0
         ||
         let init =
-          pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_udp ~length:len
+          pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_udp ~length:ulen
         in
-        Vw_util.Checksum.finish (Vw_util.Checksum.ones_sum ~init b ~pos:0 ~len) = 0
+        Vw_util.Checksum.finish (Vw_util.Checksum.ones_sum ~init b ~pos ~len:ulen)
+        = 0
       in
       if not csum_ok then Error "udp: checksum mismatch"
       else
         Ok
           {
-            src_port = Vw_util.Hexutil.to_int_be b ~pos:0 ~len:2;
-            dst_port = Vw_util.Hexutil.to_int_be b ~pos:2 ~len:2;
-            payload = Bytes.sub b header_size (len - header_size);
+            src_port = Vw_util.Hexutil.to_int_be b ~pos ~len:2;
+            dst_port = Vw_util.Hexutil.to_int_be b ~pos:(pos + 2) ~len:2;
+            payload = Bytes.sub b (pos + header_size) (ulen - header_size);
           }
+
+let of_bytes ~src ~dst b = read ~src ~dst b ~pos:0 ~len:(Bytes.length b)
 
 let pp ppf t =
   Format.fprintf ppf "[udp %d -> %d len=%d]" t.src_port t.dst_port

@@ -62,6 +62,10 @@ let v ?run_seed ?repro ?sim_s ?(tables_digest = "") ~command ~case ~index
     r_tables_digest = tables_digest;
   }
 
+let crash ?run_seed ?repro ?tables_digest ~command ~case ~index ~seed msg =
+  v ?run_seed ?repro ?tables_digest ~command ~case ~index ~oracle:"worker_crash"
+    ~seed ~detail:(exn_constructor msg) ()
+
 (* --- JSON (schema "vw-failures/1") --- *)
 
 let to_json r =

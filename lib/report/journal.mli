@@ -3,11 +3,11 @@
     A fault-injection tool earns its keep over thousands of runs, not one:
     the journal is what remembers failures across them. Every Fail/Crash
     outcome of a campaign command ([vwctl fuzz], [vwctl suite], [vwctl run
-    --repeat]) appends one JSON line describing {e what} failed — the
-    oracle (or expectation) that tripped, the seed that reproduces it, the
-    shrunk reproducer when one was saved — and a stable {e signature}
-    under which recurrences of the same defect cluster, however many
-    distinct seeds hit it.
+    --repeat], [vwctl conform]) appends one JSON line describing {e what}
+    failed — the oracle (or expectation) that tripped, the seed that
+    reproduces it, the shrunk reproducer when one was saved — and a
+    stable {e signature} under which recurrences of the same defect
+    cluster, however many distinct seeds hit it.
 
     The journal is JSONL with no header so independent runs can append
     concurrently-in-time (never concurrently-in-process); every line is a
@@ -18,12 +18,15 @@
     from the reduced result list, in index order. *)
 
 type record = {
-  r_command : string;  (** producing campaign: "fuzz", "suite", "run" *)
+  r_command : string;
+      (** producing campaign: "fuzz", "suite", "run", "conform" *)
   r_case : string;  (** case/trial label within the campaign *)
   r_index : int;  (** index of the failing case *)
   r_oracle : string;
-      (** the failing fuzz oracle, or "expect_mismatch" / "worker_crash" /
-          "script_error" for suite and repeat campaigns *)
+      (** the failing fuzz oracle; "expect_pass" / "expect_fail" for a
+          suite case, "scenario" for a repeat trial, "expect_<id>" /
+          "conform_error" for a conformance case; "worker_crash" in every
+          campaign for a case whose worker raised ({!crash}) *)
   r_seed : int;  (** the seed that reproduces this exact case *)
   r_run_seed : int option;  (** the campaign's base seed, when distinct *)
   r_signature : string;  (** {!signature_of} — the clustering key *)
@@ -50,6 +53,22 @@ val v :
   record
 (** Builds a record; the signature is computed from [oracle] and [detail]
     via {!signature_of}. [detail] is truncated to its first line. *)
+
+val crash :
+  ?run_seed:int ->
+  ?repro:string ->
+  ?tables_digest:string ->
+  command:string ->
+  case:string ->
+  index:int ->
+  seed:int ->
+  string ->
+  record
+(** The record of a case whose worker raised, from the executor's message
+    ([Printexc.to_string] of the exception): oracle ["worker_crash"],
+    detail {!exn_constructor} of the message. Every campaign journals a
+    crash through this, so one crash has one signature whichever campaign
+    ran it. *)
 
 (** {1 Signatures} *)
 

@@ -38,14 +38,6 @@ let spans events =
       { root; steps; t_start = root.time; t_end })
     !order
 
-type flow = { sent_seq : int; recv_seq : int }
-
-let flows events =
-  List.map
-    (fun ((sent : Ev.t), (recv : Ev.t)) ->
-      { sent_seq = sent.seq; recv_seq = recv.seq })
-    (Vw_core.Explain.control_pairs events)
-
 (* --- Chrome trace-event JSON --- *)
 
 let span_name tables (root : Ev.t) =

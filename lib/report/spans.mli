@@ -27,12 +27,6 @@ val spans : Vw_obs.Event.t list -> span list
     overwritten in the ring opens a span of its own (the analysis degrades,
     it does not fail). *)
 
-type flow = { sent_seq : int; recv_seq : int }
-
-val flows : Vw_obs.Event.t list -> flow list
-(** Cross-node control edges, as {!Vw_core.Explain.control_pairs} pairs
-    them, by [seq]. *)
-
 val to_chrome_json : Vw_fsl.Tables.t -> Vw_obs.Event.t list -> string
 (** The full trace-event JSON document ([{"traceEvents": [...]}]); names
     are resolved against [tables]. *)

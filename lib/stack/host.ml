@@ -24,12 +24,20 @@ type t = {
   mutable ingress : hook_entry list;
   mutable next_hook_id : int;
   ethertype_handlers : (int, Vw_net.Eth.t -> unit) Hashtbl.t;
-  ip_handlers : (int, Vw_net.Ipv4.t -> unit) Hashtbl.t;
+  ip_handlers :
+    ( int,
+      src:Vw_net.Ip_addr.t ->
+      dst:Vw_net.Ip_addr.t ->
+      bytes ->
+      pos:int ->
+      len:int ->
+      unit )
+    Hashtbl.t;
   udp_ports : (int, src:Vw_net.Ip_addr.t -> src_port:int -> bytes -> unit) Hashtbl.t;
   neighbors : (Vw_net.Ip_addr.t, Vw_net.Mac.t) Hashtbl.t;
   pending_resolution : (Vw_net.Ip_addr.t, bytes Queue.t) Hashtbl.t;
   mutable neighbor_miss : (Vw_net.Ip_addr.t -> unit) option;
-  mutable icmp_observer : (Vw_net.Ipv4.t -> Vw_net.Icmp.t -> unit) option;
+  mutable icmp_observer : (src:Vw_net.Ip_addr.t -> Vw_net.Icmp.t -> unit) option;
   mutable tap : (dir:[ `In | `Out ] -> Vw_net.Eth.t -> unit) option;
   mutable failed : bool;
   mutable ip_ident : int;
@@ -162,20 +170,20 @@ let drop_pending t ip =
       Hashtbl.remove t.pending_resolution ip;
       Queue.length q
 
-let send_ip t ?(ttl = 64) ~protocol ~dst payload =
+(* Writes the IPv4 header into the first 20 bytes of [packet], whose
+   transport bytes are already in place, and sends it on. *)
+let output_ip t ~protocol ~dst packet =
   t.ip_ident <- (t.ip_ident + 1) land 0xffff;
-  let packet =
-    Vw_net.Ipv4.make ~ttl ~ident:t.ip_ident ~protocol ~src:t.ip ~dst payload
-  in
-  let packet_bytes = Vw_net.Ipv4.to_bytes packet in
+  Vw_net.Ipv4.write_header packet ~pos:0 ~tos:0 ~ttl:64 ~ident:t.ip_ident
+    ~protocol ~src:t.ip ~dst ~len:(Bytes.length packet);
   match Hashtbl.find_opt t.neighbors dst with
-  | Some mac -> emit_ip t ~dst_mac:mac packet_bytes
+  | Some mac -> emit_ip t ~dst_mac:mac packet
   | None -> (
       match t.neighbor_miss with
       | None ->
           (* no resolver: fall back to broadcast, the static-testbed
              behaviour (the NIC filter at the destination still applies) *)
-          emit_ip t ~dst_mac:Vw_net.Mac.broadcast packet_bytes
+          emit_ip t ~dst_mac:Vw_net.Mac.broadcast packet
       | Some miss ->
           let q =
             match Hashtbl.find_opt t.pending_resolution dst with
@@ -185,23 +193,36 @@ let send_ip t ?(ttl = 64) ~protocol ~dst payload =
                 Hashtbl.replace t.pending_resolution dst q;
                 q
           in
-          if Queue.length q < max_pending_per_neighbor then
-            Queue.add packet_bytes q;
+          if Queue.length q < max_pending_per_neighbor then Queue.add packet q;
           miss dst)
+
+let send_ip t ~protocol ~dst payload =
+  let n = Bytes.length payload in
+  let packet = Bytes.create (Vw_net.Ipv4.header_size + n) in
+  Bytes.blit payload 0 packet Vw_net.Ipv4.header_size n;
+  output_ip t ~protocol ~dst packet
 
 let set_ip_protocol_handler t protocol handler =
   Hashtbl.replace t.ip_handlers protocol handler
 
+(* One path for every protocol: the header is checked where it lies, and
+   the handler gets the transport bytes as a view into the frame. *)
 let handle_ip t (frame : Vw_net.Eth.t) =
-  match Vw_net.Ipv4.of_bytes frame.payload with
+  let b = frame.payload in
+  match Vw_net.Ipv4.read b ~pos:0 ~len:(Bytes.length b) with
   | Error e -> Log.debug (fun m -> m "%s: dropped IP packet: %s" t.name e)
-  | Ok packet ->
-      if Vw_net.Ip_addr.equal packet.dst t.ip then
-        match Hashtbl.find_opt t.ip_handlers packet.protocol with
-        | Some handler -> handler packet
+  | Ok total ->
+      if Vw_net.Ipv4.dst_is b ~pos:0 t.ip then
+        let protocol = Vw_net.Ipv4.protocol_at b ~pos:0 in
+        match Hashtbl.find_opt t.ip_handlers protocol with
+        | Some handler ->
+            handler
+              ~src:(Vw_net.Ipv4.src_at b ~pos:0)
+              ~dst:t.ip b ~pos:Vw_net.Ipv4.header_size
+              ~len:(total - Vw_net.Ipv4.header_size)
         | None ->
             Log.debug (fun m ->
-                m "%s: no handler for IP protocol %d" t.name packet.protocol)
+                m "%s: no handler for IP protocol %d" t.name protocol)
 
 (* --- ICMP --- *)
 
@@ -210,35 +231,32 @@ let send_icmp t ~dst message =
 
 let set_icmp_observer t observer = t.icmp_observer <- observer
 
-let handle_icmp t (packet : Vw_net.Ipv4.t) =
-  match Vw_net.Icmp.of_bytes packet.payload with
+let handle_icmp t ~src ~dst:_ b ~pos ~len =
+  match Vw_net.Icmp.of_bytes (Bytes.sub b pos len) with
   | Error e -> Log.debug (fun m -> m "%s: dropped ICMP: %s" t.name e)
   | Ok (Vw_net.Icmp.Echo_request { id; seq; payload }) ->
-      send_icmp t ~dst:packet.src
-        (Vw_net.Icmp.Echo_reply { id; seq; payload })
+      send_icmp t ~dst:src (Vw_net.Icmp.Echo_reply { id; seq; payload })
   | Ok message -> (
       match t.icmp_observer with
-      | Some observer -> observer packet message
+      | Some observer -> observer ~src message
       | None -> ())
 
 (* --- UDP --- *)
 
-let handle_udp t (packet : Vw_net.Ipv4.t) =
-  match Vw_net.Udp.of_bytes ~src:packet.src ~dst:packet.dst packet.payload with
+let handle_udp t ~src ~dst b ~pos ~len =
+  match Vw_net.Udp.read ~src ~dst b ~pos ~len with
   | Error e -> Log.debug (fun m -> m "%s: dropped UDP datagram: %s" t.name e)
   | Ok dgram -> (
       match Hashtbl.find_opt t.udp_ports dgram.dst_port with
-      | Some handler ->
-          handler ~src:packet.src ~src_port:dgram.src_port dgram.payload
+      | Some handler -> handler ~src ~src_port:dgram.src_port dgram.payload
       | None ->
-          (* port unreachable: echo the offending IP header + 8 payload
-             bytes back, per RFC 792 *)
-          let original_ip = Vw_net.Ipv4.to_bytes packet in
+          (* port unreachable: quote the offending IP header + 8 payload
+             bytes (the UDP header) back, per RFC 792 *)
           let original =
-            Bytes.sub original_ip 0
-              (min (Bytes.length original_ip) (Vw_net.Ipv4.header_size + 8))
+            Bytes.sub b (pos - Vw_net.Ipv4.header_size)
+              (Vw_net.Ipv4.header_size + Vw_net.Udp.header_size)
           in
-          send_icmp t ~dst:packet.src
+          send_icmp t ~dst:src
             (Vw_net.Icmp.Dest_unreachable
                { code = Vw_net.Icmp.code_port_unreachable; original }))
 
@@ -249,10 +267,16 @@ let udp_bind t ~port handler =
 
 let udp_unbind t ~port = Hashtbl.remove t.udp_ports port
 
+(* One buffer for the datagram: the payload is copied once, and both
+   headers are written in front of it. *)
 let udp_send t ~src_port ~dst ~dst_port payload =
-  let dgram = Vw_net.Udp.make ~src_port ~dst_port payload in
-  send_ip t ~protocol:Vw_net.Ipv4.protocol_udp ~dst
-    (Vw_net.Udp.to_bytes ~src:t.ip ~dst dgram)
+  let n = Bytes.length payload in
+  let pos = Vw_net.Ipv4.header_size in
+  let packet = Bytes.create (pos + Vw_net.Udp.header_size + n) in
+  Bytes.blit payload 0 packet (pos + Vw_net.Udp.header_size) n;
+  Vw_net.Udp.write_header packet ~pos ~src:t.ip ~dst ~src_port ~dst_port
+    ~len:(Vw_net.Udp.header_size + n);
+  output_ip t ~protocol:Vw_net.Ipv4.protocol_udp ~dst packet
 
 (* --- Timers --- *)
 
@@ -308,6 +332,11 @@ let create engine ~name ~mac ~ip =
     }
   in
   set_ethertype_handler t Vw_net.Eth.ethertype_ipv4 (handle_ip t);
-  set_ip_protocol_handler t Vw_net.Ipv4.protocol_udp (handle_udp t);
-  set_ip_protocol_handler t Vw_net.Icmp.protocol (handle_icmp t);
+  (* closures over [t] that call the handlers directly: a partial
+     application such as [handle_udp t] of a 6-argument function holds
+     one word more *)
+  set_ip_protocol_handler t Vw_net.Ipv4.protocol_udp
+    (fun ~src ~dst b ~pos ~len -> handle_udp t ~src ~dst b ~pos ~len);
+  set_ip_protocol_handler t Vw_net.Icmp.protocol
+    (fun ~src ~dst b ~pos ~len -> handle_icmp t ~src ~dst b ~pos ~len);
   t

@@ -75,12 +75,28 @@ val drop_pending : t -> Vw_net.Ip_addr.t -> int
 (** Discard packets parked on an unresolvable destination; returns how many
     were dropped. *)
 
-val send_ip :
-  t -> ?ttl:int -> protocol:int -> dst:Vw_net.Ip_addr.t -> bytes -> unit
+val send_ip : t -> protocol:int -> dst:Vw_net.Ip_addr.t -> bytes -> unit
+(** Sends an encoded transport payload (TCP, ICMP) in one new datagram. *)
 
-val set_ip_protocol_handler : t -> int -> (Vw_net.Ipv4.t -> unit) -> unit
-(** Receiver for an IP protocol number. Frames whose IPv4 header fails to
-    parse (e.g. after a MODIFY fault) are dropped, as a real stack would. *)
+val set_ip_protocol_handler :
+  t ->
+  int ->
+  (src:Vw_net.Ip_addr.t ->
+  dst:Vw_net.Ip_addr.t ->
+  bytes ->
+  pos:int ->
+  len:int ->
+  unit) ->
+  unit
+(** Receiver for an IP protocol number. The host checks each IPv4 header in
+    place (version/IHL, header checksum, total length, destination) and
+    drops a frame that fails, e.g. after a MODIFY fault, as a real stack
+    would. The handler gets the sender and destination addresses and the
+    transport bytes as a view: the [len] bytes of [b] at [pos], preceded in
+    [b] by their IPv4 header. The view is valid only during the call:
+    [b] is the payload of a frame in flight, which is shared
+    ({!Vw_net.Eth}), so a handler copies what it keeps and never writes
+    into [b]. *)
 
 (** {1 ICMP}
 
@@ -90,7 +106,7 @@ val set_ip_protocol_handler : t -> int -> (Vw_net.Ipv4.t -> unit) -> unit
 
 val send_icmp : t -> dst:Vw_net.Ip_addr.t -> Vw_net.Icmp.t -> unit
 val set_icmp_observer :
-  t -> (Vw_net.Ipv4.t -> Vw_net.Icmp.t -> unit) option -> unit
+  t -> (src:Vw_net.Ip_addr.t -> Vw_net.Icmp.t -> unit) option -> unit
 
 (** {1 UDP} *)
 
@@ -105,6 +121,8 @@ val udp_unbind : t -> port:int -> unit
 
 val udp_send :
   t -> src_port:int -> dst:Vw_net.Ip_addr.t -> dst_port:int -> bytes -> unit
+(** Builds the datagram in one buffer: one copy of the payload, both
+    headers written in place. *)
 
 (** {1 Timers}
 

@@ -511,11 +511,12 @@ let rec attach h =
       next_iss = 10_000 }
   in
   Vw_stack.Host.set_ip_protocol_handler h Vw_net.Ipv4.protocol_tcp
-    (fun (packet : Vw_net.Ipv4.t) ->
-      match Seg.of_bytes ~src:packet.src ~dst:packet.dst packet.payload with
+    (fun ~src ~dst b ~pos ~len ->
+      match Seg.read ~src ~dst b ~pos ~len with
       | Error e ->
-          Log.debug (fun m -> m "%s: dropped segment: %s" (Vw_stack.Host.name h) e)
-      | Ok seg -> stack_receive stack packet seg);
+          Log.debug (fun m ->
+              m "%s: dropped segment: %s" (Vw_stack.Host.name stack.host) e)
+      | Ok seg -> stack_receive stack ~src ~dst seg);
   stack
 
 and fresh_iss stack =
@@ -569,8 +570,8 @@ and make_conn stack conn_config ~local_port ~remote_ip ~remote_port ~conn_state
   Hashtbl.replace stack.conns t.key t;
   t
 
-and stack_receive stack (packet : Vw_net.Ipv4.t) (seg : Seg.t) =
-  let key = (seg.dst_port, packet.src, seg.src_port) in
+and stack_receive stack ~src ~dst (seg : Seg.t) =
+  let key = (seg.dst_port, src, seg.src_port) in
   match Hashtbl.find_opt stack.conns key with
   | Some conn -> conn_receive conn seg
   | None -> (
@@ -578,7 +579,7 @@ and stack_receive stack (packet : Vw_net.Ipv4.t) (seg : Seg.t) =
       | Some listener when seg.flags.syn && not seg.flags.ack ->
           let conn =
             make_conn stack listener.l_config ~local_port:seg.dst_port
-              ~remote_ip:packet.src ~remote_port:seg.src_port
+              ~remote_ip:src ~remote_port:seg.src_port
               ~conn_state:Syn_rcvd ~iss:(fresh_iss stack)
               ~rcv_nxt:(seg.seq + 1)
           in
@@ -595,8 +596,8 @@ and stack_receive stack (packet : Vw_net.Ipv4.t) (seg : Seg.t) =
                 (Bytes.create 0)
             in
             Vw_stack.Host.send_ip stack.host
-              ~protocol:Vw_net.Ipv4.protocol_tcp ~dst:packet.src
-              (Seg.to_bytes ~src:packet.dst ~dst:packet.src rst)
+              ~protocol:Vw_net.Ipv4.protocol_tcp ~dst:src
+              (Seg.to_bytes ~src:dst ~dst:src rst)
           end)
 
 let listen ?(config = default_config) stack ~port ~on_accept =

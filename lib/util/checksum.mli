@@ -5,10 +5,17 @@
     with a zero byte. *)
 
 val ones_sum : ?init:int -> bytes -> pos:int -> len:int -> int
-(** [ones_sum ?init b ~pos ~len] folds the 16-bit one's-complement sum of
-    [len] bytes of [b] starting at [pos] into [init] (default 0). The result
-    is an unfolded 32-bit-ish accumulator suitable for chaining over several
-    regions (e.g. pseudo-header then payload). *)
+(** [ones_sum ?init b ~pos ~len] adds the one's-complement sum of [len]
+    bytes of [b] starting at [pos] to [init] (default 0), reading eight
+    bytes at a time. The result is an unfolded accumulator suitable for
+    chaining over several regions (e.g. pseudo-header then payload).
+
+    Only {!finish} of the result is specified. The raw value is a sum of
+    32-bit words, not of the 16-bit words RFC 1071 adds, so it differs from
+    a byte-by-byte sum; but 2{^16} = 1 modulo 0xffff, so both sums agree
+    modulo 0xffff, are zero together, and [finish] maps them to the same
+    checksum. Callers pass every sum through [finish].
+    @raise Invalid_argument if the region is not inside [b]. *)
 
 val finish : int -> int
 (** [finish acc] folds carries and complements, yielding the 16-bit checksum

@@ -42,11 +42,11 @@ let to_int_be b ~pos ~len =
   if len < 1 || len > 7 then invalid_arg "Hexutil.to_int_be: len out of [1;7]";
   if pos < 0 || pos + len > Bytes.length b then
     invalid_arg "Hexutil.to_int_be: out of range";
-  let rec go acc i =
-    if i = len then acc
-    else go ((acc lsl 8) lor Char.code (Bytes.get b (pos + i))) (i + 1)
-  in
-  go 0 0
+  let acc = ref 0 in
+  for i = pos to pos + len - 1 do
+    acc := (!acc lsl 8) lor Char.code (Bytes.get b i)
+  done;
+  !acc
 
 let set_int_be b ~pos ~len v =
   if len < 1 || len > 7 then invalid_arg "Hexutil.set_int_be: len out of [1;7]";

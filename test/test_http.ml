@@ -207,7 +207,7 @@ let echo_replies ~server_failed =
   let replies = ref [] in
   Host.set_icmp_observer client
     (Some
-       (fun _ message ->
+       (fun ~src:_ message ->
          match message with
          | Icmp.Echo_reply { id; seq; _ } -> replies := (id, seq) :: !replies
          | _ -> ()));
@@ -237,7 +237,7 @@ let test_udp_port_unreachable () =
   let unreachable = ref 0 in
   Host.set_icmp_observer client
     (Some
-       (fun _ message ->
+       (fun ~src:_ message ->
          match message with
          | Icmp.Dest_unreachable { code; _ }
            when code = Icmp.code_port_unreachable ->

@@ -44,6 +44,22 @@ let test_exn_constructor () =
     "word cut at space" "Invalid_argument"
     (Journal.exn_constructor "Invalid_argument index out of bounds")
 
+let test_crash_record () =
+  let crash command msg =
+    Journal.crash ~run_seed:1 ~command ~case:"c" ~index:0 ~seed:1 msg
+  in
+  let r1 = crash "conform" "Failure(\"probe 1\")" in
+  let r2 = crash "suite" "Failure(\"probe 2\")" in
+  Alcotest.(check string) "oracle" "worker_crash" r1.Journal.r_oracle;
+  Alcotest.(check string) "same oracle" r1.Journal.r_oracle r2.Journal.r_oracle;
+  Alcotest.(check string) "detail is the constructor" "Failure" r1.Journal.r_detail;
+  Alcotest.(check string)
+    "same signature" r1.Journal.r_signature r2.Journal.r_signature;
+  Alcotest.(check bool)
+    "another exception, another signature" false
+    (String.equal r1.Journal.r_signature
+       (crash "run" "Not_found").Journal.r_signature)
+
 let test_journal_roundtrip () =
   let r =
     mk ~run_seed:42 ~repro:"repro/case-7.fsl" ~sim_s:1.25
@@ -617,6 +633,8 @@ let suite =
           test_journal_optional_fields_roundtrip;
         Alcotest.test_case "append accumulates, load reads back" `Quick
           test_journal_append_load;
+        Alcotest.test_case "one crash, one signature in every campaign" `Quick
+          test_crash_record;
       ] );
     ( "intel.triage",
       [

@@ -329,13 +329,12 @@ END
 let test_chrome_flows () =
   let testbed, tables, _result = run_observed ~script:cross_node_script () in
   let events = Testbed.events testbed in
-  let flows = Spans.flows events in
-  check Alcotest.bool "control edges found" true (flows <> []);
+  let pairs = Vw_core.Explain.control_pairs events in
+  check Alcotest.bool "control edges found" true (pairs <> []);
   List.iter
-    (fun (f : Spans.flow) ->
-      check Alcotest.bool "send precedes receive" true
-        (f.Spans.sent_seq < f.Spans.recv_seq))
-    flows;
+    (fun ((sent : Vw_obs.Event.t), (recv : Vw_obs.Event.t)) ->
+      check Alcotest.bool "send precedes receive" true (sent.seq < recv.seq))
+    pairs;
   let v = J.parse_exn (Spans.to_chrome_json tables events) in
   let evs = Option.get (Option.bind (J.mem "traceEvents" v) J.to_list) in
   let count p =

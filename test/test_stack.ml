@@ -69,6 +69,104 @@ let test_nic_mac_filter () =
   check Alcotest.int "filtered by NIC" 0 !got;
   check Alcotest.int "b received nothing" 0 (Host.frames_received b)
 
+(* --- the in-place receive path --- *)
+
+(* recompute the header checksum of an IP datagram after a header edit *)
+let reseal_ip p =
+  Vw_util.Hexutil.set_int_be p ~pos:10 ~len:2 0;
+  Vw_util.Hexutil.set_int_be p ~pos:10 ~len:2
+    (Vw_util.Checksum.checksum p ~pos:0 ~len:Vw_net.Ipv4.header_size)
+
+let flip p i = Bytes.set p i (Char.chr (Char.code (Bytes.get p i) lxor 0x01))
+
+let test_receive_drops_rejected () =
+  let engine, a, b = pair () in
+  (* each variant rewrites a copy of the IP datagram [a] sends; the frame
+     in flight is shared, so the hook never writes into it *)
+  let variants =
+    [
+      ("flipped IPv4 header byte", fun p -> flip p 8);
+      ("flipped UDP payload byte", fun p -> flip p 30);
+      ( "IHL 6",
+        fun p ->
+          Bytes.set p 0 '\x46';
+          reseal_ip p );
+      ( "total length past the frame",
+        fun p ->
+          Vw_util.Hexutil.set_int_be p ~pos:2 ~len:2 (Bytes.length p + 1);
+          reseal_ip p );
+      ("UDP length 7", fun p -> Vw_util.Hexutil.set_int_be p ~pos:24 ~len:2 7);
+      ( "UDP length past the IP payload",
+        fun p -> Vw_util.Hexutil.set_int_be p ~pos:24 ~len:2 (Bytes.length p - 19) );
+      ( "another destination",
+        fun p ->
+          Vw_net.Ip_addr.write (ip 3) p ~pos:16;
+          reseal_ip p );
+      ("zero UDP checksum", fun p -> Vw_util.Hexutil.set_int_be p ~pos:26 ~len:2 0);
+    ]
+  in
+  let current = ref (fun (_ : bytes) -> ()) in
+  ignore
+    (Host.add_hook a Hook.Egress ~priority:0 ~name:"mutate" (fun frame ->
+         let p = Bytes.copy frame.Vw_net.Eth.payload in
+         !current p;
+         Hook.Accept { frame with payload = p }));
+  let got = ref [] in
+  Host.udp_bind b ~port:9000 (fun ~src:_ ~src_port:_ payload ->
+      got := Bytes.to_string payload :: !got);
+  List.iter
+    (fun (name, mutate) ->
+      current := mutate;
+      Host.udp_send a ~src_port:5555 ~dst:(ip 2) ~dst_port:9000
+        (Bytes.of_string name))
+    variants;
+  Engine.run engine;
+  check
+    Alcotest.(list string)
+    "only the unchecked datagram arrives" [ "zero UDP checksum" ] !got
+
+let test_tcp_flipped_segment_dropped () =
+  let engine, a, b = pair () in
+  ignore (Vw_tcp.Tcp.attach b);
+  let replies = ref 0 in
+  Host.set_tap b (fun ~dir _ -> if dir = `Out then incr replies);
+  (* a segment to a port nobody listens on: b answers a sound one with a
+     RST, and must drop a corrupted one without a word *)
+  let send ~corrupt =
+    let seg =
+      Vw_net.Tcp_segment.make ~seq:1000 ~src_port:4000 ~dst_port:80
+        (Bytes.of_string "data")
+    in
+    let enc = Vw_net.Tcp_segment.to_bytes ~src:(ip 1) ~dst:(ip 2) seg in
+    if corrupt then flip enc 21;
+    Host.send_ip a ~protocol:Vw_net.Ipv4.protocol_tcp ~dst:(ip 2) enc;
+    Engine.run engine
+  in
+  send ~corrupt:false;
+  check Alcotest.int "a sound segment draws a RST" 1 !replies;
+  send ~corrupt:true;
+  check Alcotest.int "a flipped one draws nothing" 1 !replies
+
+(* one 256-byte datagram, sent and delivered: 245 minor words with the
+   in-place codecs (404 when each header was encoded and decoded into its
+   own buffer); the bound leaves ~10% *)
+let test_datagram_allocation () =
+  let engine, a, b = pair () in
+  let payload = Bytes.make 256 'p' in
+  let got = ref 0 in
+  Host.udp_bind b ~port:9 (fun ~src:_ ~src_port:_ p -> got := !got + Bytes.length p);
+  let once () =
+    Host.udp_send a ~src_port:1 ~dst:(ip 2) ~dst_port:9 payload;
+    Engine.run engine
+  in
+  once ();
+  let w0 = Gc.minor_words () in
+  once ();
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "delivered" 512 !got;
+  if words > 270. then
+    Alcotest.failf "one datagram allocated %.0f minor words (bound 270)" words
+
 (* --- hooks --- *)
 
 let test_hook_egress_order_and_drop () =
@@ -282,6 +380,12 @@ let suite =
         Alcotest.test_case "echo roundtrip" `Quick test_udp_echo_roundtrip;
         Alcotest.test_case "bind conflict" `Quick test_udp_bind_conflict;
         Alcotest.test_case "NIC MAC filter" `Quick test_nic_mac_filter;
+        Alcotest.test_case "in-place receive drops rejected datagrams" `Quick
+          test_receive_drops_rejected;
+        Alcotest.test_case "flipped TCP segment dropped without reply" `Quick
+          test_tcp_flipped_segment_dropped;
+        Alcotest.test_case "one datagram's allocation" `Quick
+          test_datagram_allocation;
       ] );
     ( "stack.hooks",
       [

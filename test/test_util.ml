@@ -49,6 +49,19 @@ let test_masked_equal () =
   check Alcotest.bool "window out of range" false
     (Hexutil.masked_equal b ~pos:3 ~pattern:(Hexutil.of_hex "3344") ~mask:None)
 
+let test_int_be_no_alloc () =
+  let b = Bytes.of_string "\x01\x02\x03\x04\x05\x06\x07" in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    acc := !acc + Hexutil.to_int_be b ~pos:(i land 3) ~len:4
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "sum"
+    (2500 * (0x01020304 + 0x02030405 + 0x03040506 + 0x04050607))
+    !acc;
+  check (Alcotest.float 0.) "minor words for 10 000 reads" 0. words
+
 let prop_hex_roundtrip =
   QCheck.Test.make ~name:"hex roundtrip" ~count:500
     QCheck.(string_of_size (Gen.int_range 0 64) |> map Bytes.of_string)
@@ -87,6 +100,47 @@ let prop_checksum_detects_single_flip =
       Bytes.set full pos
         (Char.chr (Char.code (Bytes.get full pos) lxor flip));
       not (Checksum.is_valid full ~pos:0 ~len:(Bytes.length full)))
+
+(* The byte loop [Checksum.ones_sum] replaced: the RFC 1071 sum of
+   big-endian 16-bit words, an odd last byte padded with zero. *)
+let reference_ones_sum ?(init = 0) b ~pos ~len =
+  let acc = ref init in
+  let i = ref pos in
+  let stop = pos + len in
+  while !i + 1 < stop do
+    acc :=
+      !acc
+      + ((Char.code (Bytes.get b !i) lsl 8) lor Char.code (Bytes.get b (!i + 1)));
+    i := !i + 2
+  done;
+  if !i < stop then acc := !acc + (Char.code (Bytes.get b !i) lsl 8);
+  !acc
+
+let prop_checksum_matches_reference =
+  (* random or all-0xff (carry-heavy) buffers, any offset, odd and even
+     lengths up to 1600, init up to 0x3ffff *)
+  let gen =
+    QCheck.Gen.(
+      int_range 0 1700 >>= fun n ->
+      bool >>= fun ones ->
+      (if ones then return (String.make n '\xff') else string_size (return n))
+      >>= fun s ->
+      int_range 0 n >>= fun pos ->
+      int_range 0 (min 1600 (n - pos)) >>= fun len ->
+      int_range 0 0x3ffff >>= fun init -> return (s, pos, len, init))
+  in
+  QCheck.Test.make ~name:"word-wide sum finishes like the byte loop" ~count:2000
+    (QCheck.make
+       ~print:(fun (s, pos, len, init) ->
+         Printf.sprintf "n=%d pos=%d len=%d init=%d" (String.length s) pos len
+           init)
+       gen)
+    (fun (s, pos, len, init) ->
+      let b = Bytes.of_string s in
+      Checksum.finish (Checksum.ones_sum ~init b ~pos ~len)
+      = Checksum.finish (reference_ones_sum ~init b ~pos ~len)
+      && Checksum.is_valid b ~pos ~len
+         = (Checksum.finish (reference_ones_sum b ~pos ~len) = 0))
 
 (* --- Prng --- *)
 
@@ -211,6 +265,8 @@ let suite =
         Alcotest.test_case "of_hex_value" `Quick test_of_hex_value;
         Alcotest.test_case "masked_equal" `Quick test_masked_equal;
         qtest prop_hex_roundtrip;
+        Alcotest.test_case "to_int_be allocates nothing" `Quick
+          test_int_be_no_alloc;
       ] );
     ( "util.checksum",
       [
@@ -218,6 +274,7 @@ let suite =
         Alcotest.test_case "self-validates" `Quick test_checksum_validates;
         Alcotest.test_case "odd length" `Quick test_checksum_odd_length;
         qtest prop_checksum_detects_single_flip;
+        qtest prop_checksum_matches_reference;
       ] );
     ( "util.prng",
       [
