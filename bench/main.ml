@@ -627,10 +627,12 @@ let micro () =
    time is host wall time ([now_ns]), not CPU time — CPU time sums across
    domains and would hide the parallelism.
 
-   256 trials per level is deliberately large: at 16 the pool spin-up and
+   256 trials per level is deliberately large: at 16 the domain spawns and
    the first chunk draws dominated the wall clock and the "speedup" mostly
-   measured scheduling noise. VW_BENCH_TRIALS overrides for quick local
-   runs (the committed BENCH_PR6.json uses the default). *)
+   measured scheduling noise. Each level's wall time includes spawning and
+   joining its workers (about 0.3 ms per domain), as a vwctl campaign's
+   does. VW_BENCH_TRIALS overrides for quick local runs (the committed
+   BENCH_PR6.json uses the default). *)
 let campaign_trials =
   match Option.bind (Sys.getenv_opt "VW_BENCH_TRIALS") int_of_string_opt with
   | Some n when n > 0 -> n
@@ -644,17 +646,19 @@ let campaign_trial _i =
   let rtts = Workload.udp_rtt_run testbed ~samples:500 ~payload_size:256 in
   ignore (Stats.mean rtts)
 
-(* Each level runs the DEFAULT executor path — the one `vwctl --jobs N`
-   takes — so what is charted is what a user's campaign gets. That path
-   caps parallelism at the host's core count (oversubscribed domains only
-   multiply minor-GC barriers), so on a 1-core machine every level runs
-   sequentially and the honest result is speedup ≈ 1.0, not a penalty;
-   the per-level "workers" field records the parallelism actually used. *)
+(* Each level clamps its request the way `vwctl --jobs N` does, so what
+   is charted is what a user's campaign gets. The clamp caps parallelism
+   at the host's core count (oversubscribed domains only multiply minor-GC
+   barriers), so on a 1-core machine every level runs sequentially and
+   the honest result is speedup ≈ 1.0, not a penalty; the per-level
+   "workers" field records the parallelism actually used. *)
 let campaign_run ~jobs =
   let workers = Vw_exec.Executor.effective_jobs ~jobs in
   let chunk = Vw_exec.Executor.auto_chunk ~jobs:workers campaign_trials in
   let t0 = now_ns () in
-  let outs = Vw_exec.Executor.map ~jobs campaign_trials campaign_trial in
+  let outs =
+    Vw_exec.Executor.map ~jobs:workers campaign_trials campaign_trial
+  in
   let wall = elapsed_s t0 in
   assert (List.length outs = campaign_trials);
   (wall, float_of_int campaign_trials /. wall, chunk, workers)
@@ -662,20 +666,13 @@ let campaign_run ~jobs =
 let campaign () =
   let cores = Domain.recommended_domain_count () in
   let levels = [ 1; 2; 4; 8 ] in
-  (* spawn every worker the deepest level will use BEFORE timing starts,
-     and zero the compile-cache counters: each level then measures the
-     steady state of a long campaign session (pool warm, cache
-     denominators clean), not the one-off domain spawn cost *)
-  let pool = Vw_exec.Pool.global () in
-  Vw_exec.Pool.run pool
-    ~workers:(Vw_exec.Executor.effective_jobs ~jobs:(List.fold_left max 1 levels) - 1)
-    (fun () -> ());
+  (* zero the compile-cache counters, so the hit rate counts only the
+     levels' trials *)
   Vw_fsl.Compile_cache.reset ();
   let results = List.map (fun j -> (j, campaign_run ~jobs:j)) levels in
   let wall1 = match results with (_, (w, _, _, _)) :: _ -> w | [] -> 0.0 in
   let speedup wall = if wall > 0.0 then wall1 /. wall else 0.0 in
   let efficiency j wall = speedup wall /. float_of_int j in
-  let pool_stats = Vw_exec.Pool.stats pool in
   let cache = Vw_fsl.Compile_cache.stats () in
   let hit_rate = Vw_fsl.Compile_cache.hit_rate () in
   if json_mode then begin
@@ -693,10 +690,6 @@ let campaign () =
               \"chunk\": %d, \"workers\": %d },\n"
              j wall sps (speedup wall) (efficiency j wall) chunk workers))
       results;
-    Buffer.add_string buf
-      (Printf.sprintf
-         "    \"pool\": { \"workers_spawned\": %d, \"plans_run\": %d },\n"
-         pool_stats.Vw_exec.Pool.spawned pool_stats.Vw_exec.Pool.runs);
     Buffer.add_string buf
       (Printf.sprintf
          "    \"compile_cache\": { \"hits\": %d, \"misses\": %d, \
@@ -717,9 +710,6 @@ let campaign () =
         Printf.printf "%-8d %9d %10.3f %16.2f %11.2fx %12.2f %8d\n%!" j
           workers wall sps (speedup wall) (efficiency j wall) chunk)
       results;
-    Printf.printf
-      "pool: %d worker domain(s) spawned across %d parallel campaign(s)\n"
-      pool_stats.Vw_exec.Pool.spawned pool_stats.Vw_exec.Pool.runs;
     Printf.printf "compile cache: %d hits / %d misses (hit rate %.1f%%)\n"
       cache.Vw_fsl.Compile_cache.hits cache.Vw_fsl.Compile_cache.misses
       (hit_rate *. 100.0);

@@ -10,7 +10,11 @@
      vwctl explain script.fsl --rule N   why did rule N fire (or not)?
      vwctl cover   script.fsl [opts]     FSL coverage: which rules/filters fired
      vwctl report  script.fsl [opts]     self-contained HTML run report
+     vwctl suite   DIR [opts]            run a directory of scripts as a suite
+     vwctl conform SCRIPT|DIR... [opts]  INJECT/EXPECT conformance suites
      vwctl fuzz    [--runs N --seed S]   property-based scenario fuzzing
+     vwctl triage  JOURNAL [opts]        cluster a failure journal by signature
+     vwctl compare OLD NEW [opts]        diff two campaign directories
      vwctl events  export FILE [-o OUT]  convert event logs (binary <-> JSONL)
      vwctl script  figure5|figure6       print the paper's embedded scripts
 
@@ -321,21 +325,20 @@ let campaign_opts_term =
              byte-identical at every $(b,--jobs) level.")
   in
   let v jobs chunk seed stats_json journal =
-    let recommended = Vw_exec.Executor.default_jobs () in
+    (* the one clamp: Executor.map runs the jobs it is given *)
     let jobs =
       match jobs with
-      | None -> recommended
-      | Some n when n < 1 ->
-          Printf.eprintf "warning: --jobs %d clamped to 1\n%!" n;
-          1
-      | Some n when n > recommended ->
-          Printf.eprintf
-            "warning: --jobs %d exceeds this machine's recommended domain \
-             count; clamped to %d\n\
-             %!"
-            n recommended;
-          recommended
-      | Some n -> n
+      | None -> Vw_exec.Executor.default_jobs ()
+      | Some n ->
+          let clamped = Vw_exec.Executor.effective_jobs ~jobs:n in
+          if n < 1 then Printf.eprintf "warning: --jobs %d clamped to 1\n%!" n
+          else if clamped < n then
+            Printf.eprintf
+              "warning: --jobs %d exceeds this machine's recommended domain \
+               count; clamped to %d\n\
+               %!"
+              n clamped;
+          clamped
     in
     let chunk =
       match chunk with
@@ -1347,29 +1350,7 @@ let conform_cmd =
           if json then print_string (Vw_conform.Report.summary_json report_cases);
           match
             write_file html (fun oc ->
-                output_string oc
-                  (Vw_report.Html_report.render_conform
-                    (List.map
-                       (fun c ->
-                         {
-                           Vw_report.Html_report.cc_name =
-                             c.Vw_conform.Report.cs_name;
-                           cc_ok = c.Vw_conform.Report.cs_ok;
-                           cc_outcome = c.Vw_conform.Report.cs_outcome;
-                           cc_expects =
-                             List.map
-                               (fun (x : Vw_conform.Report.xres) ->
-                                 {
-                                   Vw_report.Html_report.ce_label =
-                                     x.Vw_conform.Report.xr_label;
-                                   ce_status = x.Vw_conform.Report.xr_status;
-                                   ce_at_ms = x.Vw_conform.Report.xr_at_ms;
-                                   ce_diagnosis =
-                                     x.Vw_conform.Report.xr_diagnosis;
-                                 })
-                               c.Vw_conform.Report.cs_expects;
-                         })
-                       report_cases)))
+                output_string oc (Vw_conform.Report.html report_cases))
           with
           | Error e -> write_error e
           | Ok () ->

@@ -4,7 +4,8 @@
     first oracle failure, optionally shrink it, and print a deterministic
     report: same configuration, byte-for-byte same output — the property CI
     checks by diffing two invocations. With [jobs > 1] the seed space is
-    sharded across that many domains via {!Vw_exec.Executor}; the report is
+    sharded across that many domains, spawned for the campaign by
+    {!Vw_exec.Executor.map} and joined before it returns; the report is
     reduced in run order (the failure reported is the {e earliest} failing
     index, not the first to complete) and is byte-identical to [jobs = 1].
     Shrinking always runs as a single job on the calling domain. A worker
@@ -19,7 +20,10 @@ type config = {
   save_failing : string option;  (** directory for reproducer files *)
   defect : Oracles.defect;
   progress_every : int;  (** 0 silences progress lines *)
-  jobs : int;  (** worker domains; 1 = run on the calling domain *)
+  jobs : int;
+      (** domains the campaign runs on, the calling one included; 1 = the
+          calling domain alone. Not clamped to the core count: the CLI
+          does that where [--jobs] enters. *)
   chunk : int option;
       (** cases claimed per worker draw; [None] = auto-tuned
           ({!Vw_exec.Executor.auto_chunk}). Pure scheduling knob: output

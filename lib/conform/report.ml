@@ -118,3 +118,47 @@ let pp ppf cases =
   Format.fprintf ppf "%d/%d case(s) conform; %d expectation(s), %d failed@."
     (List.length (List.filter (fun c -> c.cs_ok) cases))
     (List.length cases) (passed + failed) failed
+
+(* --- HTML (vwctl conform --html) --- *)
+
+module Html = Vw_report.Html_report
+
+let add_html_case b c =
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  add "<h2>%s <span class=\"%s\">%s</span></h2>\n" (Html.html_escape c.cs_name)
+    (if c.cs_ok then "ok" else "bad")
+    (if c.cs_ok then "PASS" else "FAIL");
+  add "<div class=\"chips\"><span class=\"chip\">outcome: %s</span>\
+       <span class=\"chip\">expectations: %d</span></div>\n"
+    (Html.html_escape c.cs_outcome)
+    (List.length c.cs_expects);
+  add
+    "<table>\n\
+     <tr><th>expectation</th><th>status</th><th class=\"num\">at (ms)</th>\
+     <th>diagnosis</th></tr>\n";
+  List.iter
+    (fun x ->
+      add
+        "<tr><td><code>%s</code></td><td><span class=\"%s\">%s</span></td>\
+         <td class=\"num\">%s</td><td>%s</td></tr>\n"
+        (Html.html_escape x.xr_label)
+        (if String.equal x.xr_status "pass" then "ok" else "bad")
+        (Html.html_escape x.xr_status)
+        (match x.xr_at_ms with
+        | Some ms -> Printf.sprintf "%g" ms
+        | None -> "&mdash;")
+        (Html.html_escape x.xr_diagnosis))
+    c.cs_expects;
+  add "</table>\n"
+
+let html ?(title = "VirtualWire conformance report") cases =
+  Html.page ~title @@ fun b ->
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let failed = List.length (List.filter (fun c -> not c.cs_ok) cases) in
+  add "<div class=\"chips\">";
+  add "<span class=\"chip\">suites: %d</span>" (List.length cases);
+  add "<span class=\"chip\">failing: <span class=\"%s\">%d</span></span>"
+    (if failed = 0 then "ok" else "bad")
+    failed;
+  add "</div>\n";
+  List.iter (add_html_case b) cases

@@ -1,5 +1,5 @@
-(** Conformance results, rendered: the [vw-conform/1] JSON summary and the
-    human console report.
+(** Conformance results, rendered: the [vw-conform/1] JSON summary, the
+    human console report and the HTML page.
 
     Everything here is derived from index-order {!Driver.case_result}s and
     simulated time only — no wall-clock, no ordering dependence — so
@@ -29,3 +29,8 @@ val summary_json : case list -> string
 (** One [vw-conform/1] JSON document (trailing newline included). *)
 
 val pp : Format.formatter -> case list -> unit
+
+val html : ?title:string -> case list -> string
+(** One self-contained HTML page ({!Vw_report.Html_report.page}): a
+    verdict table per conformance suite, failing expectations carrying
+    their furthest-stage diagnosis. *)

@@ -53,16 +53,17 @@ val run :
   case list ->
   report
 (** Runs the cases in order ([jobs = 1], the default) or across [jobs]
-    persistent pool domains, each claiming [chunk] cases at a time (see
-    {!Vw_exec.Executor.map}) — same report at every [jobs] and [chunk]
-    combination. [observe] enables the flight recorder on each case's
-    testbed (events land in [o_events]); [seed] overrides the testbed seed
-    of every case that does not carry an explicit config. With
-    [stop_on_failure] (default false) the report is cut at the first
-    mismatch in case order; cases beyond it are skipped (sequentially) or
-    discarded (in parallel). A case whose worker raises is reported as
-    that case failing with [Error "worker crashed: …"]; the rest of the
-    suite still runs. *)
+    domains, the calling one and [jobs - 1] spawned for this run, each
+    claiming [chunk] cases at a time (see {!Vw_exec.Executor.map}) — same
+    report at every [jobs] and [chunk] combination. [jobs] is not clamped
+    to the core count; the CLI does that where [--jobs] enters. [observe]
+    enables the flight recorder on each case's testbed (events land in
+    [o_events]); [seed] overrides the testbed seed of every case that
+    does not carry an explicit config. With [stop_on_failure] (default
+    false) the report is cut at the first mismatch in case order; cases
+    beyond it are skipped (sequentially) or discarded (in parallel). A
+    case whose worker raises is reported as that case failing with
+    [Error "worker crashed: …"]; the rest of the suite still runs. *)
 
 val ok : report -> bool
 

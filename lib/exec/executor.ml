@@ -54,7 +54,7 @@ let run_sequential ?stop n f =
    relies on: when [bound] is lowered to [i], every span starting at or
    below [i] has already been claimed, and its holder runs every index up
    to the bound. *)
-let run_parallel ~pool ~jobs ~chunk ?stop n f =
+let run_parallel ~jobs ~chunk ?stop n f =
   (* force the process-wide seed memo on the main domain: workers must only
      ever read it (see Vw_util.Prng.run_seed) *)
   ignore (Vw_util.Prng.run_seed ());
@@ -86,25 +86,21 @@ let run_parallel ~pool ~jobs ~chunk ?stop n f =
       worker ()
     end
   in
-  (* the calling domain is the extra worker, so [jobs - 1] from the pool *)
-  Pool.run pool ~workers:(jobs - 1) worker;
+  (* the calling domain is the [jobs]th worker; every spawned domain is
+     joined before [map] returns or raises, which also publishes its
+     writes to [slots] *)
+  let spawned = ref [] in
+  Fun.protect
+    ~finally:(fun () -> List.iter Domain.join !spawned)
+    (fun () ->
+      for _ = 2 to jobs do
+        spawned := Domain.spawn worker :: !spawned
+      done;
+      worker ());
   reduce ?stop n (List.filter_map Fun.id (Array.to_list slots))
 
-let map ?(jobs = 1) ?chunk ?pool ?stop n f =
+let map ?(jobs = 1) ?chunk ?stop n f =
   if n < 0 then invalid_arg "Executor.map: negative count";
-  (* On the implicit-pool path, never run more domains than the machine
-     has cores: for CPU-bound deterministic jobs, oversubscription only
-     multiplies minor-GC barriers (every minor collection synchronizes
-     all domains, and a parked domain must be scheduled to reach its
-     safepoint). Passing an explicit [pool] opts out — benchmarks and
-     tests that need to exercise the parallel path regardless of the
-     host's core count. *)
-  let jobs =
-    match pool with
-    | Some _ -> min jobs n
-    | None -> min (effective_jobs ~jobs) n
-  in
+  let jobs = min jobs n in
   if jobs <= 1 then run_sequential ?stop n f
-  else
-    let pool = match pool with Some p -> p | None -> Pool.global () in
-    run_parallel ~pool ~jobs ~chunk ?stop n f
+  else run_parallel ~jobs ~chunk ?stop n f

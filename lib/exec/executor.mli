@@ -11,20 +11,20 @@
     (testbed, engine, PRNGs, recorders, metrics) and never prints;
     anything to be shown goes in its result and is emitted by the caller
     in index order. The executor forces the process-wide
-    {!Vw_util.Prng.run_seed} memo before handing work to pool domains so
-    no worker races on its initialization. *)
+    {!Vw_util.Prng.run_seed} memo before it spawns a worker domain so no
+    worker races on its initialization. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the [--jobs] default. *)
 
 val effective_jobs : jobs:int -> int
-(** [max 1 (min jobs (default_jobs ()))] — the parallelism {!map} actually
-    uses on the implicit-pool path. Requesting more domains than the
-    machine has cores turns parallelism into pure overhead for CPU-bound
-    jobs (every minor collection is a stop-the-world barrier across all
-    domains, and an unscheduled domain delays everyone's safepoint), so
-    the default path refuses to oversubscribe. Exposed so benches can
-    record the parallelism a level really ran with. *)
+(** [max 1 (min jobs (default_jobs ()))] — a [--jobs] request clamped to
+    the machine's cores. Requesting more domains than the machine has
+    cores turns parallelism into pure overhead for CPU-bound jobs (every
+    minor collection is a stop-the-world barrier across all domains, and
+    an unscheduled domain delays everyone's safepoint). {!map} runs the
+    [jobs] it is given, so callers clamp where a request enters: the CLI's
+    campaign options, and the bench's scaling levels. *)
 
 val auto_chunk : jobs:int -> int -> int
 (** [auto_chunk ~jobs n] — the chunk size used when none is given: about
@@ -34,7 +34,6 @@ val auto_chunk : jobs:int -> int -> int
 val map :
   ?jobs:int ->
   ?chunk:int ->
-  ?pool:Pool.t ->
   ?stop:(('a, string) result -> bool) ->
   int ->
   (int -> 'a) ->
@@ -44,17 +43,13 @@ val map :
     raised ([msg] is [Printexc.to_string] of the exception); the other
     jobs still run.
 
-    [jobs] is first capped: to {!effective_jobs} on the implicit-pool path
-    (no oversubscription — see above), and always to [n]; an explicit
-    [pool] honors the full request, for callers that must exercise the
-    parallel path whatever the host (tests, the bench's scaling sweep).
-    [jobs <= 1] after capping runs in the calling domain; otherwise the
-    calling domain plus [jobs - 1] persistent {!Pool} domains (the shared
-    {!Pool.global} unless [pool] is given — never fresh spawns per
-    campaign) claim spans of [chunk] consecutive indices in ascending
-    order. [chunk] defaults to {!auto_chunk} and is a pure scheduling
-    knob: the list is byte-identical at every [jobs] and [chunk]
-    combination.
+    [jobs] is capped to [n] and to nothing else (see {!effective_jobs}).
+    [jobs <= 1] after capping runs in the calling domain; otherwise [map]
+    spawns [jobs - 1] worker domains, and they and the calling domain
+    claim spans of [chunk] consecutive indices in ascending order. [map]
+    returns, or raises, only after joining every domain it spawned.
+    [chunk] defaults to {!auto_chunk} and is a pure scheduling knob: the
+    list is byte-identical at every [jobs] and [chunk] combination.
 
     With [stop], the list ends (inclusively) at the earliest index whose
     result satisfies it. Sequentially, later jobs are never started; in

@@ -57,10 +57,10 @@ let write_header b ~pos ~src ~dst ~src_port ~dst_port ~seq ~ack_seq ~flags
   Vw_util.Hexutil.set_int_be b ~pos:(pos + 14) ~len:2 (window land 0xffff);
   Vw_util.Hexutil.set_int_be b ~pos:(pos + 16) ~len:2 0 (* checksum placeholder *);
   Vw_util.Hexutil.set_int_be b ~pos:(pos + 18) ~len:2 0 (* urgent pointer *);
-  let init =
+  let pseudo =
     Udp.pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_tcp ~length:len
   in
-  let csum = Vw_util.Checksum.finish (Vw_util.Checksum.ones_sum ~init b ~pos ~len) in
+  let csum = Vw_util.Checksum.finish (pseudo + Vw_util.Checksum.ones_sum b ~pos ~len) in
   Vw_util.Hexutil.set_int_be b ~pos:(pos + 16) ~len:2 csum
 
 let to_bytes ~src ~dst t =
@@ -78,10 +78,10 @@ let read ~src ~dst b ~pos ~len =
     let data_offset = (Char.code (Bytes.get b (pos + 12)) lsr 4) * 4 in
     if data_offset <> header_size then Error "tcp: options unsupported"
     else
-      let init =
+      let pseudo =
         Udp.pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_tcp ~length:len
       in
-      if Vw_util.Checksum.finish (Vw_util.Checksum.ones_sum ~init b ~pos ~len) <> 0
+      if Vw_util.Checksum.finish (pseudo + Vw_util.Checksum.ones_sum b ~pos ~len) <> 0
       then Error "tcp: checksum mismatch"
       else
         Ok

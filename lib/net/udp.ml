@@ -16,8 +16,8 @@ let write_header b ~pos ~src ~dst ~src_port ~dst_port ~len =
   Vw_util.Hexutil.set_int_be b ~pos:(pos + 2) ~len:2 dst_port;
   Vw_util.Hexutil.set_int_be b ~pos:(pos + 4) ~len:2 len;
   Vw_util.Hexutil.set_int_be b ~pos:(pos + 6) ~len:2 0;
-  let init = pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_udp ~length:len in
-  let csum = Vw_util.Checksum.finish (Vw_util.Checksum.ones_sum ~init b ~pos ~len) in
+  let pseudo = pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_udp ~length:len in
+  let csum = Vw_util.Checksum.finish (pseudo + Vw_util.Checksum.ones_sum b ~pos ~len) in
   let csum = if csum = 0 then 0xffff else csum in
   Vw_util.Hexutil.set_int_be b ~pos:(pos + 6) ~len:2 csum
 
@@ -39,10 +39,10 @@ let read ~src ~dst b ~pos ~len =
       let csum_ok =
         wire_csum = 0
         ||
-        let init =
+        let pseudo =
           pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_udp ~length:ulen
         in
-        Vw_util.Checksum.finish (Vw_util.Checksum.ones_sum ~init b ~pos ~len:ulen)
+        Vw_util.Checksum.finish (pseudo + Vw_util.Checksum.ones_sum b ~pos ~len:ulen)
         = 0
       in
       if not csum_ok then Error "udp: checksum mismatch"

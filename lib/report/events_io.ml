@@ -159,12 +159,8 @@ let of_string src =
     | Error _ as e -> e
   else of_jsonl src
 
+(* read to end of file, not to [in_channel_length]: a pipe cannot seek *)
 let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | src -> of_string src
   | exception Sys_error e -> Error e

@@ -22,4 +22,6 @@ val of_string : string -> (header option * Vw_obs.Event.t list, string) result
     Events are returned sorted by [seq]. *)
 
 val load : string -> (header option * Vw_obs.Event.t list, string) result
-(** [of_string] over a file's contents; I/O errors become [Error]. *)
+(** [of_string] over a file's contents, read to end of file, so a pipe
+    such as [/dev/stdin] works; I/O errors (a directory among them) become
+    [Error]. *)

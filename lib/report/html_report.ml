@@ -53,6 +53,17 @@ let style =
          margin-right: .3em; vertical-align: middle; }
 |}
 
+let page ~title body =
+  let b = Buffer.create 16384 in
+  let title = html_escape title in
+  Printf.bprintf b
+    "<!doctype html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
+     <title>%s</title>\n<style>%s</style>\n</head>\n<body>\n<h1>%s</h1>\n"
+    title style title;
+  body b;
+  Buffer.add_string b "</body>\n</html>\n";
+  Buffer.contents b
+
 let add_summary b ~(cover : Coverage.t) ~events ?result () =
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "<div class=\"chips\">";
@@ -557,13 +568,8 @@ let render_fleet ?title ?(journal = []) ?clusters ?compare
     | Some t -> t
     | None -> "VirtualWire campaign intelligence"
   in
-  let b = Buffer.create 16384 in
+  page ~title @@ fun b ->
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add
-    "<!doctype html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
-     <title>%s</title>\n<style>%s</style>\n</head>\n<body>\n"
-    (html_escape title) style;
-  add "<h1>%s</h1>\n" (html_escape title);
   let recurring = List.length (Triage.recurring ~threshold clusters) in
   add "<div class=\"chips\">";
   add "<span class=\"chip\">journal failures: %d</span>" (List.length journal);
@@ -575,72 +581,7 @@ let render_fleet ?title ?(journal = []) ?clusters ?compare
   add "</div>\n";
   add_cluster_table b ~journal ~clusters ~threshold;
   add_scenario_health b ~journal ~compare;
-  (match compare with Some cmp -> add_compare_section b cmp | None -> ());
-  add "</body>\n</html>\n";
-  Buffer.contents b
-
-(* --- conformance section (vwctl conform --html) --- *)
-
-type conform_expect = {
-  ce_label : string;
-  ce_status : string;
-  ce_at_ms : float option;
-  ce_diagnosis : string;
-}
-
-type conform_case = {
-  cc_name : string;
-  cc_ok : bool;
-  cc_outcome : string;
-  cc_expects : conform_expect list;
-}
-
-let add_conform_case b (c : conform_case) =
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "<h2>%s <span class=\"%s\">%s</span></h2>\n" (html_escape c.cc_name)
-    (if c.cc_ok then "ok" else "bad")
-    (if c.cc_ok then "PASS" else "FAIL");
-  add "<div class=\"chips\"><span class=\"chip\">outcome: %s</span>\
-       <span class=\"chip\">expectations: %d</span></div>\n"
-    (html_escape c.cc_outcome)
-    (List.length c.cc_expects);
-  add
-    "<table>\n\
-     <tr><th>expectation</th><th>status</th><th class=\"num\">at (ms)</th>\
-     <th>diagnosis</th></tr>\n";
-  List.iter
-    (fun x ->
-      add
-        "<tr><td><code>%s</code></td><td><span class=\"%s\">%s</span></td>\
-         <td class=\"num\">%s</td><td>%s</td></tr>\n"
-        (html_escape x.ce_label)
-        (if String.equal x.ce_status "pass" then "ok" else "bad")
-        (html_escape x.ce_status)
-        (match x.ce_at_ms with
-        | Some ms -> Printf.sprintf "%g" ms
-        | None -> "&mdash;")
-        (html_escape x.ce_diagnosis))
-    c.cc_expects;
-  add "</table>\n"
-
-let render_conform ?(title = "VirtualWire conformance report") cases =
-  let b = Buffer.create 16384 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add
-    "<!doctype html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
-     <title>%s</title>\n<style>%s</style>\n</head>\n<body>\n"
-    (html_escape title) style;
-  add "<h1>%s</h1>\n" (html_escape title);
-  let failed = List.length (List.filter (fun c -> not c.cc_ok) cases) in
-  add "<div class=\"chips\">";
-  add "<span class=\"chip\">suites: %d</span>" (List.length cases);
-  add "<span class=\"chip\">failing: <span class=\"%s\">%d</span></span>"
-    (if failed = 0 then "ok" else "bad")
-    failed;
-  add "</div>\n";
-  List.iter (add_conform_case b) cases;
-  add "</body>\n</html>\n";
-  Buffer.contents b
+  match compare with Some cmp -> add_compare_section b cmp | None -> ()
 
 let render ~tables ~events ?metrics ?result ?title () =
   let cover = Coverage.analyze tables events in
@@ -649,17 +590,9 @@ let render ~tables ~events ?metrics ?result ?title () =
     | Some t -> t
     | None -> Printf.sprintf "VirtualWire run report — %s" cover.Coverage.scenario
   in
-  let b = Buffer.create 16384 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add
-    "<!doctype html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
-     <title>%s</title>\n<style>%s</style>\n</head>\n<body>\n"
-    (html_escape title) style;
-  add "<h1>%s</h1>\n" (html_escape title);
+  page ~title @@ fun b ->
   add_summary b ~cover ~events ?result ();
   add_coverage b cover;
   add_timeline b tables events;
   (match metrics with Some mv -> add_histograms b mv | None -> ());
-  add_errors b tables events;
-  add "</body>\n</html>\n";
-  Buffer.contents b
+  add_errors b tables events

@@ -24,29 +24,12 @@ val html_escape : string -> string
     quote replaced by character references: safe as HTML text and inside
     a double-quoted attribute. *)
 
-(** {1 Conformance}
-
-    The [vwctl conform --html] section takes plain strings, so the report
-    library stays independent of the conformance driver (dependencies
-    point conform → report's consumers, never the other way). *)
-
-type conform_expect = {
-  ce_label : string;  (** the EXPECT statement, pretty-printed *)
-  ce_status : string;  (** ["pass"] | ["tolerance_miss"] | ["missed"] *)
-  ce_at_ms : float option;  (** match time relative to the anchor *)
-  ce_diagnosis : string;  (** [""] on pass *)
-}
-
-type conform_case = {
-  cc_name : string;
-  cc_ok : bool;
-  cc_outcome : string;
-  cc_expects : conform_expect list;
-}
-
-val render_conform : ?title:string -> conform_case list -> string
-(** One self-contained HTML page: a verdict table per conformance suite,
-    failing expectations carrying their furthest-stage diagnosis. *)
+val page : title:string -> (Buffer.t -> unit) -> string
+(** [page ~title body] is one self-contained HTML document: the shared
+    head and inline style, an [<h1>] of [title], then whatever [body]
+    adds to the buffer. Every page this module renders, and the
+    [vwctl conform --html] page ([Vw_conform.Report.html]), is built on
+    it. *)
 
 val render_fleet :
   ?title:string ->

@@ -3,10 +3,10 @@ external get16u : bytes -> int -> int = "%caml_bytes_get16u"
 external swap64 : int64 -> int64 = "%bswap_int64"
 external swap16 : int -> int = "%bswap16"
 
-let ones_sum ?(init = 0) b ~pos ~len =
+let ones_sum b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Checksum.ones_sum: out of range";
-  let acc = ref init in
+  let acc = ref 0 in
   let i = ref pos in
   let stop = pos + len in
   (* Eight bytes at a time, added as two big-endian 32-bit halves: a 32-bit

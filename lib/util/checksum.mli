@@ -4,11 +4,11 @@
     data viewed as big-endian 16-bit words, with odd trailing bytes padded
     with a zero byte. *)
 
-val ones_sum : ?init:int -> bytes -> pos:int -> len:int -> int
-(** [ones_sum ?init b ~pos ~len] adds the one's-complement sum of [len]
-    bytes of [b] starting at [pos] to [init] (default 0), reading eight
-    bytes at a time. The result is an unfolded accumulator suitable for
-    chaining over several regions (e.g. pseudo-header then payload).
+val ones_sum : bytes -> pos:int -> len:int -> int
+(** [ones_sum b ~pos ~len] is the one's-complement sum of [len] bytes of
+    [b] starting at [pos], read eight bytes at a time. The result is an
+    unfolded plain-int accumulator: sums of several regions (e.g. a
+    pseudo-header sum plus a segment's [ones_sum]) add with [+].
 
     Only {!finish} of the result is specified. The raw value is a sum of
     32-bit words, not of the 16-bit words RFC 1071 adds, so it differs from

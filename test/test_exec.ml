@@ -28,20 +28,15 @@ let failed = function Ok (_, pass) -> not pass | Error _ -> true
 
 (* --- executor basics --- *)
 
-(* The implicit-pool path caps parallelism at the host's core count; these
-   tests must exercise real worker domains even on a 1-core runner, so
-   they pass the global pool explicitly (joined by its at_exit hook). *)
-let pool = Vw_exec.Pool.global ()
-
 let square i = i * i
 
 let test_jobs_levels_agree () =
   let seq = Executor.map ~jobs:1 9 square in
-  let par = Executor.map ~pool ~jobs:4 9 square in
+  let par = Executor.map ~jobs:4 9 square in
   Alcotest.check ints_t "index order" (List.init 9 (fun i -> Ok (i * i))) seq;
   Alcotest.check ints_t "same results" seq par;
   Alcotest.check ints_t "an empty campaign" []
-    (Executor.map ~pool ~jobs:4 0 square);
+    (Executor.map ~jobs:4 0 square);
   match Executor.map (-1) square with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a negative count should raise Invalid_argument"
@@ -65,7 +60,7 @@ let check_crash_only_at_3 n rs =
 let test_crash_is_per_job () =
   List.iter
     (fun jobs ->
-      check_crash_only_at_3 6 (Executor.map ~pool ~jobs 6 crash_at_3))
+      check_crash_only_at_3 6 (Executor.map ~jobs 6 crash_at_3))
     [ 1; 4 ]
 
 let test_stop_skips_rest () =
@@ -84,36 +79,37 @@ let test_stop_skips_rest () =
 let test_stop_parallel_same_prefix () =
   let pass i = (i, i <> 2) in
   let seq = Executor.map ~jobs:1 ~stop:failed 8 pass in
-  let par = Executor.map ~pool ~jobs:4 ~stop:failed 8 pass in
+  let par = Executor.map ~jobs:4 ~stop:failed 8 pass in
   Alcotest.check verdicts_t "same truncated results" seq par
 
-(* --- persistent pool: workers are spawned once and reused --- *)
+(* --- every map runs on [jobs] distinct domains --- *)
 
-module Pool = Vw_exec.Pool
+(* A job that records the domain it runs on, then waits until [k] distinct
+   domains have arrived or the process has spent 5 more CPU seconds; it
+   returns how many it saw. With [chunk = 1] a waiting job holds its
+   worker, so [k] jobs can only all see [k] if [k] domains ran them. *)
+let rendezvous k =
+  let seen = Atomic.make [] in
+  let rec arrive d =
+    let ds = Atomic.get seen in
+    if not (List.mem d ds || Atomic.compare_and_set seen ds (d :: ds)) then
+      arrive d
+  in
+  let deadline = Sys.time () +. 5.0 in
+  fun _ ->
+    arrive (Domain.self () :> int);
+    while List.length (Atomic.get seen) < k && Sys.time () < deadline do
+      Domain.cpu_relax ()
+    done;
+    List.length (Atomic.get seen)
 
-let test_pool_reuse_across_plans () =
-  let pool = Pool.create () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let baseline = Executor.map ~jobs:1 12 square in
-      for _ = 1 to 5 do
-        Alcotest.check ints_t "pooled run agrees with sequential" baseline
-          (Executor.map ~pool ~jobs:3 12 square)
-      done;
-      let s = Pool.stats pool in
-      Alcotest.(check int) "jobs=3 spawned exactly 2 workers" 2 s.Pool.spawned;
-      Alcotest.(check int) "no domain leak across campaigns" 2 s.Pool.size;
-      Alcotest.(check int) "five campaigns served" 5 s.Pool.runs;
-      (* a deeper request grows the pool once; a shallower one reuses it *)
-      ignore (Executor.map ~pool ~jobs:4 12 square);
-      ignore (Executor.map ~pool ~jobs:2 12 square);
-      let s = Pool.stats pool in
-      Alcotest.(check int) "grown to 3 workers total" 3 s.Pool.spawned;
-      Alcotest.(check int) "still 3 live" 3 s.Pool.size;
-      Alcotest.(check int) "seven campaigns served" 7 s.Pool.runs);
-  let s = Pool.stats pool in
-  Alcotest.(check int) "shutdown joined every domain" 0 s.Pool.size
+let test_spawned_workers () =
+  Alcotest.check ints_t "jobs=3 runs on 3 domains, whatever the host"
+    [ Ok 3; Ok 3; Ok 3 ]
+    (Executor.map ~jobs:3 ~chunk:1 3 (rendezvous 3));
+  Alcotest.check ints_t "a second map at jobs=2 runs on 2 domains"
+    [ Ok 2; Ok 2 ]
+    (Executor.map ~jobs:2 ~chunk:1 2 (rendezvous 2))
 
 (* --- chunked scheduling is a pure scheduling knob --- *)
 
@@ -126,7 +122,7 @@ let test_chunk_byte_identity () =
           Alcotest.check ints_t
             (Printf.sprintf "jobs=%d chunk=%d agrees" jobs chunk)
             baseline
-            (Executor.map ~pool ~jobs ~chunk 23 square))
+            (Executor.map ~jobs ~chunk 23 square))
         [ 1; 2; 3; 7; 64 ])
     [ 1; 2; 4 ]
 
@@ -140,7 +136,7 @@ let test_chunk_stop_identity () =
           Alcotest.check verdicts_t
             (Printf.sprintf "cut identical at jobs=%d chunk=%d" jobs chunk)
             seq
-            (Executor.map ~pool ~jobs ~chunk ~stop:failed 17 pass))
+            (Executor.map ~jobs ~chunk ~stop:failed 17 pass))
         [ 1; 3; 8; 32 ])
     [ 2; 4 ]
 
@@ -149,7 +145,7 @@ let test_crash_inside_chunk () =
   List.iter
     (fun chunk ->
       check_crash_only_at_3 12
-        (Executor.map ~pool ~jobs:2 ~chunk 12 crash_at_3))
+        (Executor.map ~jobs:2 ~chunk 12 crash_at_3))
     [ 4; 6; 64 ]
 
 let test_auto_chunk_bounds () =
@@ -350,7 +346,7 @@ let suite =
         Alcotest.test_case "stop_after truncates identically in parallel"
           `Quick test_stop_parallel_same_prefix;
         Alcotest.test_case "pool reuses workers across plans" `Quick
-          test_pool_reuse_across_plans;
+          test_spawned_workers;
         Alcotest.test_case "chunk size never changes the outcome list" `Quick
           test_chunk_byte_identity;
         Alcotest.test_case "chunked stop_after cuts identically" `Quick

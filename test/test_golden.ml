@@ -84,6 +84,40 @@ let check_export_parity () =
       if cover j <> cover b then
         Alcotest.fail "cover differs between JSONL and binary event input")
 
+(* An event log read from a pipe, which cannot seek, must drive vwctl
+   cover exactly as the same log read from a file; a directory is an
+   error that says so. *)
+let check_events_from_pipe () =
+  let j = Filename.temp_file "vwctl_events" ".jsonl"
+  and piped = Filename.temp_file "vwctl_cover" ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ j; piped ])
+    (fun () ->
+      let rc, _ =
+        run_cmd
+          (Printf.sprintf "run quickstart -w udp-ping -b 6400 -d 2 --events %s"
+             (Filename.quote j))
+      in
+      if rc <> 0 then Alcotest.failf "vwctl run: exit code %d" rc;
+      let cover = "cover quickstart --json -w udp-ping -b 6400 -d 2 --events" in
+      let rc, from_file =
+        run_cmd (Printf.sprintf "%s %s" cover (Filename.quote j))
+      in
+      if rc <> 0 then Alcotest.failf "vwctl cover (file): exit code %d" rc;
+      let rc =
+        Sys.command
+          (Printf.sprintf "cat %s | %s %s /dev/stdin > %s 2>/dev/null"
+             (Filename.quote j) vwctl cover (Filename.quote piped))
+      in
+      Alcotest.(check int) "vwctl cover (pipe): exit code" 0 rc;
+      Alcotest.(check string) "pipe and file give the same coverage" from_file
+        (read_file piped);
+      match Vw_report.Events_io.load (Filename.get_temp_dir_name ()) with
+      | Error e when e = "Is a directory" -> ()
+      | Error e -> Alcotest.failf "a directory reported %S" e
+      | Ok _ -> Alcotest.fail "a directory loaded as an event log")
+
 (* Not a snapshot either: the digest of a whole output file, which the
    run writes to the path that follows [output] on its command line. A
    capture pins every byte each node put on or took off the wire (generated
@@ -139,5 +173,7 @@ let suite =
                "run figure5 --workload tcp-stream --bytes 200000 \
                 --max-duration 10 --events-format bin"
              ~output:"--events" ~digest:"48228901993300284e09a2c5870e108e");
+        Alcotest.test_case "cover reads an event log from a pipe" `Quick
+          check_events_from_pipe;
       ] );
   ]

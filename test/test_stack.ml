@@ -147,7 +147,7 @@ let test_tcp_flipped_segment_dropped () =
   send ~corrupt:true;
   check Alcotest.int "a flipped one draws nothing" 1 !replies
 
-(* one 256-byte datagram, sent and delivered: 245 minor words with the
+(* one 256-byte datagram, sent and delivered: 241 minor words with the
    in-place codecs (404 when each header was encoded and decoded into its
    own buffer); the bound leaves ~10% *)
 let test_datagram_allocation () =

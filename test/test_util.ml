@@ -137,7 +137,7 @@ let prop_checksum_matches_reference =
        gen)
     (fun (s, pos, len, init) ->
       let b = Bytes.of_string s in
-      Checksum.finish (Checksum.ones_sum ~init b ~pos ~len)
+      Checksum.finish (init + Checksum.ones_sum b ~pos ~len)
       = Checksum.finish (reference_ones_sum ~init b ~pos ~len)
       && Checksum.is_valid b ~pos ~len
          = (Checksum.finish (reference_ones_sum b ~pos ~len) = 0))
