@@ -646,22 +646,21 @@ let campaign_trial _i =
   let rtts = Workload.udp_rtt_run testbed ~samples:500 ~payload_size:256 in
   ignore (Stats.mean rtts)
 
-(* Each level clamps its request the way `vwctl --jobs N` does, so what
-   is charted is what a user's campaign gets. The clamp caps parallelism
-   at the host's core count (oversubscribed domains only multiply minor-GC
-   barriers), so on a 1-core machine every level runs sequentially and
-   the honest result is speedup ≈ 1.0, not a penalty; the per-level
-   "workers" field records the parallelism actually used. *)
-let campaign_run ~jobs =
-  let workers = Vw_exec.Executor.effective_jobs ~jobs in
-  let chunk = Vw_exec.Executor.auto_chunk ~jobs:workers campaign_trials in
+let campaign_wall ~workers =
   let t0 = now_ns () in
   let outs =
     Vw_exec.Executor.map ~jobs:workers campaign_trials campaign_trial
   in
   let wall = elapsed_s t0 in
   assert (List.length outs = campaign_trials);
-  (wall, float_of_int campaign_trials /. wall, chunk, workers)
+  wall
+
+(* One sample of a level's wall time swings with host noise: on a 2-vCPU
+   host one jobs_2 run has read 0.82x of jobs_1 while jobs_4 in the same
+   process, also 2 workers, read 1.9x. So each level is timed
+   [campaign_rounds] times, one round over every level at a time, and
+   reports the median; the samples are printed beside it. *)
+let campaign_rounds = 3
 
 let campaign () =
   let cores = Domain.recommended_domain_count () in
@@ -669,8 +668,35 @@ let campaign () =
   (* zero the compile-cache counters, so the hit rate counts only the
      levels' trials *)
   Vw_fsl.Compile_cache.reset ();
-  let results = List.map (fun j -> (j, campaign_run ~jobs:j)) levels in
-  let wall1 = match results with (_, (w, _, _, _)) :: _ -> w | [] -> 0.0 in
+  (* Each level clamps its request the way `vwctl --jobs N` does, so what
+     is charted is what a user's campaign gets. The clamp caps parallelism
+     at the host's core count (oversubscribed domains only multiply
+     minor-GC barriers), so on a 1-core machine every level runs
+     sequentially and the honest result is speedup ≈ 1.0, not a penalty;
+     the per-level "workers" field records the parallelism actually
+     used. *)
+  let workers j = Vw_exec.Executor.effective_jobs ~jobs:j in
+  let rounds =
+    List.init campaign_rounds (fun _ ->
+        List.map (fun j -> campaign_wall ~workers:(workers j)) levels)
+  in
+  let results =
+    List.mapi
+      (fun i j ->
+        let samples = List.map (fun round -> List.nth round i) rounds in
+        let st = Stats.create () in
+        List.iter (Stats.add st) samples;
+        let wall = Stats.percentile st 50. in
+        let workers = workers j in
+        ( j,
+          ( wall,
+            float_of_int campaign_trials /. wall,
+            samples,
+            Vw_exec.Executor.auto_chunk ~jobs:workers campaign_trials,
+            workers ) ))
+      levels
+  in
+  let wall1 = match results with (_, (w, _, _, _, _)) :: _ -> w | [] -> 0.0 in
   let speedup wall = if wall > 0.0 then wall1 /. wall else 0.0 in
   let efficiency j wall = speedup wall /. float_of_int j in
   let cache = Vw_fsl.Compile_cache.stats () in
@@ -682,13 +708,15 @@ let campaign () =
          "  \"campaign\": {\n    \"trials\": %d,\n    \"cores\": %d,\n"
          campaign_trials cores);
     List.iter
-      (fun (j, (wall, sps, chunk, workers)) ->
+      (fun (j, (wall, sps, samples, chunk, workers)) ->
         Buffer.add_string buf
           (Printf.sprintf
-             "    \"jobs_%d\": { \"wall_s\": %.4f, \"scenarios_per_sec\": \
-              %.2f, \"speedup_vs_1\": %.2f, \"efficiency\": %.2f, \
-              \"chunk\": %d, \"workers\": %d },\n"
-             j wall sps (speedup wall) (efficiency j wall) chunk workers))
+             "    \"jobs_%d\": { \"wall_s\": %.4f, \"wall_samples_s\": \
+              [%s], \"scenarios_per_sec\": %.2f, \"speedup_vs_1\": %.2f, \
+              \"efficiency\": %.2f, \"chunk\": %d, \"workers\": %d },\n"
+             j wall
+             (String.concat ", " (List.map (Printf.sprintf "%.4f") samples))
+             sps (speedup wall) (efficiency j wall) chunk workers))
       results;
     Buffer.add_string buf
       (Printf.sprintf
@@ -701,14 +729,17 @@ let campaign () =
   end
   else begin
     header "Campaign throughput (vw_exec executor, fig8 UDP echo trials)";
-    Printf.printf "%d trials per level, %d core(s) available\n"
-      campaign_trials cores;
-    Printf.printf "%-8s %9s %10s %16s %12s %12s %8s\n" "jobs" "workers"
-      "wall_s" "scenarios/sec" "speedup" "efficiency" "chunk";
+    Printf.printf
+      "%d trials per level, %d core(s) available; wall_s is the median of \
+       %d rounds\n"
+      campaign_trials cores campaign_rounds;
+    Printf.printf "%-8s %9s %10s %16s %12s %12s %8s  %s\n" "jobs" "workers"
+      "wall_s" "scenarios/sec" "speedup" "efficiency" "chunk" "samples";
     List.iter
-      (fun (j, (wall, sps, chunk, workers)) ->
-        Printf.printf "%-8d %9d %10.3f %16.2f %11.2fx %12.2f %8d\n%!" j
-          workers wall sps (speedup wall) (efficiency j wall) chunk)
+      (fun (j, (wall, sps, samples, chunk, workers)) ->
+        Printf.printf "%-8d %9d %10.3f %16.2f %11.2fx %12.2f %8d  %s\n%!" j
+          workers wall sps (speedup wall) (efficiency j wall) chunk
+          (String.concat " " (List.map (Printf.sprintf "%.3f") samples)))
       results;
     Printf.printf "compile cache: %d hits / %d misses (hit rate %.1f%%)\n"
       cache.Vw_fsl.Compile_cache.hits cache.Vw_fsl.Compile_cache.misses

@@ -38,7 +38,15 @@ let run ?config ?max_duration ?(capacity = default_capacity)
           match Ir.compile tables script.Vw_fsl.Ast.conform with
           | Error errs -> Error errs
           | Ok ir -> (
-              let testbed = Testbed.of_node_table ?config tables in
+              (* verdicts come from the flight recorder: nothing on this
+                 path reads the frame capture, so keep none *)
+              let config =
+                {
+                  (Option.value config ~default:Testbed.default_config) with
+                  trace_capacity = 1;
+                }
+              in
+              let testbed = Testbed.of_node_table ~config tables in
               Testbed.enable_observability ~capacity testbed;
               let engine = Testbed.engine testbed in
               (* all CONFORM times are relative to the instant the workload

@@ -7,7 +7,13 @@
     workload start (the same anchor all [EXPECT] windows are measured
     from), run the scenario, then evaluate the expectations offline with
     {!Eval} and stamp one [Expect_checked] event per verdict into the
-    flight recorder so exported logs carry the conformance outcome. *)
+    flight recorder so exported logs carry the conformance outcome.
+
+    The driver keeps no frame capture: it builds its testbed with
+    [trace_capacity = 1], whatever [?config] says. Verdicts come from the
+    flight recorder, and nothing on the conform path reads the capture,
+    so keeping every frame of a run (up to the default million) would
+    only hold memory and cost time. *)
 
 type case_result = {
   c_name : string;

@@ -35,7 +35,12 @@ type classification = {
   cl_delay : St.t;
 }
 
-let classifications (tables : T.t) events ~fid =
+(* The faults of every causal context, keyed by the cause's seq: the rule
+   of its first DROP, and its summed scripted DELAYs. Built once per run;
+   every packet expectation reads them. *)
+type faults = { drops : (int, int) Hashtbl.t; delays : (int, St.t) Hashtbl.t }
+
+let faults (tables : T.t) events =
   let drops = Hashtbl.create 16 and delays = Hashtbl.create 16 in
   List.iter
     (fun (e : Ev.t) ->
@@ -62,6 +67,9 @@ let classifications (tables : T.t) events ~fid =
           Hashtbl.replace delays e.Ev.cause St.(prev + d)
       | _ -> ())
     events;
+  { drops; delays }
+
+let classifications faults events ~fid =
   List.filter_map
     (fun (e : Ev.t) ->
       match e.Ev.body with
@@ -69,10 +77,10 @@ let classifications (tables : T.t) events ~fid =
           Some
             {
               cl_ev = e;
-              cl_dropped = Hashtbl.find_opt drops e.Ev.seq;
+              cl_dropped = Hashtbl.find_opt faults.drops e.Ev.seq;
               cl_delay =
                 Option.value ~default:St.zero
-                  (Hashtbl.find_opt delays e.Ev.seq);
+                  (Hashtbl.find_opt faults.delays e.Ev.seq);
             }
       | _ -> None)
     events
@@ -88,7 +96,8 @@ let window_text = function
       if w_hi = max_int then Printf.sprintf "[%s, ...]" (pp_time w_lo)
       else Printf.sprintf "[%s, %s]" (pp_time w_lo) (pp_time w_hi)
 
-let eval_packet tables ~anchor ~events ~window ~fid ~from_nid ~to_nid ~dir =
+let eval_packet tables ~anchor ~events ~faults ~window ~fid ~from_nid ~to_nid
+    ~dir =
   let obs_nid, obs_point =
     match dir with
     | Vw_fsl.Ast.Send -> (from_nid, Ev.Egress)
@@ -98,7 +107,7 @@ let eval_packet tables ~anchor ~events ~window ~fid ~from_nid ~to_nid ~dir =
   let obs_name =
     Printf.sprintf "%s (%s)" (T.node_name tables obs_nid) (point_name obs_point)
   in
-  let all = classifications tables events ~fid in
+  let all = classifications faults events ~fid in
   let here =
     List.filter
       (fun c ->
@@ -268,16 +277,24 @@ let eval_state tables ~anchor ~events ~window ~cid ~op ~value =
                       cname;
                 }))
 
+let rec ascending = function
+  | (a : Ev.t) :: (b :: _ as rest) -> a.Ev.seq <= b.Ev.seq && ascending rest
+  | _ -> true
+
 let run tables ~ir ~anchor ~events =
+  (* the driver hands over an already merged stream: sort only input that
+     is out of order (a stable sort leaves ordered input as it is) *)
   let events =
-    List.sort (fun (a : Ev.t) b -> compare a.Ev.seq b.Ev.seq) events
+    if ascending events then events
+    else List.sort (fun (a : Ev.t) b -> compare a.Ev.seq b.Ev.seq) events
   in
+  let faults = faults tables events in
   List.map
     (fun (x : Ir.expectation) ->
       let verdict =
         match x.Ir.x_kind with
         | Ir.X_packet { xp_fid; xp_from; xp_to; xp_dir } ->
-            eval_packet tables ~anchor ~events ~window:x.Ir.x_window
+            eval_packet tables ~anchor ~events ~faults ~window:x.Ir.x_window
               ~fid:xp_fid ~from_nid:xp_from ~to_nid:xp_to ~dir:xp_dir
         | Ir.X_state { xs_cid; xs_op; xs_value } ->
             eval_state tables ~anchor ~events ~window:x.Ir.x_window ~cid:xs_cid

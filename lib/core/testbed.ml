@@ -188,13 +188,38 @@ let observability_enabled t = t.obs <> None
 let recorder t name =
   Option.bind t.obs (fun o -> List.assoc_opt name o.obs_recorders)
 
+(* The recorders share one seq counter, so each ring already holds its
+   events in ascending seq and the run's stream is their merge. On equal
+   heads the earlier node wins, as a stable sort of their concatenation
+   would have it. Tail-recursive: a ring may hold 65,536 events. *)
+let merge_by_seq rings =
+  let heads = Array.of_list rings in
+  let rec next acc =
+    let best = ref 0 and head = ref [] in
+    for i = 0 to Array.length heads - 1 do
+      match (heads.(i), !head) with
+      | (e : Vw_obs.Event.t) :: _, (b : Vw_obs.Event.t) :: _
+        when e.seq >= b.seq ->
+          ()
+      | (_ :: _ as l), _ ->
+          best := i;
+          head := l
+      | [], _ -> ()
+    done;
+    match !head with
+    | [] -> List.rev acc
+    | e :: rest ->
+        heads.(!best) <- rest;
+        next (e :: acc)
+  in
+  next []
+
 let events t =
   match t.obs with
   | None -> []
   | Some o ->
-      o.obs_recorders
-      |> List.concat_map (fun (_, r) -> Vw_obs.Recorder.events r)
-      |> List.sort (fun (a : Vw_obs.Event.t) b -> compare a.seq b.seq)
+      merge_by_seq
+        (List.map (fun (_, r) -> Vw_obs.Recorder.events r) o.obs_recorders)
 
 let events_recorded t =
   match t.obs with

@@ -110,24 +110,16 @@ let html_index ?title t =
   let title =
     match title with Some s -> s | None -> "campaign: " ^ t.command
   in
-  let b = Buffer.create 2048 in
+  Html_report.page ~title @@ fun b ->
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n";
-  add "<title>%s</title>\n<style>\n" (html_escape title);
-  add
-    "body { font-family: sans-serif; margin: 2em; color: #222; }\n\
-     table { border-collapse: collapse; min-width: 40em; }\n\
-     th, td { text-align: left; padding: 0.3em 0.8em; border-bottom: 1px \
-     solid #ddd; }\n\
-     .ok { color: #1a7f37; font-weight: bold; }\n\
-     .fail { color: #cf222e; font-weight: bold; }\n\
-     .summary { margin: 1em 0; }\n";
-  add "</style>\n</head>\n<body>\n<h1>%s</h1>\n" (html_escape title);
-  add "<p class=\"summary\">%d cases: <span class=\"ok\">%d passed</span>"
-    (total t) (passed t);
-  if failed t > 0 then
-    add ", <span class=\"fail\">%d failed</span>" (failed t);
-  add "</p>\n<table>\n<tr><th>status</th><th>case</th><th>detail</th></tr>\n";
+  add "<div class=\"chips\"><span class=\"chip\">cases: %d</span>" (total t);
+  add "<span class=\"chip\">passed: <span class=\"ok\">%d</span></span>"
+    (passed t);
+  add "<span class=\"chip\">failed: <span class=\"%s\">%d</span></span>\
+       </div>\n"
+    (if failed t = 0 then "ok" else "bad")
+    (failed t);
+  add "<table>\n<tr><th>status</th><th>case</th><th>detail</th></tr>\n";
   List.iter
     (fun e ->
       let name =
@@ -137,10 +129,11 @@ let html_index ?title t =
               (html_escape e.e_name)
         | None -> html_escape e.e_name
       in
-      add "<tr><td class=\"%s\">%s</td><td>%s</td><td>%s</td></tr>\n"
-        (if e.e_ok then "ok" else "fail")
+      add
+        "<tr><td><span class=\"%s\">%s</span></td><td>%s</td><td>%s</td>\
+         </tr>\n"
+        (if e.e_ok then "ok" else "bad")
         (if e.e_ok then "OK" else "FAILED")
         name (html_escape e.e_detail))
     t.entries;
-  add "</table>\n</body>\n</html>\n";
-  Buffer.contents b
+  add "</table>\n"

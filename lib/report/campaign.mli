@@ -50,5 +50,6 @@ val summary_json : ?extra:(string * string) list -> t -> string
     newline. *)
 
 val html_index : ?title:string -> t -> string
-(** Self-contained HTML (inline styles, no external resources): the pass/
-    fail table with per-entry links. *)
+(** The pass/fail table with per-entry links, as one self-contained page
+    on {!Html_report.page}, the scaffold of the run, fleet and conform
+    pages. *)

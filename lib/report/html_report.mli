@@ -27,9 +27,9 @@ val html_escape : string -> string
 val page : title:string -> (Buffer.t -> unit) -> string
 (** [page ~title body] is one self-contained HTML document: the shared
     head and inline style, an [<h1>] of [title], then whatever [body]
-    adds to the buffer. Every page this module renders, and the
-    [vwctl conform --html] page ([Vw_conform.Report.html]), is built on
-    it. *)
+    adds to the buffer. Every page this module renders, the
+    [vwctl conform --html] page ([Vw_conform.Report.html]) and the
+    campaign index ([Campaign.html_index]) are built on it. *)
 
 val render_fleet :
   ?title:string ->

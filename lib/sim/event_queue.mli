@@ -4,15 +4,23 @@
     keeps simulations deterministic — the engine's cascade (packet arrival →
     counter update → control message) frequently schedules several events at
     the same nanosecond. There is no cancellation: a caller that may need to
-    abandon an event makes its payload check its own state when it runs. *)
+    abandon an event makes its payload check its own state when it runs.
+
+    Pushing and taking allocate nothing once the queue has grown to its
+    deepest size; a taken event's payload is no longer referenced. *)
 
 type 'a t
 
-val create : unit -> 'a t
+val create : dummy:'a -> unit -> 'a t
+(** [dummy] fills the payload cells that hold no queued event. *)
+
 val length : 'a t -> int
 val push : 'a t -> time:Simtime.t -> 'a -> unit
 
-val pop : 'a t -> (Simtime.t * 'a) option
-(** Removes and returns the earliest event. *)
+val top_time : 'a t -> Simtime.t
+(** The earliest event's time.
+    @raise Invalid_argument if the queue is empty. *)
 
-val peek_time : 'a t -> Simtime.t option
+val take : 'a t -> 'a
+(** Removes the earliest event and returns its payload.
+    @raise Invalid_argument if the queue is empty. *)

@@ -77,9 +77,9 @@ let transmit t (frame : Vw_net.Eth.t) =
   end
 
 let demux t (frame : Vw_net.Eth.t) =
-  match Hashtbl.find_opt t.ethertype_handlers frame.ethertype with
-  | Some handler -> handler frame
-  | None ->
+  match Hashtbl.find t.ethertype_handlers frame.ethertype with
+  | handler -> handler frame
+  | exception Not_found ->
       Log.debug (fun m ->
           m "%s: no handler for ethertype 0x%04x" t.name frame.ethertype)
 
@@ -176,9 +176,9 @@ let output_ip t ~protocol ~dst packet =
   t.ip_ident <- (t.ip_ident + 1) land 0xffff;
   Vw_net.Ipv4.write_header packet ~pos:0 ~tos:0 ~ttl:64 ~ident:t.ip_ident
     ~protocol ~src:t.ip ~dst ~len:(Bytes.length packet);
-  match Hashtbl.find_opt t.neighbors dst with
-  | Some mac -> emit_ip t ~dst_mac:mac packet
-  | None -> (
+  match Hashtbl.find t.neighbors dst with
+  | mac -> emit_ip t ~dst_mac:mac packet
+  | exception Not_found -> (
       match t.neighbor_miss with
       | None ->
           (* no resolver: fall back to broadcast, the static-testbed
@@ -214,13 +214,13 @@ let handle_ip t (frame : Vw_net.Eth.t) =
   | Ok total ->
       if Vw_net.Ipv4.dst_is b ~pos:0 t.ip then
         let protocol = Vw_net.Ipv4.protocol_at b ~pos:0 in
-        match Hashtbl.find_opt t.ip_handlers protocol with
-        | Some handler ->
+        match Hashtbl.find t.ip_handlers protocol with
+        | handler ->
             handler
               ~src:(Vw_net.Ipv4.src_at b ~pos:0)
               ~dst:t.ip b ~pos:Vw_net.Ipv4.header_size
               ~len:(total - Vw_net.Ipv4.header_size)
-        | None ->
+        | exception Not_found ->
             Log.debug (fun m ->
                 m "%s: no handler for IP protocol %d" t.name protocol)
 
@@ -247,9 +247,9 @@ let handle_udp t ~src ~dst b ~pos ~len =
   match Vw_net.Udp.read ~src ~dst b ~pos ~len with
   | Error e -> Log.debug (fun m -> m "%s: dropped UDP datagram: %s" t.name e)
   | Ok dgram -> (
-      match Hashtbl.find_opt t.udp_ports dgram.dst_port with
-      | Some handler -> handler ~src ~src_port:dgram.src_port dgram.payload
-      | None ->
+      match Hashtbl.find t.udp_ports dgram.dst_port with
+      | handler -> handler ~src ~src_port:dgram.src_port dgram.payload
+      | exception Not_found ->
           (* port unreachable: quote the offending IP header + 8 payload
              bytes (the UDP header) back, per RFC 792 *)
           let original =

@@ -21,7 +21,7 @@ let read_file path =
 
 (* run one corpus script exactly as `vwctl conform` would: directives
    pick the workload/duration/arp config, the driver does the rest *)
-let run_corpus_case path =
+let run_corpus_case ?(on_start = ignore) path =
   let source = read_file path in
   match Workloads.parse_directives source with
   | Error e -> failf "%s: bad directives: %s" path e
@@ -31,7 +31,10 @@ let run_corpus_case path =
           (Workloads.directives_config d)
           ~default:Vw_core.Testbed.default_config
       in
-      let workload = Workloads.make d.Workloads.d_workload ~bytes:d.d_bytes in
+      let workload tb =
+        on_start tb;
+        Workloads.make d.Workloads.d_workload ~bytes:d.d_bytes tb
+      in
       let max_duration = Vw_sim.Simtime.sec d.d_duration in
       Driver.run ~config ~max_duration ~workload ~name:(Filename.basename path)
         ~source ()
@@ -197,6 +200,50 @@ let test_blast_pinned () =
           check string "event log digest" "5376089ee19b56f4a0515b14bb068e0d"
             (Digest.to_hex (Digest.string events))
 
+(* --- verdicts do not depend on the order events arrive in --- *)
+
+let verdict_text (c : Eval.checked) =
+  match c.Eval.verdict with
+  | Eval.Pass { at } -> Printf.sprintf "pass at %d" at
+  | Eval.Tolerance_miss { actual; diagnosis } ->
+      Printf.sprintf "tolerance_miss at %d: %s" actual diagnosis
+  | Eval.Missed { diagnosis } -> "missed: " ^ diagnosis
+
+let test_eval_order_independent () =
+  List.iter
+    (fun path ->
+      let anchor = ref Vw_sim.Simtime.zero in
+      let on_start tb =
+        anchor := Vw_sim.Engine.now (Vw_core.Testbed.engine tb)
+      in
+      match run_corpus_case ~on_start path with
+      | Error errs -> failf "%s: %s" path (String.concat "; " errs)
+      | Ok r -> (
+          let script =
+            match Vw_fsl.Parser.parse (read_file path) with
+            | Ok s -> s
+            | Error e -> failf "%s: %s" path e
+          in
+          match Vw_fsl.Conform_ir.compile r.Driver.c_tables script.Ast.conform with
+          | Error es -> failf "%s: %s" path (String.concat "; " es)
+          | Ok ir ->
+              let verdicts events =
+                List.map verdict_text
+                  (Eval.run r.Driver.c_tables ~ir ~anchor:!anchor ~events)
+              in
+              let events = r.Driver.c_events in
+              check (list string) (path ^ ": the driver's verdicts")
+                (List.map verdict_text r.Driver.c_checked)
+                (verdicts events);
+              check (list string) (path ^ ": reversed events")
+                (verdicts events)
+                (verdicts (List.rev events))))
+    [
+      "conformance/tcp_retransmit_drop.fsl";
+      "conformance/failing/tcp_handshake_synack_drop.fsl";
+      "conformance/failing/tolerance_miss.fsl";
+    ]
+
 (* --- qcheck: CONFORM survives the print->parse round-trip --- *)
 
 let seed_gen = QCheck.(int_bound 1_000_000)
@@ -248,5 +295,7 @@ let suite =
         Test_seed.qtest prop_conform_fixpoint;
         test_case "generator emits CONFORM sections" `Quick
           test_generator_emits_conform;
+        test_case "verdicts ignore event order" `Quick
+          test_eval_order_independent;
       ] );
   ]

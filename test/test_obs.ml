@@ -630,6 +630,64 @@ let counter_replay_prop =
     QCheck.(pair (int_range 1 16) (int_range 0 1000))
     (fun (pings, seed) -> replay_matches_dump ~pings ~seed)
 
+(* --- the merged event stream of a 4-node Rether ring --- *)
+
+let rether_ring_script =
+  {|
+FILTER_TABLE
+tr_token: (12 2 0x9900), (14 2 0x0001)
+END
+NODE_TABLE
+node1 02:00:00:00:00:01 10.0.0.1
+node2 02:00:00:00:00:02 10.0.0.2
+node3 02:00:00:00:00:03 10.0.0.3
+node4 02:00:00:00:00:04 10.0.0.4
+END
+SCENARIO rether_merge
+TokensTo2: (tr_token, node1, node2, RECV)
+TokensTo4: (tr_token, node2, node4, RECV)
+(TRUE) >> ENABLE_CNTR( TokensTo2 );
+((TokensTo2 = 2)) >> FAIL( node3 );
+     ENABLE_CNTR( TokensTo4 );
+END
+|}
+
+(* [Testbed.events] merges the per-node rings; the reference is every
+   node's events, concatenated and sorted by seq *)
+let test_events_merge_rings () =
+  let tables = compile rether_ring_script in
+  let testbed = Testbed.of_node_table tables in
+  Testbed.enable_observability ~capacity:65536 testbed;
+  (match
+     Scenario.run testbed ~script:rether_ring_script
+       ~max_duration:(Simtime.sec 1.0)
+       ~workload:
+         (Vw_conform.Workloads.make Vw_conform.Workloads.Rether_ring
+            ~bytes:4096)
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let rings =
+    List.map
+      (fun n ->
+        match Testbed.recorder testbed (Testbed.name n) with
+        | Some r -> Rec.events r
+        | None -> Alcotest.failf "%s has no recorder" (Testbed.name n))
+      (Testbed.nodes testbed)
+  in
+  check Alcotest.int "four rings" 4 (List.length rings);
+  List.iteri
+    (fun i ring ->
+      check Alcotest.bool
+        (Printf.sprintf "ring %d recorded events" i)
+        true (ring <> []))
+    rings;
+  let reference =
+    List.sort (fun a b -> compare a.Ev.seq b.Ev.seq) (List.concat rings)
+  in
+  check (Alcotest.list ev_t) "merge = sorted concatenation" reference
+    (Testbed.events testbed)
+
 (* --- Explain --- *)
 
 let test_explain_fired () =
@@ -816,6 +874,8 @@ let suite =
         Alcotest.test_case "disabled recorder stays silent" `Quick
           test_disabled_is_silent;
         qtest counter_replay_prop;
+        Alcotest.test_case "merged rings = sorted concatenation" `Quick
+          test_events_merge_rings;
       ] );
     ( "obs.explain",
       [

@@ -101,25 +101,32 @@ let prop_events_fire_in_time_order =
       List.length times = List.length delays
       && List.sort compare times = times)
 
-(* model-based test of the event queue: a random push/pop trace must agree
-   with a naive sorted-list reference implementation *)
+(* model-based test of the event queue: a random push/take trace must
+   agree with a naive sorted-list reference implementation. Traces are
+   push-biased, so the queue grows past its first capacity and reuses the
+   cells that takes freed, and draw from few times, so ties are common. *)
 let prop_event_queue_matches_model =
   QCheck.Test.make ~name:"event queue agrees with a list model" ~count:300
     QCheck.(
-      list_of_size (Gen.int_range 0 80)
-        (oneof [ map (fun t -> `Push (abs t mod 1000)) int; always `Pop ]))
+      list_of_size (Gen.int_range 0 200)
+        (frequency
+           [ (3, map (fun t -> `Push (abs t mod 8)) int); (1, always `Take) ]))
     (fun ops ->
-      let queue = Event_queue.create () in
+      let queue = Event_queue.create ~dummy:(-1) () in
       (* model: (time, id) pairs sorted by time, then id; ids grow with
          insertion, so equal times stay FIFO *)
       let model = ref [] in
       let next_id = ref 0 in
-      let pop_model () =
+      let take_agrees () =
         match !model with
-        | [] -> None
-        | e :: rest ->
+        | [] -> (
+            match Event_queue.take queue with
+            | exception Invalid_argument _ -> true
+            | _ -> false)
+        | ((time, _) as e) :: rest ->
             model := rest;
-            Some e
+            let top = Event_queue.top_time queue in
+            top = time && (top, Event_queue.take queue) = e
       in
       let step = function
         | `Push time ->
@@ -128,17 +135,57 @@ let prop_event_queue_matches_model =
             Event_queue.push queue ~time id;
             model := List.merge compare !model [ (time, id) ];
             true
-        | `Pop -> Event_queue.pop queue = pop_model ()
+        | `Take -> take_agrees ()
       in
       let rec drain () =
-        let popped = Event_queue.pop queue in
-        popped = pop_model () && (popped = None || drain ())
+        let empty = !model = [] in
+        take_agrees () && (empty || drain ())
       in
       List.for_all
-        (fun op ->
-          step op && Event_queue.length queue = List.length !model)
+        (fun op -> step op && Event_queue.length queue = List.length !model)
         ops
-      && drain ())
+      && drain ()
+      && Event_queue.length queue = 0)
+
+(* 64 chains, each rescheduling itself with delays of 0-3 us, so many
+   events share an instant. The engine must fire them in exactly the
+   (time, scheduling order) of a sorted reference, drain to nothing, and
+   keep no fired callback alive: each chain's callbacks hold one buffer,
+   which must be collectable once the chain has finished. *)
+let test_chains_fire_in_order () =
+  let engine = Engine.create () in
+  let chains = 64 and rounds = 50 in
+  let next_seq = ref 0 and fired = ref [] in
+  let buffers = Weak.create chains in
+  let schedule ~delay fn =
+    let seq = !next_seq in
+    incr next_seq;
+    Engine.schedule_after engine ~delay (fn seq)
+  in
+  let rec link c k buf seq () =
+    fired := (Engine.now engine, seq) :: !fired;
+    if k < rounds then
+      schedule ~delay:(Simtime.us (((c * 7) + k) mod 4)) (link c (k + 1) buf)
+  in
+  for c = 0 to chains - 1 do
+    let buf = Bytes.make 64 'x' in
+    Weak.set buffers c (Some buf);
+    schedule ~delay:(Simtime.us (c mod 3)) (link c 1 buf)
+  done;
+  Engine.run engine;
+  let fired = List.rev !fired in
+  check Alcotest.int "every event fired" (chains * rounds) (List.length fired);
+  check Alcotest.int "all scheduled" !next_seq (List.length fired);
+  check
+    Alcotest.(list (pair int int))
+    "(time, seq) order" (List.sort compare fired) fired;
+  Gc.full_major ();
+  for c = 0 to chains - 1 do
+    if Weak.check buffers c then
+      Alcotest.failf "chain %d's buffer is still referenced" c
+  done;
+  (* after the collection, so the engine was live during it *)
+  check Alcotest.int "nothing pending" 0 (Engine.pending engine)
 
 let suite =
   [
@@ -154,5 +201,7 @@ let suite =
         Alcotest.test_case "prng streams differ" `Quick test_prng_streams_differ;
         qtest prop_events_fire_in_time_order;
         qtest prop_event_queue_matches_model;
+        Alcotest.test_case "64 chains fire in (time, seq) order" `Quick
+          test_chains_fire_in_order;
       ] );
   ]
