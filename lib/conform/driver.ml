@@ -27,6 +27,30 @@ let schedule_injections tables testbed (ir : Ir.t) =
              Host.send_frame host frame)))
     ir.Ir.injections
 
+(* Stamp the verdicts into the first node's flight recorder, so exported
+   event logs carry the conformance outcome, and return the run's events
+   with the stamps: [events], the run's events before stamping, then the
+   stamps, which hold the newest seqs. When stamping overwrote retained
+   events, the rings are decoded again. *)
+let stamp_verdicts testbed (checked : Eval.checked list) ~events =
+  match Testbed.nodes testbed with
+  | [] -> events
+  | n :: _ -> (
+      match Testbed.recorder testbed (Testbed.name n) with
+      | None -> events
+      | Some rc ->
+          let dropped = Vw_obs.Recorder.dropped rc in
+          List.iter
+            (fun (c : Eval.checked) ->
+              ignore
+                (Vw_obs.Recorder.emit_root rc
+                   (Vw_obs.Event.Expect_checked
+                      { xid = c.Eval.x.Ir.xid; ok = Eval.ok c.Eval.verdict })))
+            checked;
+          if Vw_obs.Recorder.dropped rc = dropped then
+            events @ Vw_obs.Recorder.newest rc (List.length checked)
+          else Testbed.events testbed)
+
 let run ?config ?max_duration ?(capacity = default_capacity)
     ?(workload = fun _ -> ()) ~name ~source () =
   match Vw_fsl.Parser.parse source with
@@ -67,30 +91,13 @@ let run ?config ?max_duration ?(capacity = default_capacity)
                   let checked =
                     Eval.run tables ~ir ~anchor:!anchor ~events
                   in
-                  (* stamp verdicts into the flight recorder so exported
-                     event logs carry the conformance outcome *)
-                  (match Testbed.nodes testbed with
-                  | n :: _ ->
-                      Option.iter
-                        (fun rc ->
-                          List.iter
-                            (fun (c : Eval.checked) ->
-                              ignore
-                                (Vw_obs.Recorder.emit_root rc
-                                   (Vw_obs.Event.Expect_checked
-                                      {
-                                        xid = c.Eval.x.Ir.xid;
-                                        ok = Eval.ok c.Eval.verdict;
-                                      })))
-                            checked)
-                        (Testbed.recorder testbed (Testbed.name n))
-                  | [] -> ());
+                  let events = stamp_verdicts testbed checked ~events in
                   Ok
                     {
                       c_name = name;
                       c_checked = checked;
                       c_scenario = result;
                       c_truncated = Testbed.events_truncated testbed;
-                      c_events = Testbed.events testbed;
+                      c_events = events;
                       c_tables = tables;
                     })))

@@ -6,13 +6,12 @@
     match the subsequent rules."). A tuple with an unbound variable never
     matches; a bound variable behaves as a literal pattern (see DESIGN.md).
 
-    The engine runs one path: {!classify_frame_c} over the compiled
+    The engine runs one path: {!classify_fid_c} over the compiled
     {!Vw_fsl.Tables.Compiled} table, once per frame. It dispatches on
     the classification index (one read of the discriminating field
     selects a bucket, merged in fid order with the always-scanned
     fallback filters) and tests short literal tuples as masked int words.
-    After warm-up it allocates nothing per filter or tuple tested: at
-    most the [Some] of a match per frame.
+    After warm-up it allocates nothing.
 
     The paper's implementation "searches linearly through the packet type
     definitions" — the cost Figure 8 measures. {!classify_linear} keeps
@@ -37,23 +36,35 @@ type scan_stats = {
 
 val new_scan_stats : unit -> scan_stats
 
+val classify_fid_c :
+  scan_stats ->
+  Vw_fsl.Tables.Compiled.t ->
+  bindings:bytes option array ->
+  Vw_net.Eth.t ->
+  int
+(** The engine's per-packet entry point: the first matching filter id,
+    or −1, read from the [Eth.t] in place (no serialization) through the
+    index dispatch and fid-ordered merge scan described above, counted
+    into the given stats. A filter is tested by its key tuple (see
+    {!Vw_fsl.Tables.Compiled}) first: one window read, [land] its int
+    mask, compared with its int key, the window read in place when it
+    lies in the payload; the last window value is reused across
+    consecutive tests on the same (offset, len). Its remaining keyed
+    tuples take the same compare; 8-byte literals and VARs take a byte
+    loop over pool slices.
+
+    Zero-allocation contract: after warm-up a call allocates nothing,
+    whether it tests 1 filter or 511 — regression-tested through
+    {!classify_frame_c} on a table where frames test up to 511 filters.
+    Property-tested equal to {!classify_linear}. *)
+
 val classify_frame_c :
   ?stats:scan_stats ->
   Vw_fsl.Tables.Compiled.t ->
   bindings:bytes option array ->
   Vw_net.Eth.t ->
   int option
-(** The engine's per-packet entry point: the first matching filter id,
-    read from the [Eth.t] in place (no serialization) through the index
-    dispatch and fid-ordered merge scan described above. A keyed tuple (a
-    literal of at most 7 bytes, see {!Vw_fsl.Tables.Compiled.keyed}) is
-    one window read, [land] its int mask, compared with its int key; the
-    last window value is reused across consecutive tuples on the same
-    (offset, len). 8-byte literals and VARs take a byte loop over pool
-    slices.
-
-    Zero-allocation contract: after warm-up a call allocates no minor
-    words for the filters and tuples it tests, only the [Some fid] of a
-    match (and the [Some] the caller builds for [~stats]) —
-    regression-tested on a table where frames test up to 511 filters.
-    Property-tested equal to {!classify_linear}. *)
+(** {!classify_fid_c} with the result as an option, for the callers off
+    the engine's path (oracles, bench, tests). Without [~stats] it counts
+    into a fresh record. Allocates the [Some] of a match, the record or
+    the caller's [Some] around [~stats]. *)

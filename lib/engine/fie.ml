@@ -96,7 +96,7 @@ type runtime = {
   ws_terms : Vw_util.Worklist.t;
   ws_conds : Vw_util.Worklist.t;
   mutable started : bool;
-  mutable last_match : Vw_sim.Simtime.t option;
+  mutable last_match : Vw_sim.Simtime.t; (* -1 until a packet matches *)
 }
 
 let pindex = function Vw_stack.Hook.Ingress -> 0 | Vw_stack.Hook.Egress -> 1
@@ -200,7 +200,9 @@ let ctl_of_msg = function
   | Control.Report_error { nid; rule } -> Ev.C_report_error { nid; rule }
 
 let last_match_time t =
-  match t.rt with Some rt -> rt.last_match | None -> None
+  match t.rt with
+  | Some rt when rt.last_match >= 0 -> Some rt.last_match
+  | Some _ | None -> None
 
 let counter_value t name =
   match t.rt with
@@ -687,7 +689,7 @@ and init_local t ~controller_nid tables =
           ws_conds =
             Vw_util.Worklist.create (Array.length tables.Tables.conds);
           started = false;
-          last_match = None;
+          last_match = -1;
         }
       in
       (* Initial term/condition statuses from the all-zero counter state —
@@ -850,7 +852,7 @@ let process_classified t rt point (frame : Vw_net.Eth.t) ~fid ~scanned =
     charge_cost t point ~scanned ~actions:0 (Vw_stack.Hook.Accept frame)
   else begin
     t.stats.packets_matched <- t.stats.packets_matched + 1;
-    rt.last_match <- Some (now t);
+    rt.last_match <- now t;
     (* the classification event roots the causal chain for everything
        this packet triggers, until the verdict is decided *)
     let recording = Rec.enabled t.obs in
@@ -920,12 +922,7 @@ let handle_packet t point (frame : Vw_net.Eth.t) =
   | Some rt ->
       let scanned_before = t.cls.Classifier.filters_scanned in
       let fid =
-        match
-          Classifier.classify_frame_c ~stats:t.cls rt.compiled
-            ~bindings:rt.bindings frame
-        with
-        | Some fid -> fid
-        | None -> -1
+        Classifier.classify_fid_c t.cls rt.compiled ~bindings:rt.bindings frame
       in
       let scanned = t.cls.Classifier.filters_scanned - scanned_before in
       process_classified t rt point frame ~fid ~scanned

@@ -106,22 +106,42 @@ type t = {
    that window equal [v] exactly, so the classifier reads the field once
    and scans just that bucket (merged, in fid order, with the fallback
    filters that do not constrain the window — Var_pattern or masked
-   tuples). Semantics are identical to the linear scan by construction.
-   Derived from the filter table by [Compiled.of_tables], never shipped. *)
+   tuples). Semantics are identical to the linear scan by construction:
+   the lookup itself tests each bucketed filter's index tuple, so the
+   compiled form does not store it. Derived from the filter table by
+   [Compiled.of_tables], never shipped. *)
 
-let tuple_key_value (tu : tuple) =
-  (* a tuple usable as an index key: mask-free literal, int-readable *)
+(* a tuple usable as an index key: a mask-free literal of 1-7 bytes,
+   int-readable *)
+let keyable (tu : tuple) =
   match tu.t_pat with
-  | Bytes_pattern b when tu.t_mask = None && tu.t_len >= 1 && tu.t_len <= 7 ->
-      Some (Vw_util.Hexutil.to_int_be b ~pos:0 ~len:(Bytes.length b))
-  | Bytes_pattern _ | Var_pattern _ -> None
+  | Bytes_pattern _ -> Option.is_none tu.t_mask && tu.t_len >= 1 && tu.t_len <= 7
+  | Var_pattern _ -> false
+
+(* the tuple that keys a filter on the (offset, len) window: its first
+   mask-free literal there *)
+let index_tuple ~offset ~len (tu : tuple) =
+  tu.t_offset = offset && tu.t_len = len && keyable tu
 
 let filter_key_at ~offset ~len (f : filter_entry) =
-  List.find_map
-    (fun tu ->
-      if tu.t_offset = offset && tu.t_len = len then tuple_key_value tu
-      else None)
-    f.f_tuples
+  match List.find_opt (index_tuple ~offset ~len) f.f_tuples with
+  | Some { t_pat = Bytes_pattern b; _ } ->
+      Some (Vw_util.Hexutil.to_int_be b ~pos:0 ~len:(Bytes.length b))
+  | Some { t_pat = Var_pattern _; _ } | None -> None
+
+(* each keyable window of [f] once, in tuple order *)
+let keyable_windows (f : filter_entry) =
+  List.fold_left
+    (fun seen tu ->
+      if
+        keyable tu
+        && not
+             (List.exists
+                (fun (o, l) -> o = tu.t_offset && l = tu.t_len)
+                seen)
+      then (tu.t_offset, tu.t_len) :: seen
+      else seen)
+    [] f.f_tuples
 
 let build_index (filters : filter_entry array) =
   (* pick the discriminator: the (offset, len) keyable in the most filters;
@@ -129,18 +149,11 @@ let build_index (filters : filter_entry array) =
   let counts = Hashtbl.create 8 in
   Array.iter
     (fun f ->
-      let seen = Hashtbl.create 4 in
       List.iter
-        (fun tu ->
-          if tuple_key_value tu <> None then begin
-            let k = (tu.t_offset, tu.t_len) in
-            if not (Hashtbl.mem seen k) then begin
-              Hashtbl.replace seen k ();
-              Hashtbl.replace counts k
-                (1 + Option.value (Hashtbl.find_opt counts k) ~default:0)
-            end
-          end)
-        f.f_tuples)
+        (fun k ->
+          Hashtbl.replace counts k
+            (1 + Option.value (Hashtbl.find_opt counts k) ~default:0))
+        (keyable_windows f))
     filters;
   let best =
     Hashtbl.fold
@@ -208,15 +221,25 @@ type t_record = t
 (* --- the classifier's compiled structure-of-arrays form ---
 
    [Compiled.of_tables] flattens the filter table once, at INIT, into dense
-   int arrays (tuples in CSR layout over a shared byte pool) and builds the
-   classification index, so the per-packet classifier reads contiguous ints
-   instead of chasing list cells and variant blocks. Nothing here is
-   shipped: every field is derived, and the equivalence with the linear
-   scan over the record form is property-tested. *)
+   int arrays and builds the classification index, so the per-packet
+   classifier reads contiguous ints instead of chasing list cells and
+   variant blocks. A filter's tuples land in three places: the tuple the
+   bucket lookup already tests (a bucketed filter's index tuple) is
+   dropped, the first keyed tuple left goes to the fid-indexed [fk_*]
+   arrays, and any others go to the CSR arrays over a shared byte pool.
+   Nothing here is shipped: every field is derived, and the equivalence
+   with the linear scan over the record form is property-tested. *)
 
 module Compiled = struct
   type t = {
-    (* filter table: tuples in CSR form over a shared byte pool *)
+    (* the key tuple of each filter, indexed by fid; (14, 0, 0, 0), the
+       empty window at the payload's start that every frame matches, when
+       it has none *)
+    fk_pos : int array;
+    fk_len : int array;
+    fk_mask : int array;
+    fk_key : int array;
+    (* the remaining tuples in CSR form over a shared byte pool *)
     f_start : int array;  (* fid -> first tuple index; length n_filters+1 *)
     tu_offset : int array;
     tu_pat : int array;
@@ -237,13 +260,19 @@ module Compiled = struct
   }
 
   (* Literal tuples of at most [max_key_len] bytes compile to one
-     big-endian int each: [tu_pat] holds [pattern land mask] and [tu_mask]
+     big-endian int each: the key holds [pattern land mask] and the mask
      the int mask, so the classifier tests [window land mask = key] with
      one read and one compare. Seven bytes is the most a 63-bit int holds
      unsigned. *)
   let max_key_len = 7
 
   let keyed c ti = c.tu_pat.(ti) >= 0 && c.tu_plen.(ti) <= max_key_len
+
+  (* a tuple that compiles to an int key and mask *)
+  let is_keyed (tu : tuple) =
+    match tu.t_pat with
+    | Bytes_pattern b -> Bytes.length b <= max_key_len
+    | Var_pattern _ -> false
 
   (* the int form of a mask over a [len]-byte window: bytes beyond a short
      mask (and every byte when there is none) count as 0xff *)
@@ -259,12 +288,49 @@ module Compiled = struct
     done;
     !m
 
+  (* a keyed tuple's (mask, key) *)
+  let int_key (tu : tuple) b =
+    let len = Bytes.length b in
+    let mask = int_mask tu.t_mask len in
+    let value = if len = 0 then 0 else Vw_util.Hexutil.to_int_be b ~pos:0 ~len in
+    (mask, value land mask)
+
+  (* [l] without its first element satisfying [p], and that element *)
+  let rec take_first p = function
+    | [] -> (None, [])
+    | x :: rest when p x -> (Some x, rest)
+    | x :: rest ->
+        let found, rest = take_first p rest in
+        (found, x :: rest)
+
   let of_tables (t : t_record) =
+    let ci_offset, ci_len, ci_buckets, ci_fallback = build_index t.filters in
     let n_filters = Array.length t.filters in
-    (* filters: count tuples, then fill arrays and the byte pool *)
+    (* the tuples the scan still tests: the bucket lookup has tested a
+       bucketed filter's index tuple, the one [filter_key_at] found *)
+    let is_index_tuple = index_tuple ~offset:ci_offset ~len:ci_len in
+    let fk_pos = Array.make n_filters Vw_net.Eth.header_size in
+    let fk_len = Array.make n_filters 0 in
+    let fk_mask = Array.make n_filters 0 and fk_key = Array.make n_filters 0 in
+    let rest =
+      Array.mapi
+        (fun fid (f : filter_entry) ->
+          let _, tuples = take_first is_index_tuple f.f_tuples in
+          match take_first is_keyed tuples with
+          | Some ({ t_pat = Bytes_pattern b; _ } as tu), rest ->
+              let mask, key = int_key tu b in
+              fk_pos.(fid) <- tu.t_offset;
+              fk_len.(fid) <- Bytes.length b;
+              fk_mask.(fid) <- mask;
+              fk_key.(fid) <- key;
+              rest
+          | Some { t_pat = Var_pattern _; _ }, _ | None, _ -> tuples)
+        t.filters
+    in
+    (* the rest: count tuples, then fill arrays and the byte pool *)
     let f_start = Array.make (n_filters + 1) 0 in
     for fid = 0 to n_filters - 1 do
-      f_start.(fid + 1) <- f_start.(fid) + List.length t.filters.(fid).f_tuples
+      f_start.(fid + 1) <- f_start.(fid) + List.length rest.(fid)
     done;
     let n_tuples = f_start.(n_filters) in
     let tu_offset = Array.make n_tuples 0 in
@@ -279,7 +345,7 @@ module Compiled = struct
       off
     in
     Array.iteri
-      (fun fid (f : filter_entry) ->
+      (fun fid tuples ->
         List.iteri
           (fun k (tu : tuple) ->
             let ti = f_start.(fid) + k in
@@ -288,14 +354,10 @@ module Compiled = struct
             | Some m -> tu_mlen.(ti) <- Bytes.length m
             | None -> tu_mlen.(ti) <- 0);
             match tu.t_pat with
-            | Bytes_pattern b when Bytes.length b <= max_key_len ->
-                let len = Bytes.length b in
-                let mask = int_mask tu.t_mask len in
-                let value =
-                  if len = 0 then 0 else Vw_util.Hexutil.to_int_be b ~pos:0 ~len
-                in
-                tu_pat.(ti) <- value land mask;
-                tu_plen.(ti) <- len;
+            | Bytes_pattern b when is_keyed tu ->
+                let mask, key = int_key tu b in
+                tu_pat.(ti) <- key;
+                tu_plen.(ti) <- Bytes.length b;
                 tu_mask.(ti) <- mask
             | Bytes_pattern b ->
                 tu_pat.(ti) <- intern b;
@@ -305,11 +367,14 @@ module Compiled = struct
                 tu_pat.(ti) <- -(vid + 1);
                 tu_plen.(ti) <- 0;
                 tu_mask.(ti) <- Option.fold ~none:(-1) ~some:intern tu.t_mask)
-          f.f_tuples)
-      t.filters;
+          tuples)
+      rest;
     let pool = Buffer.to_bytes pool_buf in
-    let ci_offset, ci_len, ci_buckets, ci_fallback = build_index t.filters in
     {
+      fk_pos;
+      fk_len;
+      fk_mask;
+      fk_key;
       f_start;
       tu_offset;
       tu_pat;

@@ -127,14 +127,30 @@ val eval_cond : t -> term_status:bool array -> int -> bool
     given term statuses, left to right with short-circuit [&&] / [||]. *)
 
 (** The classifier's immutable structure-of-arrays form, compiled once
-    from the filter table at INIT: the tuples in CSR (start-offset + flat
-    member) layout, literal patterns and masks as int keys or in one byte
-    pool, and the classification index. The record form stays the
-    wire/codec format and is what the cascade walks. See DESIGN.md §5e. *)
+    from the filter table at INIT, and the classification index. A
+    filter's tuples land in three places:
+    - a bucketed filter does not carry its index tuple, its first
+      mask-free literal on the index window: selecting the bucket has
+      already tested it (see [ci_buckets]);
+    - its first keyed tuple left (see {!keyed}) moves to the fid-indexed
+      [fk_*] arrays, which the classifier tests first, as one inline
+      compare;
+    - any others stay in CSR (start-offset + flat member) layout, as int
+      keys or in one byte pool.
+
+    The record form stays the wire/codec format and is what the cascade
+    walks. See DESIGN.md §5e. *)
 module Compiled : sig
   type t = {
+    fk_pos : int array;
+        (** fid → the key tuple's frame byte offset. A filter without one
+            holds (14, 0, 0, 0) in [fk_*]: the empty window at the
+            payload's start, which every frame matches. *)
+    fk_len : int array;  (** fid → the key tuple's length (0–7 bytes) *)
+    fk_mask : int array;  (** fid → the key tuple's int mask *)
+    fk_key : int array;  (** fid → the key tuple's int key *)
     f_start : int array;
-        (** fid → first tuple index (CSR, length n_filters+1) *)
+        (** fid → first remaining tuple index (CSR, length n_filters+1) *)
     tu_offset : int array;  (** per tuple: frame byte offset *)
     tu_pat : int array;
         (** keyed tuple (see {!keyed}): the big-endian int key, pattern
@@ -157,7 +173,8 @@ module Compiled : sig
             frame bytes at [ci_offset, ci_offset+ci_len) to equal [v], so
             the classifier reads the field once and scans
             [bucket ∪ fallback] in fid order — semantically identical to
-            the full linear scan. *)
+            the full linear scan. The lookup is that filter's index
+            tuple's test, so neither [fk_*] nor the CSR arrays hold it. *)
     ci_fallback : int array;
         (** fids that do not constrain the field (Var_pattern, masked, or
             no tuple at the window) — always scanned, ascending *)
@@ -167,7 +184,7 @@ module Compiled : sig
   (** 7: the longest literal that compiles to an int key. *)
 
   val keyed : t -> int -> bool
-  (** [keyed c ti]: tuple [ti] is a literal of at most {!max_key_len}
+  (** [keyed c ti]: CSR tuple [ti] is a literal of at most {!max_key_len}
       bytes, stored as an int key and mask rather than in [pool]. The
       classifier tests it as one window read, [land] mask, compare. *)
 end

@@ -198,15 +198,19 @@ let emit_report_raised t ~nid ~rule =
 
 (* --- readout --- *)
 
-let events t =
-  List.init t.len (fun i ->
-      let idx = t.start + i in
+(* the retained events from the [first]-oldest on, decoded *)
+let events_from t first =
+  List.init (t.len - first) (fun i ->
+      let idx = t.start + first + i in
       let idx = if idx >= t.slots then idx - t.slots else idx in
       match
         Binlog.decode_slot t.ring ~off:(idx * Binlog.slot_bytes) ~node:t.node
       with
       | Ok e -> e
       | Error m -> failwith ("Recorder.events: corrupt slot: " ^ m))
+
+let events t = events_from t 0
+let newest t n = events_from t (max 0 (t.len - n))
 
 let append_binary buf t =
   let sb = Binlog.slot_bytes in

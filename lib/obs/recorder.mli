@@ -94,6 +94,10 @@ val set_cause : t -> int -> unit
 val events : t -> Event.t list
 (** Retained events, oldest first, decoded from the ring. *)
 
+val newest : t -> int -> Event.t list
+(** [newest t n]: the last [n] of {!events} (all of them when fewer are
+    retained), decoded without the others. *)
+
 val append_binary : Buffer.t -> t -> unit
 (** Append this recorder's retained events as raw [vw-events/2] slots,
     oldest first: the (at most two) contiguous ring regions, blitted

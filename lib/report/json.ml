@@ -110,7 +110,13 @@ let parse_number c =
       | Some f -> Float f
       | None -> fail start (Printf.sprintf "bad number %S" s))
 
-let rec parse_value c =
+(* The deepest nesting of arrays and objects a document may have. The
+   tool's own schemas nest at most five levels; without a bound, a
+   hostile line of [[[[... makes the parser's stack, and its time, grow
+   with the input. *)
+let max_depth = 512
+
+let rec parse_value c depth =
   skip_ws c;
   match peek c with
   | None -> fail c.pos "unexpected end of input"
@@ -118,6 +124,8 @@ let rec parse_value c =
   | Some 't' -> literal c "true" (Bool true)
   | Some 'f' -> literal c "false" (Bool false)
   | Some 'n' -> literal c "null" Null
+  | Some ('[' | '{') when depth = max_depth ->
+      fail c.pos (Printf.sprintf "nested deeper than %d levels" max_depth)
   | Some '[' ->
       expect c '[';
       skip_ws c;
@@ -127,7 +135,7 @@ let rec parse_value c =
       end
       else
         let rec items acc =
-          let v = parse_value c in
+          let v = parse_value c (depth + 1) in
           skip_ws c;
           match peek c with
           | Some ',' ->
@@ -152,7 +160,7 @@ let rec parse_value c =
           let k = parse_string c in
           skip_ws c;
           expect c ':';
-          let v = parse_value c in
+          let v = parse_value c (depth + 1) in
           skip_ws c;
           match peek c with
           | Some ',' ->
@@ -169,7 +177,7 @@ let rec parse_value c =
 
 let parse s =
   let c = { src = s; len = String.length s; pos = 0 } in
-  match parse_value c with
+  match parse_value c 0 with
   | v ->
       skip_ws c;
       if c.pos < c.len then

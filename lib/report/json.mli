@@ -19,7 +19,8 @@ type t =
 
 val parse : string -> (t, string) result
 (** Parse one JSON document; the error carries a byte offset. Trailing
-    whitespace is allowed, trailing garbage is not. *)
+    whitespace is allowed, trailing garbage is not. Arrays and objects
+    nested deeper than 512 levels are an error. *)
 
 val parse_exn : string -> t
 (** @raise Failure on malformed input. *)

@@ -21,7 +21,7 @@ let read_file path =
 
 (* run one corpus script exactly as `vwctl conform` would: directives
    pick the workload/duration/arp config, the driver does the rest *)
-let run_corpus_case ?(on_start = ignore) path =
+let run_corpus_case ?(on_start = ignore) ?capacity path =
   let source = read_file path in
   match Workloads.parse_directives source with
   | Error e -> failf "%s: bad directives: %s" path e
@@ -36,14 +36,16 @@ let run_corpus_case ?(on_start = ignore) path =
         Workloads.make d.Workloads.d_workload ~bytes:d.d_bytes tb
       in
       let max_duration = Vw_sim.Simtime.sec d.d_duration in
-      Driver.run ~config ~max_duration ~workload ~name:(Filename.basename path)
-        ~source ()
+      Driver.run ~config ~max_duration ?capacity ~workload
+        ~name:(Filename.basename path) ~source ()
 
-let corpus_files () =
-  Sys.readdir "conformance" |> Array.to_list
+let fsl_files dir =
+  Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".fsl")
   |> List.sort compare
-  |> List.map (fun f -> Filename.concat "conformance" f)
+  |> List.map (fun f -> Filename.concat dir f)
+
+let corpus_files () = fsl_files "conformance"
 
 let failed_diagnoses r =
   List.filter_map
@@ -244,6 +246,60 @@ let test_eval_order_independent () =
       "conformance/failing/tolerance_miss.fsl";
     ]
 
+(* --- the driver decodes the rings once ---
+
+   [c_events] is the first decode of the rings followed by the verdict
+   stamps, which must be exactly what decoding the finished testbed's
+   rings gives: on every committed case (the e2ebench corpus holds copies
+   of some, run once), and on rings small enough that the stamps
+   overwrite retained events, where the driver decodes again. *)
+
+let test_events_decoded_once () =
+  let run ?capacity path =
+    let testbed = ref None in
+    match
+      run_corpus_case ?capacity ~on_start:(fun tb -> testbed := Some tb) path
+    with
+    | Error errs -> failf "%s: %s" path (String.concat "; " errs)
+    | Ok r ->
+        let tb = Option.get !testbed in
+        check bool
+          (Printf.sprintf "%s (capacity %s): c_events = Testbed.events" path
+             (Option.fold ~none:"default" ~some:string_of_int capacity))
+          true
+          (r.Driver.c_events = Vw_core.Testbed.events tb);
+        (r, tb)
+  in
+  let distinct =
+    List.fold_left
+      (fun seen path ->
+        let src = read_file path in
+        if List.mem_assoc src seen then seen else (src, path) :: seen)
+      []
+      (corpus_files ()
+      @ fsl_files "conformance/failing"
+      @ fsl_files "../e2ebench/corpus")
+  in
+  List.iter (fun (_, path) -> ignore (run path)) (List.rev distinct);
+  (* rings smaller than the first node's log, where the stamps land *)
+  let path = "conformance/tcp_retransmit_drop.fsl" in
+  let r, tb = run path in
+  let stamps = List.length r.Driver.c_checked in
+  check bool "several stamps" true (stamps >= 2);
+  let first tb =
+    let name = Vw_core.Testbed.name (List.hd (Vw_core.Testbed.nodes tb)) in
+    Option.get (Vw_core.Testbed.recorder tb name)
+  in
+  let held = Vw_obs.Recorder.length (first tb) - stamps in
+  (* one the run itself wraps *)
+  let _, tb = run ~capacity:(held / 2) path in
+  check bool "the run wrapped the ring" true
+    (Vw_obs.Recorder.dropped (first tb) > stamps);
+  (* one that only the stamps overwrite *)
+  let _, tb = run ~capacity:(held + 1) path in
+  check int "the stamps overwrote" (stamps - 1)
+    (Vw_obs.Recorder.dropped (first tb))
+
 (* --- qcheck: CONFORM survives the print->parse round-trip --- *)
 
 let seed_gen = QCheck.(int_bound 1_000_000)
@@ -297,5 +353,7 @@ let suite =
           test_generator_emits_conform;
         test_case "verdicts ignore event order" `Quick
           test_eval_order_independent;
+        test_case "the driver decodes the rings once" `Quick
+          test_events_decoded_once;
       ] );
   ]

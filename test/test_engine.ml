@@ -119,17 +119,25 @@ let tables_of_filters filters =
 (* Tuples reach the compiled kernel's edges: 7- and 8-byte literals (the
    last int key and the first pool byte loop), masks shorter than their
    pattern, windows at offsets 10-16 straddling the header/payload
-   boundary, and frames short enough for windows to run past their end. *)
+   boundary, and frames short enough for windows to run past their end.
+   A third of the tuples sit on one window per case, so the index
+   usually keys on it: bucketed filters then often carry no other tuple,
+   or a second literal there, equal to the first or not. *)
 let gen_equiv_case =
   let open QCheck.Gen in
   let small_char = oneofl [ '\x00'; '\x01' ] in
   let gen_pat len =
     map Bytes.of_string (string_size ~gen:small_char (return len))
   in
-  let gen_tuple =
+  let gen_window =
     frequency [ (6, int_range 1 2); (1, int_range 3 6); (2, int_range 7 8) ]
-    >>= fun t_len ->
-    frequency [ (3, int_range 10 16); (1, return 34) ] >>= fun t_offset ->
+    >>= fun len ->
+    frequency [ (3, int_range 10 16); (1, return 34) ] >>= fun off ->
+    return (off, len)
+  in
+  let gen_tuple hot =
+    frequency [ (1, return hot); (2, gen_window) ]
+    >>= fun (t_offset, t_len) ->
     frequency
       [
         (4, return None);
@@ -144,9 +152,15 @@ let gen_equiv_case =
       ]
     >>= fun t_pat -> return { Tables.t_offset; t_len; t_mask; t_pat }
   in
+  gen_window >>= fun hot ->
   int_range 1 16 >>= fun n_filters ->
-  list_size (return n_filters) (list_size (int_range 0 3) gen_tuple)
-  >>= fun tuple_lists ->
+  let gen_filter =
+    list_size (int_range 0 3) (gen_tuple hot) >>= function
+    | [] -> return []
+    | tu :: _ as tuples ->
+        frequency [ (5, return tuples); (1, return (tuples @ [ tu ])) ]
+  in
+  list_size (return n_filters) gen_filter >>= fun tuple_lists ->
   let filters =
     Array.of_list
       (List.mapi
@@ -182,13 +196,127 @@ let prop_compiled_equals_linear =
           = C.classify_linear t ~bindings (Vw_net.Eth.to_bytes frame))
         frames)
 
+(* The mask-free literals a filter has on the index window, read from the
+   record form; it keys on the first. *)
+let index_literals (c : Tables.Compiled.t) (f : Tables.filter_entry) =
+  List.filter_map
+    (fun (tu : Tables.tuple) ->
+      match tu.Tables.t_pat with
+      | Tables.Bytes_pattern b
+        when tu.Tables.t_offset = c.Tables.Compiled.ci_offset
+             && tu.Tables.t_len = c.Tables.Compiled.ci_len
+             && tu.Tables.t_mask = None ->
+          Some b
+      | _ -> None)
+    f.Tables.f_tuples
+
+(* The edge shapes [gen_equiv_case] must reach, with whether one case
+   reaches each. *)
+let equiv_shapes (filters, _, frames) =
+  let c = Tables.compile (tables_of_filters filters) in
+  let off = c.Tables.Compiled.ci_offset and len = c.Tables.Compiled.ci_len in
+  let index_literals = index_literals c in
+  let two_literals same =
+    Array.exists
+      (fun f ->
+        match index_literals f with
+        | a :: rest -> List.exists (fun b -> Bytes.equal a b = same) rest
+        | [] -> false)
+      filters
+  in
+  let tuples =
+    List.concat_map (fun f -> f.Tables.f_tuples) (Array.to_list filters)
+  in
+  let size = Vw_net.Eth.size in
+  [
+    ("two equal literals on the index window", two_literals true);
+    ("two different literals on the index window", two_literals false);
+    ( "a bucketed filter with no other tuple",
+      Array.exists
+        (fun (f : Tables.filter_entry) ->
+          List.length f.Tables.f_tuples = 1 && index_literals f <> [])
+        filters );
+    ( "a window crossing byte 14",
+      List.exists
+        (fun (tu : Tables.tuple) ->
+          tu.Tables.t_offset < 14 && tu.Tables.t_offset + tu.Tables.t_len > 14)
+        tuples );
+    ( "a window past the frame's end",
+      List.exists
+        (fun fr ->
+          List.exists
+            (fun (tu : Tables.tuple) ->
+              tu.Tables.t_offset + tu.Tables.t_len > size fr)
+            tuples)
+        frames );
+    ( "a frame shorter than the index window",
+      off >= 0 && List.exists (fun fr -> size fr < off + len) frames );
+  ]
+
+(* Each shape above turns up in at least a tenth of the cases the
+   equivalence properties draw. *)
+let test_equiv_shapes () =
+  let rand = Random.State.make [| Vw_util.Prng.run_seed () |] in
+  let n = 500 in
+  let cases = List.init n (fun _ -> gen_equiv_case rand) in
+  let shapes = List.map equiv_shapes cases in
+  let share (name, _) =
+    let hits = List.length (List.filter (fun s -> List.assoc name s) shapes) in
+    Printf.printf "%-45s %3d of %d cases\n" name hits n;
+    (name, hits)
+  in
+  List.iter
+    (fun (name, hits) ->
+      if 10 * hits < n then
+        Alcotest.failf "%s: in %d of %d cases, below a tenth" name hits n)
+    (List.map share (List.hd shapes))
+
+(* The count of filters tested per frame, modelled on the record form:
+   the filters the frame's index window selects (those keyed there on
+   the frame's bytes) and those not keyed there, at or below the first
+   match, or all of them when nothing matches. *)
+let prop_scanned_equals_model =
+  QCheck.Test.make ~name:"filters_scanned == bucket-and-fallback model"
+    ~count:500 (QCheck.make gen_equiv_case)
+    (fun (filters, bindings, frames) ->
+      let module C = Vw_engine.Classifier in
+      let t = tables_of_filters filters in
+      let ct = Tables.compile t in
+      let off = ct.Tables.Compiled.ci_offset
+      and len = ct.Tables.Compiled.ci_len in
+      let stats = C.new_scan_stats () in
+      List.for_all
+        (fun frame ->
+          let data = Vw_net.Eth.to_bytes frame in
+          let first =
+            Option.value (C.classify_linear t ~bindings data)
+              ~default:(Array.length filters)
+          in
+          let candidate f =
+            match index_literals ct f with
+            | [] -> true
+            | key :: _ ->
+                off + len <= Bytes.length data
+                && Bytes.equal key (Bytes.sub data off len)
+          in
+          let model =
+            Array.fold_left
+              (fun n (f : Tables.filter_entry) ->
+                if f.Tables.fid <= first && candidate f then n + 1 else n)
+              0 filters
+          in
+          let before = stats.C.filters_scanned in
+          ignore (C.classify_fid_c stats ct ~bindings frame);
+          stats.C.filters_scanned - before = model)
+        frames)
+
 (* --- the compiled classifier allocates a constant per frame ---
 
    The blast_mixed1k shape: singleton buckets, one 256-filter shared
    bucket whose second tuple never matches, and 255 masked filters in the
    always-scanned fallback, so a frame tests anywhere from 1 to 511
    filters. What [classify_frame_c] allocates must not grow with that
-   number. *)
+   number, and [classify_fid_c], the engine's entry, allocates nothing. *)
 
 let blast_shape_tables () =
   compile
@@ -262,6 +390,17 @@ let test_compiled_classify_no_alloc () =
   let per_frame = (Gc.minor_words () -. w0) /. float_of_int (rounds * n) in
   if per_frame > 8.0 then
     Alcotest.failf "classify_frame_c allocated %.1f minor words per frame"
+      per_frame;
+  (* the engine's entry, without the option wrapper, allocates nothing *)
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    for i = 0 to n - 1 do
+      ignore (Sys.opaque_identity (C.classify_fid_c stats ct ~bindings frames.(i)))
+    done
+  done;
+  let per_frame = (Gc.minor_words () -. w0) /. float_of_int (rounds * n) in
+  if per_frame > 0.01 then
+    Alcotest.failf "classify_fid_c allocated %.2f minor words per frame"
       per_frame
 
 (* --- end-to-end scenario helpers --- *)
@@ -1569,6 +1708,9 @@ let suite =
           test_compiled_classify_no_alloc;
         Alcotest.test_case "compiled eval_term / eval_cond" `Quick
           test_compiled_eval_term_cond;
+        Alcotest.test_case "equivalence cases reach the edge shapes" `Quick
+          test_equiv_shapes;
+        qtest prop_scanned_equals_model;
       ] );
     ( "engine.batch",
       [

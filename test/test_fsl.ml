@@ -530,7 +530,10 @@ let prop_wire_bytes_roundtrip =
 
 (* Tables.compile stores each literal tuple of at most 7 bytes as an int
    key, pattern land mask, with its int mask (0xff past a short mask);
-   8-byte literals and VARs keep their bytes in the pool. *)
+   8-byte literals and VARs keep their bytes in the pool. A bucketed
+   filter's index tuple is not stored: its value is its bucket's key. Each
+   filter's first keyed tuple left sits in the fid-indexed [fk_*] arrays,
+   and the others in CSR order. *)
 let test_compile_keyed_tuples () =
   let tu ?mask t_offset pat =
     let t_pat, t_len =
@@ -550,6 +553,8 @@ let test_compile_keyed_tuples () =
         [ tu 10 (`Lit "01020304050607"); tu 16 (`Lit "ffeeddcc") ~mask:"0f" ];
         [ tu 14 (`Lit "0102030405060708") ~mask:"ff00"; tu 34 (`Var (0, 2)) ~mask:"00ff" ];
         [ tu 20 (`Lit "a5a5a5a5a5a5a5") ~mask:"ffffffffffff0f" ];
+        [ tu 12 (`Lit "0806") ];
+        [ tu 12 (`Lit "0800"); tu 12 (`Lit "0806"); tu 23 (`Lit "11") ];
       |]
   in
   let tables =
@@ -568,34 +573,90 @@ let test_compile_keyed_tuples () =
   in
   let c = Tables.compile tables in
   let module C = Tables.Compiled in
+  check Alcotest.(pair int int) "index window" (12, 2) (c.C.ci_offset, c.C.ci_len);
+  (* a short literal's int mask and key *)
+  let int_form (t : Tables.tuple) b =
+    let mask_byte i =
+      match t.Tables.t_mask with
+      | Some m when i < Bytes.length m -> Char.code (Bytes.get m i)
+      | _ -> 0xff
+    in
+    let key = ref 0 and mask = ref 0 in
+    Bytes.iteri
+      (fun i ch ->
+        key := (!key * 256) + (Char.code ch land mask_byte i);
+        mask := (!mask * 256) + mask_byte i)
+      b;
+    check Alcotest.int "key = pattern land mask" !key
+      (Vw_util.Hexutil.to_int_be b ~pos:0 ~len:(Bytes.length b) land !mask);
+    (!mask, !key)
+  in
   let keyed = ref 0 in
+  let rec take_first p = function
+    | [] -> (None, [])
+    | x :: rest when p x -> (Some x, rest)
+    | x :: rest ->
+        let found, rest = take_first p rest in
+        (found, x :: rest)
+  in
   Array.iteri
     (fun fid (f : Tables.filter_entry) ->
+      let where = Printf.sprintf "f%d" fid in
+      (* the index tuple: its value selects the bucket holding [fid] *)
+      let index, rest =
+        take_first
+          (fun (t : Tables.tuple) ->
+            t.Tables.t_offset = 12 && t.Tables.t_len = 2 && t.Tables.t_mask = None
+            && match t.Tables.t_pat with Tables.Bytes_pattern _ -> true | _ -> false)
+          f.Tables.f_tuples
+      in
+      (match index with
+      | Some { Tables.t_pat = Tables.Bytes_pattern b; _ } ->
+          let bucket =
+            Hashtbl.find c.C.ci_buckets
+              (Vw_util.Hexutil.to_int_be b ~pos:0 ~len:2)
+          in
+          check Alcotest.bool (where ^ " in its index tuple's bucket") true
+            (Array.mem fid bucket)
+      | _ ->
+          check Alcotest.bool (where ^ " in the fallback") true
+            (Array.mem fid c.C.ci_fallback));
+      (* the first keyed tuple left: the fk arrays *)
+      let key_tuple, csr =
+        take_first
+          (fun (t : Tables.tuple) ->
+            match t.Tables.t_pat with
+            | Tables.Bytes_pattern b -> Bytes.length b <= 7
+            | Tables.Var_pattern _ -> false)
+          rest
+      in
+      let int4 = Alcotest.(pair (pair int int) (pair int int)) in
+      let fk =
+        ((c.C.fk_pos.(fid), c.C.fk_len.(fid)), (c.C.fk_mask.(fid), c.C.fk_key.(fid)))
+      in
+      (match key_tuple with
+      | Some ({ Tables.t_pat = Tables.Bytes_pattern b; _ } as t) ->
+          incr keyed;
+          let mask, key = int_form t b in
+          check int4 (where ^ " key tuple")
+            ((t.Tables.t_offset, Bytes.length b), (mask, key))
+            fk
+      | _ -> check int4 (where ^ " no key tuple") ((14, 0), (0, 0)) fk);
+      (* every other tuple, in CSR order *)
+      check Alcotest.int (where ^ " CSR tuples") (List.length csr)
+        (c.C.f_start.(fid + 1) - c.C.f_start.(fid));
       List.iteri
         (fun k (t : Tables.tuple) ->
           let ti = c.C.f_start.(fid) + k in
-          let where = Printf.sprintf "f%d tuple %d" fid k in
+          let where = Printf.sprintf "%s tuple %d" where k in
+          check Alcotest.int (where ^ " offset") t.Tables.t_offset c.C.tu_offset.(ti);
           match t.Tables.t_pat with
           | Tables.Bytes_pattern b when Bytes.length b <= 7 ->
               incr keyed;
               check Alcotest.bool (where ^ " keyed") true (C.keyed c ti);
-              let mask_byte i =
-                match t.Tables.t_mask with
-                | Some m when i < Bytes.length m -> Char.code (Bytes.get m i)
-                | _ -> 0xff
-              in
-              let key = ref 0 and mask = ref 0 in
-              Bytes.iteri
-                (fun i ch ->
-                  key := (!key * 256) + (Char.code ch land mask_byte i);
-                  mask := (!mask * 256) + mask_byte i)
-                b;
-              check Alcotest.int (where ^ " mask") !mask c.C.tu_mask.(ti);
-              check Alcotest.int (where ^ " key = pattern land mask") !key
-                c.C.tu_pat.(ti);
-              check Alcotest.int (where ^ " key = pattern land mask")
-                (Vw_util.Hexutil.to_int_be b ~pos:0 ~len:(Bytes.length b)
-                land c.C.tu_mask.(ti))
+              let mask, key = int_form t b in
+              check Alcotest.int (where ^ " mask") mask c.C.tu_mask.(ti);
+              check Alcotest.int (where ^ " key = pattern land mask") key
                 c.C.tu_pat.(ti)
           | Tables.Bytes_pattern b ->
               check Alcotest.bool (where ^ " not keyed") false (C.keyed c ti);
@@ -605,9 +666,9 @@ let test_compile_keyed_tuples () =
           | Tables.Var_pattern vid ->
               check Alcotest.bool (where ^ " not keyed") false (C.keyed c ti);
               check Alcotest.int (where ^ " var id") (-(vid + 1)) c.C.tu_pat.(ti))
-        f.Tables.f_tuples)
+        csr)
     filters;
-  check Alcotest.int "keyed tuples" 5 !keyed
+  check Alcotest.int "keyed tuples" 6 !keyed
 
 let suite =
   [

@@ -89,6 +89,29 @@ let test_json_errors () =
   List.iter bad
     [ ""; "{"; "[1,]"; "{\"a\" 1}"; "tru"; "\"unterminated"; "1 2" ]
 
+(* Nesting is bounded: a document 512 levels deep parses, and a million
+   unclosed arrays or objects is an [Error], not a deep recursion. *)
+let test_json_depth () =
+  let nested n =
+    String.concat "" (List.init n (fun _ -> "["))
+    ^ String.concat "" (List.init n (fun _ -> "]"))
+  in
+  (match J.parse (nested 512) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "512 levels: %s" e);
+  let rejected what s =
+    match J.parse s with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s parsed" what
+  in
+  rejected "513 levels" (nested 513);
+  rejected "10^6 [" (String.make 1_000_000 '[');
+  let objects = Buffer.create 6_000_000 in
+  for _ = 1 to 1_000_000 do
+    Buffer.add_string objects "{\"a\":"
+  done;
+  rejected "10^6 {\"a\":" (Buffer.contents objects)
+
 (* --- Events_io: Event.to_json must round-trip --- *)
 
 let test_events_roundtrip () =
@@ -422,6 +445,7 @@ let suite =
       [
         Alcotest.test_case "values and accessors" `Quick test_json_values;
         Alcotest.test_case "malformed input" `Quick test_json_errors;
+        Alcotest.test_case "nesting is bounded" `Quick test_json_depth;
       ] );
     ( "report.events_io",
       [
