@@ -69,7 +69,8 @@ let check_classifier ~defect (o : Runner.outcome) =
   let compiled =
     let c = Tables.compile tables in
     match defect with
-    | Skip_index_bucket -> { c with Tables.Compiled.ci_buckets = Hashtbl.create 1 }
+    | Skip_index_bucket ->
+        { c with Tables.Compiled.ci_buckets = Vw_util.Int_tbl.create 1 }
     | _ -> c
   in
   let n_vars = Array.length tables.Tables.vars in

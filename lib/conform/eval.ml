@@ -22,7 +22,10 @@ let diagnosis = function
   | Tolerance_miss { diagnosis; _ } | Missed { diagnosis } -> diagnosis
 
 let point_name = function Ev.Ingress -> "ingress" | Ev.Egress -> "egress"
-let pp_time = Format.asprintf "%a" St.pp
+(* Eta-expanded: [Format.asprintf "%a" St.pp] alone would build one buffer
+   at module initialisation and share it between the worker domains of a
+   parallel [conform], which then garble each other's diagnoses. *)
+let pp_time t = Format.asprintf "%a" St.pp t
 
 (* One observed classification of an expectation's filter, with the faults
    of its causal context folded in: [cl_dropped] when a DROP was applied to

@@ -67,13 +67,13 @@ let unkeyed_matches_c (c : C.t) ~bindings (frame : Eth.t) ti =
 let empty_bucket : int array = [||]
 
 (* The bucket the frame's discriminating field selects, or [empty_bucket];
-   counts the hit or miss. [Hashtbl.find] rather than [find_opt]: a miss
+   counts the hit or miss. [Int_tbl.find] rather than [find_opt]: a miss
    raises the preallocated [Not_found] instead of boxing every hit. *)
 let bucket_c (c : C.t) s (frame : Eth.t) size =
   let off = c.C.ci_offset and len = c.C.ci_len in
   match
     if off >= 0 && off + len <= size then
-      Hashtbl.find c.C.ci_buckets (Eth.read_window frame ~pos:off ~len)
+      Vw_util.Int_tbl.find c.C.ci_buckets (Eth.read_window frame ~pos:off ~len)
     else raise_notrace Not_found
   with
   | fids ->

@@ -89,7 +89,7 @@ type runtime = {
       (* [point].[fid] -> counters this node may bump for that match *)
   faults_by_fid : armed_fault array array array;
       (* [point].[fid] -> armed faults in action-id order *)
-  reorder_buffers : (int, Vw_net.Eth.t Queue.t) Hashtbl.t;
+  reorder_buffers : Vw_net.Eth.t Queue.t Vw_util.Int_tbl.t; (* by aid *)
   (* reusable cascade worklists, sized to the table dimensions *)
   ws_counters : Vw_util.Worklist.t;
   ws_counters_next : Vw_util.Worklist.t;
@@ -681,7 +681,7 @@ and init_local t ~controller_nid tables =
           bindings = Array.make (Array.length tables.Tables.vars) None;
           observing_counters;
           faults_by_fid;
-          reorder_buffers = Hashtbl.create 4;
+          reorder_buffers = Vw_util.Int_tbl.create 4;
           ws_counters = Vw_util.Worklist.create n_counters;
           ws_counters_next = Vw_util.Worklist.create n_counters;
           ws_terms =
@@ -765,11 +765,11 @@ let apply_fault t rt point (frame : Vw_net.Eth.t) (af : armed_fault) =
   | `Reorder (n, order) ->
       t.stats.faults_reorder <- t.stats.faults_reorder + 1;
       let buffer =
-        match Hashtbl.find_opt rt.reorder_buffers af.af_aid with
-        | Some q -> q
-        | None ->
+        match Vw_util.Int_tbl.find rt.reorder_buffers af.af_aid with
+        | q -> q
+        | exception Not_found ->
             let q = Queue.create () in
-            Hashtbl.replace rt.reorder_buffers af.af_aid q;
+            Vw_util.Int_tbl.replace rt.reorder_buffers af.af_aid q;
             q
       in
       Queue.add frame buffer;

@@ -167,24 +167,27 @@ let build_index (filters : filter_entry array) =
   (* (offset, len, buckets, fallback); offset -1 when no index *)
   match best with
   | None ->
-      (-1, 0, Hashtbl.create 1, Array.init (Array.length filters) (fun i -> i))
+      ( -1,
+        0,
+        Vw_util.Int_tbl.create 1,
+        Array.init (Array.length filters) (fun i -> i) )
   | Some ((ci_offset, ci_len), _) ->
-      let buckets = Hashtbl.create 16 in
+      let buckets = Vw_util.Int_tbl.create 16 in
       let fallback = ref [] in
       Array.iteri
         (fun fid f ->
           match filter_key_at ~offset:ci_offset ~len:ci_len f with
           | Some key ->
               let prev =
-                Option.value (Hashtbl.find_opt buckets key) ~default:[]
+                Option.value (Vw_util.Int_tbl.find_opt buckets key) ~default:[]
               in
-              Hashtbl.replace buckets key (fid :: prev)
+              Vw_util.Int_tbl.replace buckets key (fid :: prev)
           | None -> fallback := fid :: !fallback)
         filters;
-      let ci_buckets = Hashtbl.create (Hashtbl.length buckets) in
-      Hashtbl.iter
+      let ci_buckets = Vw_util.Int_tbl.create (Vw_util.Int_tbl.length buckets) in
+      Vw_util.Int_tbl.iter
         (fun key fids ->
-          Hashtbl.replace ci_buckets key (Array.of_list (List.rev fids)))
+          Vw_util.Int_tbl.replace ci_buckets key (Array.of_list (List.rev fids)))
         buckets;
       (ci_offset, ci_len, ci_buckets, Array.of_list (List.rev !fallback))
 
@@ -255,7 +258,7 @@ module Compiled = struct
        immutable once built) *)
     ci_offset : int;
     ci_len : int;
-    ci_buckets : (int, int array) Hashtbl.t;
+    ci_buckets : int array Vw_util.Int_tbl.t;
     ci_fallback : int array;
   }
 
@@ -393,9 +396,11 @@ let compile = Compiled.of_tables
 
 let index_stats (c : Compiled.t) =
   let largest =
-    Hashtbl.fold (fun _ fids m -> max m (Array.length fids)) c.ci_buckets 0
+    Vw_util.Int_tbl.fold
+      (fun _ fids m -> max m (Array.length fids))
+      c.ci_buckets 0
   in
-  (Hashtbl.length c.ci_buckets, largest, Array.length c.ci_fallback)
+  (Vw_util.Int_tbl.length c.ci_buckets, largest, Array.length c.ci_fallback)
 
 let array_find pred arr =
   let n = Array.length arr in

@@ -167,14 +167,17 @@ module Compiled : sig
         (** classification index (see DESIGN.md "Per-packet fast path"):
             the discriminating field's offset; −1 when there is no index *)
     ci_len : int;  (** the discriminating field's length (1–7 bytes) *)
-    ci_buckets : (int, int array) Hashtbl.t;
+    ci_buckets : int array Vw_util.Int_tbl.t;
         (** big-endian field value → fids constraining the field to that
             value, ascending. A filter keyed under value [v] requires the
             frame bytes at [ci_offset, ci_offset+ci_len) to equal [v], so
             the classifier reads the field once and scans
             [bucket ∪ fallback] in fid order — semantically identical to
             the full linear scan. The lookup is that filter's index
-            tuple's test, so neither [fk_*] nor the CSR arrays hold it. *)
+            tuple's test, so neither [fk_*] nor the CSR arrays hold it.
+            An {!Vw_util.Int_tbl}, so the per-frame lookup hashes the
+            window value inline, with no call to the C [caml_hash];
+            nothing that reads the table depends on its order. *)
     ci_fallback : int array;
         (** fids that do not constrain the field (Var_pattern, masked, or
             no tuple at the window) — always scanned, ascending *)

@@ -65,8 +65,11 @@ let rec pump_direction t dir =
           transmit_done t dir frame;
           pump_direction t dir)
 
+(* A lossless link draws nothing: its stream feeds only this draw, so
+   skipping it moves no other outcome. [Bus] cannot skip, as its stream
+   also times contention and backoff. *)
 and transmit_done t dir frame =
-  if not (lost t.config t.prng t.stats) then begin
+  if t.config.loss_rate = 0. || not (lost t.config t.prng t.stats) then begin
     t.stats.delivered <- t.stats.delivered + 1;
     Vw_sim.Engine.schedule_after t.engine ~delay:t.config.propagation
       (fun () -> dir.rx frame)

@@ -7,7 +7,7 @@ type stats = {
 type t = {
   engine : Vw_sim.Engine.t;
   mutable ports : Link.endpoint array;
-  table : (Vw_net.Mac.t, int) Hashtbl.t;
+  table : int Vw_util.Int_tbl.t; (* [(mac :> int)] → port *)
   stats : stats;
 }
 
@@ -17,7 +17,7 @@ let create engine =
   {
     engine;
     ports = [||];
-    table = Hashtbl.create 16;
+    table = Vw_util.Int_tbl.create 16;
     stats = { forwarded = 0; flooded = 0; filtered = 0 };
   }
 
@@ -30,15 +30,15 @@ let flood t ~ingress frame =
   Array.iteri (fun i _ -> if i <> ingress then emit t i frame) t.ports
 
 let handle_frame t ~ingress (frame : Vw_net.Eth.t) =
-  Hashtbl.replace t.table frame.src ingress;
+  Vw_util.Int_tbl.replace t.table (frame.src :> int) ingress;
   if Vw_net.Mac.is_broadcast frame.dst then flood t ~ingress frame
   else
-    match Hashtbl.find_opt t.table frame.dst with
-    | Some port when port = ingress -> t.stats.filtered <- t.stats.filtered + 1
-    | Some port ->
+    match Vw_util.Int_tbl.find t.table (frame.dst :> int) with
+    | port when port = ingress -> t.stats.filtered <- t.stats.filtered + 1
+    | port ->
         t.stats.forwarded <- t.stats.forwarded + 1;
         emit t port frame
-    | None -> flood t ~ingress frame
+    | exception Not_found -> flood t ~ingress frame
 
 let attach t endpoint =
   let port = Array.length t.ports in

@@ -13,12 +13,11 @@ let size = 28
 
 let to_bytes t =
   let b = Bytes.create size in
-  Vw_util.Hexutil.set_int_be b ~pos:0 ~len:2 1 (* htype: Ethernet *);
-  Vw_util.Hexutil.set_int_be b ~pos:2 ~len:2 0x0800 (* ptype: IPv4 *);
+  Bytes.set_uint16_be b 0 1 (* htype: Ethernet *);
+  Bytes.set_uint16_be b 2 0x0800 (* ptype: IPv4 *);
   Bytes.set b 4 '\x06' (* hlen *);
   Bytes.set b 5 '\x04' (* plen *);
-  Vw_util.Hexutil.set_int_be b ~pos:6 ~len:2
-    (match t.op with Request -> 1 | Reply -> 2);
+  Bytes.set_uint16_be b 6 (match t.op with Request -> 1 | Reply -> 2);
   Mac.write t.sender_mac b ~pos:8;
   Ip_addr.write t.sender_ip b ~pos:14;
   Mac.write t.target_mac b ~pos:18;
@@ -27,12 +26,10 @@ let to_bytes t =
 
 let of_bytes b =
   if Bytes.length b < size then Error "arp: truncated"
-  else if Vw_util.Hexutil.to_int_be b ~pos:0 ~len:2 <> 1 then
-    Error "arp: not Ethernet"
-  else if Vw_util.Hexutil.to_int_be b ~pos:2 ~len:2 <> 0x0800 then
-    Error "arp: not IPv4"
+  else if Bytes.get_uint16_be b 0 <> 1 then Error "arp: not Ethernet"
+  else if Bytes.get_uint16_be b 2 <> 0x0800 then Error "arp: not IPv4"
   else
-    match Vw_util.Hexutil.to_int_be b ~pos:6 ~len:2 with
+    match Bytes.get_uint16_be b 6 with
     | (1 | 2) as op ->
         Ok
           {

@@ -13,7 +13,7 @@ let to_bytes t =
   let b = Bytes.create (size t) in
   Mac.write t.dst b ~pos:0;
   Mac.write t.src b ~pos:6;
-  Vw_util.Hexutil.set_int_be b ~pos:12 ~len:2 (t.ethertype land 0xffff);
+  Bytes.set_uint16_be b 12 (t.ethertype land 0xffff);
   Bytes.blit t.payload 0 b header_size (Bytes.length t.payload);
   b
 
@@ -26,7 +26,8 @@ let to_bytes t =
 
 let get_byte t i =
   if i < 12 then
-    if i < 6 then Mac.get_byte t.dst i else Mac.get_byte t.src (i - 6)
+    if i < 6 then ((t.dst :> int) lsr (40 - (8 * i))) land 0xff
+    else ((t.src :> int) lsr (88 - (8 * i))) land 0xff
   else if i = 12 then (t.ethertype lsr 8) land 0xff
   else if i = 13 then t.ethertype land 0xff
   else Char.code (Bytes.get t.payload (i - 14))
@@ -94,7 +95,7 @@ let of_bytes b =
   {
     dst = Mac.of_bytes b ~pos:0;
     src = Mac.of_bytes b ~pos:6;
-    ethertype = Vw_util.Hexutil.to_int_be b ~pos:12 ~len:2;
+    ethertype = Bytes.get_uint16_be b 12;
     payload = Bytes.sub b header_size (Bytes.length b - header_size);
   }
 

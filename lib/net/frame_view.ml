@@ -31,7 +31,7 @@ let of_frame (eth : Eth.t) =
     else if eth.ethertype = Eth.ethertype_rether then
       if Bytes.length eth.payload >= 2 then
         Rether
-          ( Vw_util.Hexutil.to_int_be eth.payload ~pos:0 ~len:2,
+          ( Bytes.get_uint16_be eth.payload 0,
             Bytes.sub eth.payload 2 (Bytes.length eth.payload - 2) )
       else Raw eth.payload
     else Raw eth.payload

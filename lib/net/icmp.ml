@@ -11,9 +11,9 @@ let type_dest_unreachable = 3
 let type_echo_request = 8
 
 let with_checksum b =
-  Vw_util.Hexutil.set_int_be b ~pos:2 ~len:2 0;
+  Bytes.set_uint16_be b 2 0;
   let csum = Vw_util.Checksum.checksum b ~pos:0 ~len:(Bytes.length b) in
-  Vw_util.Hexutil.set_int_be b ~pos:2 ~len:2 csum;
+  Bytes.set_uint16_be b 2 csum;
   b
 
 let to_bytes t =
@@ -24,16 +24,16 @@ let to_bytes t =
         (Char.chr
            (match t with Echo_request _ -> type_echo_request | _ -> type_echo_reply));
       Bytes.set b 1 '\x00';
-      Vw_util.Hexutil.set_int_be b ~pos:4 ~len:2 (id land 0xffff);
-      Vw_util.Hexutil.set_int_be b ~pos:6 ~len:2 (seq land 0xffff);
+      Bytes.set_uint16_be b 4 (id land 0xffff);
+      Bytes.set_uint16_be b 6 (seq land 0xffff);
       Bytes.blit payload 0 b 8 (Bytes.length payload);
       with_checksum b
   | Dest_unreachable { code; original } ->
       let b = Bytes.create (8 + Bytes.length original) in
       Bytes.set b 0 (Char.chr type_dest_unreachable);
       Bytes.set b 1 (Char.chr (code land 0xff));
-      Vw_util.Hexutil.set_int_be b ~pos:4 ~len:2 0;
-      Vw_util.Hexutil.set_int_be b ~pos:6 ~len:2 0;
+      Bytes.set_uint16_be b 4 0;
+      Bytes.set_uint16_be b 6 0;
       Bytes.blit original 0 b 8 (Bytes.length original);
       with_checksum b
 
@@ -45,8 +45,8 @@ let of_bytes b =
   else
     let ty = Char.code (Bytes.get b 0) in
     let code = Char.code (Bytes.get b 1) in
-    let id = Vw_util.Hexutil.to_int_be b ~pos:4 ~len:2 in
-    let seq = Vw_util.Hexutil.to_int_be b ~pos:6 ~len:2 in
+    let id = Bytes.get_uint16_be b 4 in
+    let seq = Bytes.get_uint16_be b 6 in
     let rest = Bytes.sub b 8 (len - 8) in
     if ty = type_echo_request then Ok (Echo_request { id; seq; payload = rest })
     else if ty = type_echo_reply then Ok (Echo_reply { id; seq; payload = rest })

@@ -18,16 +18,16 @@ let make ?(tos = 0) ?(ttl = 64) ?(ident = 0) ~protocol ~src ~dst payload =
 let write_header b ~pos ~tos ~ttl ~ident ~protocol ~src ~dst ~len =
   Bytes.set b pos '\x45' (* version 4, IHL 5 *);
   Bytes.set b (pos + 1) (Char.chr (tos land 0xff));
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 2) ~len:2 len;
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 4) ~len:2 (ident land 0xffff);
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 6) ~len:2 0 (* flags/fragment *);
+  Bytes.set_uint16_be b (pos + 2) (len land 0xffff);
+  Bytes.set_uint16_be b (pos + 4) (ident land 0xffff);
+  Bytes.set_uint16_be b (pos + 6) 0 (* flags/fragment *);
   Bytes.set b (pos + 8) (Char.chr (ttl land 0xff));
   Bytes.set b (pos + 9) (Char.chr (protocol land 0xff));
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 10) ~len:2 0 (* checksum placeholder *);
-  Ip_addr.write src b ~pos:(pos + 12);
-  Ip_addr.write dst b ~pos:(pos + 16);
+  Bytes.set_uint16_be b (pos + 10) 0 (* checksum placeholder *);
+  Bytes.set_int32_be b (pos + 12) (Int32.of_int (src : Ip_addr.t :> int));
+  Bytes.set_int32_be b (pos + 16) (Int32.of_int (dst : Ip_addr.t :> int));
   let csum = Vw_util.Checksum.checksum b ~pos ~len:header_size in
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 10) ~len:2 csum
+  Bytes.set_uint16_be b (pos + 10) csum
 
 let to_bytes t =
   let len = header_size + Bytes.length t.payload in
@@ -47,15 +47,15 @@ let read b ~pos ~len =
     else if not (Vw_util.Checksum.is_valid b ~pos ~len:header_size) then
       Error "ipv4: header checksum mismatch"
     else
-      let total = Vw_util.Hexutil.to_int_be b ~pos:(pos + 2) ~len:2 in
+      let total = Bytes.get_uint16_be b (pos + 2) in
       if total < header_size || total > len then Error "ipv4: bad total length"
       else Ok total
 
 let protocol_at b ~pos = Char.code (Bytes.get b (pos + 9))
 let src_at b ~pos = Ip_addr.of_bytes b ~pos:(pos + 12)
 
-let dst_is b ~pos ip =
-  Vw_util.Hexutil.to_int_be b ~pos:(pos + 16) ~len:4 = Ip_addr.to_int ip
+let dst_is b ~pos (ip : Ip_addr.t) =
+  Int32.to_int (Bytes.get_int32_be b (pos + 16)) land 0xffff_ffff = (ip :> int)
 
 let of_bytes b =
   match read b ~pos:0 ~len:(Bytes.length b) with
@@ -66,7 +66,7 @@ let of_bytes b =
           tos = Char.code (Bytes.get b 1);
           ttl = Char.code (Bytes.get b 8);
           protocol = protocol_at b ~pos:0;
-          ident = Vw_util.Hexutil.to_int_be b ~pos:4 ~len:2;
+          ident = Bytes.get_uint16_be b 4;
           src = src_at b ~pos:0;
           dst = Ip_addr.of_bytes b ~pos:16;
           payload = Bytes.sub b header_size (total - header_size);

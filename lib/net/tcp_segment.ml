@@ -48,20 +48,20 @@ let mask32 = 0xFFFFFFFF
 
 let write_header b ~pos ~src ~dst ~src_port ~dst_port ~seq ~ack_seq ~flags
     ~window ~len =
-  Vw_util.Hexutil.set_int_be b ~pos ~len:2 src_port;
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 2) ~len:2 dst_port;
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 4) ~len:4 (seq land mask32);
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 8) ~len:4 (ack_seq land mask32);
+  Bytes.set_uint16_be b pos (src_port land 0xffff);
+  Bytes.set_uint16_be b (pos + 2) (dst_port land 0xffff);
+  Bytes.set_int32_be b (pos + 4) (Int32.of_int seq);
+  Bytes.set_int32_be b (pos + 8) (Int32.of_int ack_seq);
   Bytes.set b (pos + 12) '\x50' (* data offset 5 words *);
   Bytes.set b (pos + 13) (Char.chr (flags_byte flags));
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 14) ~len:2 (window land 0xffff);
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 16) ~len:2 0 (* checksum placeholder *);
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 18) ~len:2 0 (* urgent pointer *);
+  Bytes.set_uint16_be b (pos + 14) (window land 0xffff);
+  Bytes.set_uint16_be b (pos + 16) 0 (* checksum placeholder *);
+  Bytes.set_uint16_be b (pos + 18) 0 (* urgent pointer *);
   let pseudo =
     Udp.pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_tcp ~length:len
   in
   let csum = Vw_util.Checksum.finish (pseudo + Vw_util.Checksum.ones_sum b ~pos ~len) in
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 16) ~len:2 csum
+  Bytes.set_uint16_be b (pos + 16) csum
 
 let to_bytes ~src ~dst t =
   let len = header_size + Bytes.length t.payload in
@@ -86,12 +86,12 @@ let read ~src ~dst b ~pos ~len =
       else
         Ok
           {
-            src_port = Vw_util.Hexutil.to_int_be b ~pos ~len:2;
-            dst_port = Vw_util.Hexutil.to_int_be b ~pos:(pos + 2) ~len:2;
-            seq = Vw_util.Hexutil.to_int_be b ~pos:(pos + 4) ~len:4;
-            ack_seq = Vw_util.Hexutil.to_int_be b ~pos:(pos + 8) ~len:4;
+            src_port = Bytes.get_uint16_be b pos;
+            dst_port = Bytes.get_uint16_be b (pos + 2);
+            seq = Int32.to_int (Bytes.get_int32_be b (pos + 4)) land mask32;
+            ack_seq = Int32.to_int (Bytes.get_int32_be b (pos + 8)) land mask32;
             flags = flags_of_byte (Char.code (Bytes.get b (pos + 13)));
-            window = Vw_util.Hexutil.to_int_be b ~pos:(pos + 14) ~len:2;
+            window = Bytes.get_uint16_be b (pos + 14);
             payload = Bytes.sub b (pos + header_size) (len - header_size);
           }
 

@@ -28,13 +28,25 @@ type t = {
   payload : bytes;
 }
 
+val header_size : int
+(** 20 bytes. *)
+
 val make :
   ?seq:int -> ?ack_seq:int -> ?flags:flags -> ?window:int ->
   src_port:int -> dst_port:int -> bytes -> t
 
+val write_header :
+  bytes -> pos:int -> src:Ip_addr.t -> dst:Ip_addr.t -> src_port:int ->
+  dst_port:int -> seq:int -> ack_seq:int -> flags:flags -> window:int ->
+  len:int -> unit
+(** [write_header b ~pos … ~len] writes the 20-byte header of the
+    [len]-byte segment at [pos], whose payload already sits behind it,
+    with the checksum computed over the RFC 793 pseudo-header. The one
+    writer of the layout: {!to_bytes} and TCP's send path both call it. *)
+
 val to_bytes : src:Ip_addr.t -> dst:Ip_addr.t -> t -> bytes
-(** Serializes with the pseudo-header checksum: the payload, then the
-    header in front of it, written by the module's one header writer. *)
+(** Serializes with the pseudo-header checksum: the payload, then
+    {!write_header} in front of it. *)
 
 val read :
   src:Ip_addr.t -> dst:Ip_addr.t -> bytes -> pos:int -> len:int ->

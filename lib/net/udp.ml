@@ -6,20 +6,20 @@ let make ~src_port ~dst_port payload = { src_port; dst_port; payload }
 
 (* the RFC 768/793 pseudo-header as big-endian 16-bit words: source and
    destination address halves, zero-padded protocol, length *)
-let pseudo_header_sum ~src ~dst ~protocol ~length =
-  let s = Ip_addr.to_int src and d = Ip_addr.to_int dst in
+let pseudo_header_sum ~(src : Ip_addr.t) ~(dst : Ip_addr.t) ~protocol ~length =
+  let s = (src :> int) and d = (dst :> int) in
   (s lsr 16) + (s land 0xffff) + (d lsr 16) + (d land 0xffff) + protocol
   + (length land 0xffff)
 
 let write_header b ~pos ~src ~dst ~src_port ~dst_port ~len =
-  Vw_util.Hexutil.set_int_be b ~pos ~len:2 src_port;
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 2) ~len:2 dst_port;
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 4) ~len:2 len;
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 6) ~len:2 0;
+  Bytes.set_uint16_be b pos (src_port land 0xffff);
+  Bytes.set_uint16_be b (pos + 2) (dst_port land 0xffff);
+  Bytes.set_uint16_be b (pos + 4) (len land 0xffff);
+  Bytes.set_uint16_be b (pos + 6) 0;
   let pseudo = pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_udp ~length:len in
   let csum = Vw_util.Checksum.finish (pseudo + Vw_util.Checksum.ones_sum b ~pos ~len) in
   let csum = if csum = 0 then 0xffff else csum in
-  Vw_util.Hexutil.set_int_be b ~pos:(pos + 6) ~len:2 csum
+  Bytes.set_uint16_be b (pos + 6) csum
 
 let to_bytes ~src ~dst t =
   let len = header_size + Bytes.length t.payload in
@@ -32,10 +32,10 @@ let read ~src ~dst b ~pos ~len =
   if pos < 0 || len < header_size || pos + len > Bytes.length b then
     Error "udp: truncated header"
   else
-    let ulen = Vw_util.Hexutil.to_int_be b ~pos:(pos + 4) ~len:2 in
+    let ulen = Bytes.get_uint16_be b (pos + 4) in
     if ulen < header_size || ulen > len then Error "udp: bad length"
     else
-      let wire_csum = Vw_util.Hexutil.to_int_be b ~pos:(pos + 6) ~len:2 in
+      let wire_csum = Bytes.get_uint16_be b (pos + 6) in
       let csum_ok =
         wire_csum = 0
         ||
@@ -49,8 +49,8 @@ let read ~src ~dst b ~pos ~len =
       else
         Ok
           {
-            src_port = Vw_util.Hexutil.to_int_be b ~pos ~len:2;
-            dst_port = Vw_util.Hexutil.to_int_be b ~pos:(pos + 2) ~len:2;
+            src_port = Bytes.get_uint16_be b pos;
+            dst_port = Bytes.get_uint16_be b (pos + 2);
             payload = Bytes.sub b (pos + header_size) (ulen - header_size);
           }
 

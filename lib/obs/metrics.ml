@@ -74,7 +74,8 @@ let bucket_index bounds v =
 
 let observe h v =
   if h.h_on then begin
-    h.counts.(bucket_index h.bounds v) <- h.counts.(bucket_index h.bounds v) + 1;
+    let i = bucket_index h.bounds v in
+    h.counts.(i) <- h.counts.(i) + 1;
     h.h_total <- h.h_total + 1;
     h.h_sum <- h.h_sum + v;
     if v > h.h_max then h.h_max <- v

@@ -105,8 +105,8 @@ let touch t = t.last_activity <- now t
 let make_payload ~opcode ~seq ?mac () =
   let extra = match mac with Some _ -> 6 | None -> 0 in
   let p = Bytes.create (6 + extra) in
-  Vw_util.Hexutil.set_int_be p ~pos:0 ~len:2 opcode;
-  Vw_util.Hexutil.set_int_be p ~pos:2 ~len:4 (seq land 0xFFFFFFFF);
+  Bytes.set_uint16_be p 0 (opcode land 0xffff);
+  Bytes.set_int32_be p 2 (Int32.of_int seq);
   (match mac with Some m -> Vw_net.Mac.write m p ~pos:6 | None -> ());
   p
 
@@ -271,8 +271,8 @@ let handle_frame t (frame : Vw_net.Eth.t) =
   touch t;
   let p = frame.payload in
   if Bytes.length p >= 6 then begin
-    let opcode = Vw_util.Hexutil.to_int_be p ~pos:0 ~len:2 in
-    let seq = Vw_util.Hexutil.to_int_be p ~pos:2 ~len:4 in
+    let opcode = Bytes.get_uint16_be p 0 in
+    let seq = Int32.to_int (Bytes.get_int32_be p 2) land 0xffff_ffff in
     let self = Vw_stack.Host.mac t.host in
     if opcode = opcode_token && Vw_net.Mac.equal frame.dst self then
       on_token t ~from:frame.src ~seq

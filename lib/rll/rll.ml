@@ -1,6 +1,7 @@
 let src = Logs.Src.create "vw.rll" ~doc:"Reliable Link Layer"
 
 module Log = (val Logs.src_log src : Logs.LOG)
+module Int_tbl = Vw_util.Int_tbl
 
 type config = {
   window : int;
@@ -47,15 +48,16 @@ type sender_state = {
 
 type receiver_state = {
   mutable expected : int;
-  ooo : (int, Vw_net.Eth.t) Hashtbl.t; (* out-of-order arrivals *)
+  ooo : Vw_net.Eth.t Int_tbl.t; (* out-of-order arrivals, by seq *)
 }
 
 type t = {
   host : Vw_stack.Host.t;
   config : config;
   stats : stats;
-  senders : (Vw_net.Mac.t, sender_state) Hashtbl.t;
-  receivers : (Vw_net.Mac.t, receiver_state) Hashtbl.t;
+  (* per peer, keyed by [(mac :> int)] *)
+  senders : sender_state Int_tbl.t;
+  receivers : receiver_state Int_tbl.t;
   mutable egress_hook : Vw_stack.Host.hook_id option;
   mutable ingress_hook : Vw_stack.Host.hook_id option;
 }
@@ -63,12 +65,12 @@ type t = {
 let stats t = t.stats
 
 let in_flight t =
-  Hashtbl.fold (fun _ s acc -> acc + List.length s.unacked) t.senders 0
+  Int_tbl.fold (fun _ s acc -> acc + List.length s.unacked) t.senders 0
 
-let sender_for t peer =
-  match Hashtbl.find_opt t.senders peer with
-  | Some s -> s
-  | None ->
+let sender_for t (peer : Vw_net.Mac.t) =
+  match Int_tbl.find t.senders (peer :> int) with
+  | s -> s
+  | exception Not_found ->
       let s =
         {
           next_seq = 0;
@@ -79,22 +81,22 @@ let sender_for t peer =
           dup_acks = 0;
         }
       in
-      Hashtbl.replace t.senders peer s;
+      Int_tbl.replace t.senders (peer :> int) s;
       s
 
-let receiver_for t peer =
-  match Hashtbl.find_opt t.receivers peer with
-  | Some r -> r
-  | None ->
-      let r = { expected = 0; ooo = Hashtbl.create 16 } in
-      Hashtbl.replace t.receivers peer r;
+let receiver_for t (peer : Vw_net.Mac.t) =
+  match Int_tbl.find t.receivers (peer :> int) with
+  | r -> r
+  | exception Not_found ->
+      let r = { expected = 0; ooo = Int_tbl.create 16 } in
+      Int_tbl.replace t.receivers (peer :> int) r;
       r
 
 let encapsulate ~seq (frame : Vw_net.Eth.t) =
   let payload = Bytes.create (header_size + Bytes.length frame.payload) in
   Bytes.set payload 0 (Char.chr kind_data);
-  Vw_util.Hexutil.set_int_be payload ~pos:1 ~len:4 (seq land 0xFFFFFFFF);
-  Vw_util.Hexutil.set_int_be payload ~pos:5 ~len:2 frame.ethertype;
+  Bytes.set_int32_be payload 1 (Int32.of_int seq);
+  Bytes.set_uint16_be payload 5 (frame.ethertype land 0xffff);
   Bytes.blit frame.payload 0 payload header_size (Bytes.length frame.payload);
   Vw_net.Eth.make ~dst:frame.dst ~src:frame.src
     ~ethertype:Vw_net.Eth.ethertype_rll payload
@@ -107,7 +109,7 @@ let transmit_below t frame =
 let send_ack t ~peer ~next_expected =
   let payload = Bytes.create 5 in
   Bytes.set payload 0 (Char.chr kind_ack);
-  Vw_util.Hexutil.set_int_be payload ~pos:1 ~len:4 (next_expected land 0xFFFFFFFF);
+  Bytes.set_int32_be payload 1 (Int32.of_int next_expected);
   let frame =
     Vw_net.Eth.make ~dst:peer
       ~src:(Vw_stack.Host.mac t.host)
@@ -206,21 +208,21 @@ let on_ack t peer next_expected =
   end
 
 let rec deliver_in_order t r peer =
-  match Hashtbl.find_opt r.ooo r.expected with
-  | Some frame ->
-      Hashtbl.remove r.ooo r.expected;
+  match Int_tbl.find r.ooo r.expected with
+  | frame ->
+      Int_tbl.remove r.ooo r.expected;
       r.expected <- r.expected + 1;
       t.stats.delivered <- t.stats.delivered + 1;
       Vw_stack.Host.reinject t.host Vw_stack.Hook.Ingress
         ~from_priority:Vw_stack.Hook.priority_rll frame;
       deliver_in_order t r peer
-  | None -> ()
+  | exception Not_found -> ()
 
 let on_data t peer seq ~ethertype ~payload ~dst ~src =
   let r = receiver_for t peer in
   if seq < r.expected then t.stats.duplicates <- t.stats.duplicates + 1
-  else if not (Hashtbl.mem r.ooo seq) && Hashtbl.length r.ooo < 1024 then
-    Hashtbl.replace r.ooo seq
+  else if (not (Int_tbl.mem r.ooo seq)) && Int_tbl.length r.ooo < 1024 then
+    Int_tbl.replace r.ooo seq
       (Vw_net.Eth.make ~dst ~src ~ethertype payload);
   deliver_in_order t r peer;
   send_ack t ~peer ~next_expected:r.expected
@@ -250,10 +252,10 @@ let ingress_handler t (frame : Vw_net.Eth.t) =
     let p = frame.payload in
     (if Bytes.length p >= 5 then
        let kind = Char.code (Bytes.get p 0) in
-       let seq = Vw_util.Hexutil.to_int_be p ~pos:1 ~len:4 in
+       let seq = Int32.to_int (Bytes.get_int32_be p 1) land 0xffff_ffff in
        if kind = kind_ack then on_ack t frame.src seq
        else if kind = kind_data && Bytes.length p >= header_size then begin
-         let ethertype = Vw_util.Hexutil.to_int_be p ~pos:5 ~len:2 in
+         let ethertype = Bytes.get_uint16_be p 5 in
          let payload = Bytes.sub p header_size (Bytes.length p - header_size) in
          on_data t frame.src seq ~ethertype ~payload ~dst:frame.dst
            ~src:frame.src
@@ -275,8 +277,8 @@ let install ?(config = default_config) host =
           duplicates = 0;
           abandoned = 0;
         };
-      senders = Hashtbl.create 8;
-      receivers = Hashtbl.create 8;
+      senders = Int_tbl.create 8;
+      receivers = Int_tbl.create 8;
       egress_hook = None;
       ingress_hook = None;
     }

@@ -2,6 +2,7 @@ let src = Logs.Src.create "vw.arp" ~doc:"ARP resolver"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 module Arp_packet = Vw_net.Arp_packet
+module Int_tbl = Vw_util.Int_tbl
 
 type config = {
   request_timeout : Vw_sim.Simtime.t;
@@ -31,11 +32,11 @@ type t = {
   host : Host.t;
   config : config;
   stats : stats;
-  probes : (Vw_net.Ip_addr.t, probe) Hashtbl.t;
+  probes : probe Int_tbl.t; (* keyed by [(ip :> int)] *)
 }
 
 let stats t = t.stats
-let resolving t = Hashtbl.length t.probes
+let resolving t = Int_tbl.length t.probes
 
 let send_arp t ~dst ~op ~target_mac ~target_ip =
   let packet =
@@ -62,10 +63,10 @@ let rec send_request t probe ip =
       (Host.set_timer t.host ~delay:t.config.request_timeout (fun () ->
            on_timeout t probe ip))
 
-and on_timeout t probe ip =
-  if Hashtbl.mem t.probes ip then
+and on_timeout t probe (ip : Vw_net.Ip_addr.t) =
+  if Int_tbl.mem t.probes (ip :> int) then
     if probe.attempts >= t.config.max_attempts then begin
-      Hashtbl.remove t.probes ip;
+      Int_tbl.remove t.probes (ip :> int);
       t.stats.failures <- t.stats.failures + 1;
       let dropped = Host.drop_pending t.host ip in
       Log.info (fun m ->
@@ -76,10 +77,10 @@ and on_timeout t probe ip =
     end
     else send_request t probe ip
 
-let on_miss t ip =
-  if not (Hashtbl.mem t.probes ip) then begin
+let on_miss t (ip : Vw_net.Ip_addr.t) =
+  if not (Int_tbl.mem t.probes (ip :> int)) then begin
     let probe = { attempts = 0; timer = None } in
-    Hashtbl.replace t.probes ip probe;
+    Int_tbl.replace t.probes (ip :> int) probe;
     send_request t probe ip
   end
 
@@ -107,17 +108,16 @@ let handle_frame t (frame : Vw_net.Eth.t) =
               ~target_mac:packet.sender_mac ~target_ip:packet.sender_ip
           end
       | Arp_packet.Reply ->
-          if Hashtbl.mem t.probes packet.sender_ip then begin
-            (match Hashtbl.find_opt t.probes packet.sender_ip with
-            | Some probe -> (
-                match probe.timer with
-                | Some timer -> Host.cancel_timer t.host timer
-                | None -> ())
-            | None -> ());
-            Hashtbl.remove t.probes packet.sender_ip;
-            t.stats.replies_received <- t.stats.replies_received + 1;
-            install_binding t ~ip:packet.sender_ip ~mac:packet.sender_mac
-          end)
+          let key = (packet.sender_ip :> int) in
+          match Int_tbl.find_opt t.probes key with
+          | Some probe ->
+              (match probe.timer with
+              | Some timer -> Host.cancel_timer t.host timer
+              | None -> ());
+              Int_tbl.remove t.probes key;
+              t.stats.replies_received <- t.stats.replies_received + 1;
+              install_binding t ~ip:packet.sender_ip ~mac:packet.sender_mac
+          | None -> ())
 
 let attach ?(config = default_config) host =
   let t =
@@ -133,7 +133,7 @@ let attach ?(config = default_config) host =
           failures = 0;
           expirations = 0;
         };
-      probes = Hashtbl.create 8;
+      probes = Int_tbl.create 8;
     }
   in
   Host.set_ethertype_handler host Arp_packet.ethertype (handle_frame t);

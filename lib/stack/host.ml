@@ -1,6 +1,7 @@
 let src = Logs.Src.create "vw.host" ~doc:"VirtualWire host stack"
 
 module Log = (val Logs.src_log src : Logs.LOG)
+module Int_tbl = Vw_util.Int_tbl
 
 type hook_entry = {
   id : int;
@@ -23,19 +24,20 @@ type t = {
   mutable egress : hook_entry list;
   mutable ingress : hook_entry list;
   mutable next_hook_id : int;
-  ethertype_handlers : (int, Vw_net.Eth.t -> unit) Hashtbl.t;
+  (* every table a frame looks up is int-keyed; addresses key as
+     [(ip :> int)] *)
+  ethertype_handlers : (Vw_net.Eth.t -> unit) Int_tbl.t;
   ip_handlers :
-    ( int,
-      src:Vw_net.Ip_addr.t ->
-      dst:Vw_net.Ip_addr.t ->
-      bytes ->
-      pos:int ->
-      len:int ->
-      unit )
-    Hashtbl.t;
-  udp_ports : (int, src:Vw_net.Ip_addr.t -> src_port:int -> bytes -> unit) Hashtbl.t;
-  neighbors : (Vw_net.Ip_addr.t, Vw_net.Mac.t) Hashtbl.t;
-  pending_resolution : (Vw_net.Ip_addr.t, bytes Queue.t) Hashtbl.t;
+    (src:Vw_net.Ip_addr.t ->
+    dst:Vw_net.Ip_addr.t ->
+    bytes ->
+    pos:int ->
+    len:int ->
+    unit)
+    Int_tbl.t;
+  udp_ports : (src:Vw_net.Ip_addr.t -> src_port:int -> bytes -> unit) Int_tbl.t;
+  neighbors : Vw_net.Mac.t Int_tbl.t;
+  pending_resolution : bytes Queue.t Int_tbl.t;
   mutable neighbor_miss : (Vw_net.Ip_addr.t -> unit) option;
   mutable icmp_observer : (src:Vw_net.Ip_addr.t -> Vw_net.Icmp.t -> unit) option;
   mutable tap : (dir:[ `In | `Out ] -> Vw_net.Eth.t -> unit) option;
@@ -77,7 +79,7 @@ let transmit t (frame : Vw_net.Eth.t) =
   end
 
 let demux t (frame : Vw_net.Eth.t) =
-  match Hashtbl.find t.ethertype_handlers frame.ethertype with
+  match Int_tbl.find t.ethertype_handlers frame.ethertype with
   | handler -> handler frame
   | exception Not_found ->
       Log.debug (fun m ->
@@ -133,7 +135,7 @@ let attach t nic =
   nic.Vw_link.Netif.set_receive (receive t)
 
 let set_ethertype_handler t ethertype handler =
-  Hashtbl.replace t.ethertype_handlers ethertype handler
+  Int_tbl.replace t.ethertype_handlers ethertype handler
 
 let set_tap t tap = t.tap <- Some tap
 
@@ -148,35 +150,35 @@ let emit_ip t ~dst_mac packet_bytes =
   in
   send_frame t frame
 
-let add_neighbor t ip mac =
-  Hashtbl.replace t.neighbors ip mac;
+let add_neighbor t (ip : Vw_net.Ip_addr.t) mac =
+  Int_tbl.replace t.neighbors (ip :> int) mac;
   (* release any packets parked on this resolution *)
-  match Hashtbl.find_opt t.pending_resolution ip with
+  match Int_tbl.find_opt t.pending_resolution (ip :> int) with
   | None -> ()
   | Some q ->
-      Hashtbl.remove t.pending_resolution ip;
+      Int_tbl.remove t.pending_resolution (ip :> int);
       Queue.iter (fun packet_bytes -> emit_ip t ~dst_mac:mac packet_bytes) q
 
-let remove_neighbor t ip = Hashtbl.remove t.neighbors ip
+let remove_neighbor t (ip : Vw_net.Ip_addr.t) =
+  Int_tbl.remove t.neighbors (ip :> int)
 
-let neighbor t ip = Hashtbl.find_opt t.neighbors ip
-
+let neighbor t (ip : Vw_net.Ip_addr.t) = Int_tbl.find_opt t.neighbors (ip :> int)
 let set_neighbor_miss_handler t handler = t.neighbor_miss <- handler
 
-let drop_pending t ip =
-  match Hashtbl.find_opt t.pending_resolution ip with
+let drop_pending t (ip : Vw_net.Ip_addr.t) =
+  match Int_tbl.find_opt t.pending_resolution (ip :> int) with
   | None -> 0
   | Some q ->
-      Hashtbl.remove t.pending_resolution ip;
+      Int_tbl.remove t.pending_resolution (ip :> int);
       Queue.length q
 
 (* Writes the IPv4 header into the first 20 bytes of [packet], whose
    transport bytes are already in place, and sends it on. *)
-let output_ip t ~protocol ~dst packet =
+let output_ip t ~protocol ~(dst : Vw_net.Ip_addr.t) packet =
   t.ip_ident <- (t.ip_ident + 1) land 0xffff;
   Vw_net.Ipv4.write_header packet ~pos:0 ~tos:0 ~ttl:64 ~ident:t.ip_ident
     ~protocol ~src:t.ip ~dst ~len:(Bytes.length packet);
-  match Hashtbl.find t.neighbors dst with
+  match Int_tbl.find t.neighbors (dst :> int) with
   | mac -> emit_ip t ~dst_mac:mac packet
   | exception Not_found -> (
       match t.neighbor_miss with
@@ -186,11 +188,11 @@ let output_ip t ~protocol ~dst packet =
           emit_ip t ~dst_mac:Vw_net.Mac.broadcast packet
       | Some miss ->
           let q =
-            match Hashtbl.find_opt t.pending_resolution dst with
+            match Int_tbl.find_opt t.pending_resolution (dst :> int) with
             | Some q -> q
             | None ->
                 let q = Queue.create () in
-                Hashtbl.replace t.pending_resolution dst q;
+                Int_tbl.replace t.pending_resolution (dst :> int) q;
                 q
           in
           if Queue.length q < max_pending_per_neighbor then Queue.add packet q;
@@ -203,7 +205,7 @@ let send_ip t ~protocol ~dst payload =
   output_ip t ~protocol ~dst packet
 
 let set_ip_protocol_handler t protocol handler =
-  Hashtbl.replace t.ip_handlers protocol handler
+  Int_tbl.replace t.ip_handlers protocol handler
 
 (* One path for every protocol: the header is checked where it lies, and
    the handler gets the transport bytes as a view into the frame. *)
@@ -214,7 +216,7 @@ let handle_ip t (frame : Vw_net.Eth.t) =
   | Ok total ->
       if Vw_net.Ipv4.dst_is b ~pos:0 t.ip then
         let protocol = Vw_net.Ipv4.protocol_at b ~pos:0 in
-        match Hashtbl.find t.ip_handlers protocol with
+        match Int_tbl.find t.ip_handlers protocol with
         | handler ->
             handler
               ~src:(Vw_net.Ipv4.src_at b ~pos:0)
@@ -247,7 +249,7 @@ let handle_udp t ~src ~dst b ~pos ~len =
   match Vw_net.Udp.read ~src ~dst b ~pos ~len with
   | Error e -> Log.debug (fun m -> m "%s: dropped UDP datagram: %s" t.name e)
   | Ok dgram -> (
-      match Hashtbl.find t.udp_ports dgram.dst_port with
+      match Int_tbl.find t.udp_ports dgram.dst_port with
       | handler -> handler ~src ~src_port:dgram.src_port dgram.payload
       | exception Not_found ->
           (* port unreachable: quote the offending IP header + 8 payload
@@ -261,11 +263,11 @@ let handle_udp t ~src ~dst b ~pos ~len =
                { code = Vw_net.Icmp.code_port_unreachable; original }))
 
 let udp_bind t ~port handler =
-  if Hashtbl.mem t.udp_ports port then
+  if Int_tbl.mem t.udp_ports port then
     invalid_arg (Printf.sprintf "Host.udp_bind: port %d already bound" port);
-  Hashtbl.replace t.udp_ports port handler
+  Int_tbl.replace t.udp_ports port handler
 
-let udp_unbind t ~port = Hashtbl.remove t.udp_ports port
+let udp_unbind t ~port = Int_tbl.remove t.udp_ports port
 
 (* One buffer for the datagram: the payload is copied once, and both
    headers are written in front of it. *)
@@ -318,11 +320,11 @@ let create engine ~name ~mac ~ip =
       egress = [];
       ingress = [];
       next_hook_id = 0;
-      ethertype_handlers = Hashtbl.create 8;
-      ip_handlers = Hashtbl.create 8;
-      udp_ports = Hashtbl.create 8;
-      neighbors = Hashtbl.create 8;
-      pending_resolution = Hashtbl.create 8;
+      ethertype_handlers = Int_tbl.create 8;
+      ip_handlers = Int_tbl.create 8;
+      udp_ports = Int_tbl.create 8;
+      neighbors = Int_tbl.create 8;
+      pending_resolution = Int_tbl.create 8;
       neighbor_miss = None;
       icmp_observer = None;
       tap = None;

@@ -76,7 +76,15 @@ val drop_pending : t -> Vw_net.Ip_addr.t -> int
     were dropped. *)
 
 val send_ip : t -> protocol:int -> dst:Vw_net.Ip_addr.t -> bytes -> unit
-(** Sends an encoded transport payload (TCP, ICMP) in one new datagram. *)
+(** Sends an encoded transport payload (ICMP) in one new datagram. *)
+
+val output_ip : t -> protocol:int -> dst:Vw_net.Ip_addr.t -> bytes -> unit
+(** [output_ip t ~protocol ~dst packet] sends a datagram built in place:
+    the transport bytes already sit at offset {!Vw_net.Ipv4.header_size}
+    of [packet], and the IPv4 header is written into the 20 bytes before
+    them. [packet] is handed over: it may wait for neighbor resolution, so
+    the caller never touches it again. {!udp_send} and TCP send through
+    it, so each copies its payload once. *)
 
 val set_ip_protocol_handler :
   t ->

@@ -161,17 +161,27 @@ let flight_segments t =
 
 (* --- segment emission --- *)
 
-let emit t ?(payload = Bytes.create 0) ~seq ~flags () =
-  let seg =
-    Seg.make ~seq ~ack_seq:(if flags.Seg.ack then t.rcv_nxt else 0) ~flags
-      ~window:t.conn_config.window ~src_port:t.local_port
-      ~dst_port:t.remote_port payload
-  in
-  let data =
-    Seg.to_bytes ~src:(Vw_stack.Host.ip t.stack.host) ~dst:t.remote_ip seg
-  in
-  Vw_stack.Host.send_ip t.stack.host ~protocol:Vw_net.Ipv4.protocol_tcp
-    ~dst:t.remote_ip data
+(* One buffer per segment, as [Host.udp_send] builds a datagram: the
+   payload is copied once, and both headers are written in front of it.
+   [src] is the pseudo-header's source; the host writes its own address
+   into the IPv4 header, and the two are the same address. *)
+let send_segment host ~src ~dst ~src_port ~dst_port ~seq ~ack_seq ~flags
+    ~window payload =
+  let n = Bytes.length payload in
+  let pos = Vw_net.Ipv4.header_size in
+  let len = Seg.header_size + n in
+  let packet = Bytes.create (pos + len) in
+  Bytes.blit payload 0 packet (pos + Seg.header_size) n;
+  Seg.write_header packet ~pos ~src ~dst ~src_port ~dst_port ~seq ~ack_seq
+    ~flags ~window ~len;
+  Vw_stack.Host.output_ip host ~protocol:Vw_net.Ipv4.protocol_tcp ~dst packet
+
+let emit t ?(payload = Bytes.empty) ~seq ~flags () =
+  send_segment t.stack.host
+    ~src:(Vw_stack.Host.ip t.stack.host)
+    ~dst:t.remote_ip ~src_port:t.local_port ~dst_port:t.remote_port ~seq
+    ~ack_seq:(if flags.Seg.ack then t.rcv_nxt else 0)
+    ~flags ~window:t.conn_config.window payload
 
 let ack_flags = { Seg.no_flags with ack = true }
 let syn_flags = { Seg.no_flags with syn = true }
@@ -589,16 +599,10 @@ and stack_receive stack ~src ~dst (seg : Seg.t) =
           restart_rto conn
       | _ ->
           (* No home for this segment: RST, unless it is itself a RST. *)
-          if not seg.flags.rst then begin
-            let rst =
-              Seg.make ~seq:seg.ack_seq ~ack_seq:0 ~flags:rst_flags
-                ~window:0 ~src_port:seg.dst_port ~dst_port:seg.src_port
-                (Bytes.create 0)
-            in
-            Vw_stack.Host.send_ip stack.host
-              ~protocol:Vw_net.Ipv4.protocol_tcp ~dst:src
-              (Seg.to_bytes ~src:dst ~dst:src rst)
-          end)
+          if not seg.flags.rst then
+            send_segment stack.host ~src:dst ~dst:src ~src_port:seg.dst_port
+              ~dst_port:seg.src_port ~seq:seg.ack_seq ~ack_seq:0
+              ~flags:rst_flags ~window:0 Bytes.empty)
 
 let listen ?(config = default_config) stack ~port ~on_accept =
   if Hashtbl.mem stack.listeners port then

@@ -613,7 +613,7 @@ let test_compile_keyed_tuples () =
       (match index with
       | Some { Tables.t_pat = Tables.Bytes_pattern b; _ } ->
           let bucket =
-            Hashtbl.find c.C.ci_buckets
+            Vw_util.Int_tbl.find c.C.ci_buckets
               (Vw_util.Hexutil.to_int_be b ~pos:0 ~len:2)
           in
           check Alcotest.bool (where ^ " in its index tuple's bucket") true

@@ -47,6 +47,71 @@ let test_ip_high_octet () =
   check Alcotest.string "all ones survives int32" "255.255.255.255"
     (Ip_addr.to_string ip)
 
+(* Addresses are immediate ints; these pin the representation against
+   the wire form it replaced. *)
+let gen_wire n =
+  QCheck.make ~print:(fun s -> Hex.to_hex (Bytes.of_string s))
+    QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 0 255)) (return n))
+
+let prop_mac_roundtrip =
+  QCheck.Test.make ~name:"mac write/of_bytes and to_string/of_string roundtrip"
+    ~count:500 (gen_wire 6) (fun s ->
+      let b = Bytes.of_string ("xx" ^ s) in
+      let m = Mac.of_bytes b ~pos:2 in
+      let b' = Bytes.make 9 'y' in
+      Mac.write m b' ~pos:1;
+      Bytes.sub_string b' 1 6 = s
+      && Mac.equal (Mac.of_string (Mac.to_string m)) m
+      && Mac.to_string m
+         = String.concat ":"
+             (List.init 6 (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+      && List.for_all (fun i -> Mac.get_byte m i = Char.code s.[i]) [ 0; 1; 2; 3; 4; 5 ])
+
+let prop_mac_compare_is_byte_order =
+  QCheck.Test.make ~name:"mac compare has the sign of Bytes.compare" ~count:500
+    (QCheck.pair (gen_wire 6) (gen_wire 6)) (fun (a, b) ->
+      (* half the pairs share a prefix, so later bytes decide *)
+      let b = if Char.code b.[0] land 1 = 0 then String.sub a 0 3 ^ String.sub b 3 3 else b in
+      let mac s = Mac.of_bytes (Bytes.of_string s) ~pos:0 in
+      let sign x = Int.compare x 0 in
+      let expected = sign (Bytes.compare (Bytes.of_string a) (Bytes.of_string b)) in
+      sign (Mac.compare (mac a) (mac b)) = expected
+      && sign (compare (mac a) (mac b)) = expected)
+
+let prop_mac_get_byte_range =
+  QCheck.Test.make ~name:"mac get_byte outside 0-5 raises" ~count:300
+    QCheck.(int_range (-1000) 1000) (fun i ->
+      let m = Mac.of_string "00:46:61:af:fe:23" in
+      match Mac.get_byte m i with
+      | v -> i >= 0 && i <= 5 && v = Char.code "\x00\x46\x61\xaf\xfe\x23".[i]
+      | exception Invalid_argument _ -> i < 0 || i > 5)
+
+let prop_ip_roundtrip =
+  QCheck.Test.make ~name:"ip write/of_bytes and to_string/of_string roundtrip"
+    ~count:500 (gen_wire 4) (fun s ->
+      let ip = Ip_addr.of_bytes (Bytes.of_string s) ~pos:0 in
+      let b = Bytes.make 4 'y' in
+      Ip_addr.write ip b ~pos:0;
+      Bytes.to_string b = s
+      && Ip_addr.equal (Ip_addr.of_string (Ip_addr.to_string ip)) ip
+      && (ip :> int) >= 0
+      && (ip :> int) = Int32.to_int (Bytes.get_int32_be b 0) land 0xffff_ffff)
+
+let test_ip_above_sign_bit () =
+  List.iter
+    (fun (text, v) ->
+      let ip = Ip_addr.of_string text in
+      check Alcotest.int (text ^ " as unsigned int") v (ip :> int);
+      let b = Bytes.create 4 in
+      Ip_addr.write ip b ~pos:0;
+      check Alcotest.bool (text ^ " reads back") true
+        (Ip_addr.equal ip (Ip_addr.of_bytes b ~pos:0));
+      check Alcotest.string (text ^ " prints back") text (Ip_addr.to_string ip))
+    [ ("128.0.0.1", 0x8000_0001); ("255.255.255.255", 0xffff_ffff) ];
+  check Alcotest.bool "128.0.0.1 above 127.255.255.255" true
+    ((Ip_addr.of_string "128.0.0.1" :> int)
+    > (Ip_addr.of_string "127.255.255.255" :> int))
+
 (* --- Eth --- *)
 
 let test_eth_roundtrip () =
@@ -286,6 +351,12 @@ let suite =
         Alcotest.test_case "ip roundtrip" `Quick test_ip_roundtrip;
         Alcotest.test_case "ip write/read" `Quick test_ip_write_read;
         Alcotest.test_case "ip 255.255.255.255" `Quick test_ip_high_octet;
+        qtest prop_mac_roundtrip;
+        qtest prop_mac_compare_is_byte_order;
+        qtest prop_mac_get_byte_range;
+        qtest prop_ip_roundtrip;
+        Alcotest.test_case "ip at and above 128.0.0.0" `Quick
+          test_ip_above_sign_bit;
       ] );
     ( "net.eth",
       [

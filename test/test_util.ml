@@ -1,5 +1,6 @@
 (* Unit and property tests for vw_util: hex codecs, the Internet checksum,
-   the deterministic PRNG and the statistics accumulator. *)
+   the deterministic PRNG, the statistics accumulator, worklists and
+   int-keyed tables. *)
 
 open Vw_util
 
@@ -254,6 +255,101 @@ let prop_worklist_is_sort_uniq =
       Worklist.sort w;
       Worklist.to_list w = List.sort_uniq compare ids)
 
+(* --- Int_tbl --- *)
+
+type tbl_op =
+  | Replace of int * int
+  | Remove of int
+  | Find of int
+  | Find_opt of int
+  | Mem of int
+
+let show_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Find_opt k -> Printf.sprintf "find_opt %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+
+(* mostly few distinct keys, so operations collide; enough others that
+   the table doubles twice; negative and extreme keys too *)
+let gen_tbl_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range (-8) 8);
+        (2, int_range (-200) 200);
+        (1, map (fun k -> k lsl 40) (int_range (-4) 4));
+        (1, oneofl [ min_int; max_int; 0x1000; 0x2000 ]);
+      ])
+
+let gen_tbl_op =
+  QCheck.Gen.(
+    let* k = gen_tbl_key and* v = int_bound 99 in
+    frequency
+      [
+        (3, return (Replace (k, v)));
+        (1, return (Remove k));
+        (1, return (Find k));
+        (1, return (Find_opt k));
+        (1, return (Mem k));
+      ])
+
+(* Every answer, the size and the bindings left behind equal Stdlib
+   [Hashtbl]'s. *)
+let prop_int_tbl_is_hashtbl =
+  QCheck.Test.make ~name:"Int_tbl agrees with Stdlib Hashtbl" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 0 400) gen_tbl_op))
+    (fun ops ->
+      let t = Int_tbl.create 1 and model = Hashtbl.create 1 in
+      let found find tbl k =
+        match find tbl k with v -> Some v | exception Not_found -> None
+      in
+      let sorted l = List.sort compare l in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Replace (k, v) ->
+              Int_tbl.replace t k v;
+              Hashtbl.replace model k v;
+              true
+          | Remove k ->
+              Int_tbl.remove t k;
+              Hashtbl.remove model k;
+              true
+          | Find k -> found Int_tbl.find t k = found Hashtbl.find model k
+          | Find_opt k -> Int_tbl.find_opt t k = Hashtbl.find_opt model k
+          | Mem k -> Int_tbl.mem t k = Hashtbl.mem model k)
+          && Int_tbl.length t = Hashtbl.length model)
+        ops
+      && sorted (Int_tbl.fold (fun k v acc -> (k, v) :: acc) t [])
+         = sorted (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [])
+      &&
+      let seen = ref [] in
+      Int_tbl.iter (fun k v -> seen := (k, v) :: !seen) t;
+      sorted !seen = sorted (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
+
+(* Keys that differ only above the table's index bits still spread. An
+   identity hash puts each set of 4096 in one chain; a multiply that keeps
+   the product from bit 17 up, with no fold, leaves 16 in the longest
+   chain for [k lsl 20] and all 4096 in one for [k lsl 44]. *)
+let test_int_tbl_spread () =
+  List.iter
+    (fun shift ->
+      let t = Int_tbl.create 16 in
+      for k = 0 to 4095 do
+        Int_tbl.replace t (k lsl shift) k
+      done;
+      let st = Int_tbl.stats t in
+      check Alcotest.int (Printf.sprintf "k lsl %d: bindings" shift) 4096
+        st.Hashtbl.num_bindings;
+      if st.Hashtbl.max_bucket_length > 6 then
+        Alcotest.failf "k lsl %d: longest chain %d of %d buckets (bound 6)" shift
+          st.Hashtbl.max_bucket_length st.Hashtbl.num_buckets)
+    [ 0; 20; 44 ]
+
 let suite =
   [
     ( "util.hex",
@@ -296,5 +392,10 @@ let suite =
       [
         Alcotest.test_case "dedup / order / clear" `Quick test_worklist_basics;
         qtest prop_worklist_is_sort_uniq;
+      ] );
+    ( "util.int_tbl",
+      [
+        qtest prop_int_tbl_is_hashtbl;
+        Alcotest.test_case "high-bit keys spread" `Quick test_int_tbl_spread;
       ] );
   ]
